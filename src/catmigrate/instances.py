@@ -27,13 +27,22 @@ class Instance:
     columns: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def __post_init__(self):
+        # Copies, so that filling in the empty tables leaves the caller's dicts alone.
+        self.rows = dict(self.rows)
+        self.columns = dict(self.columns)
         for v in self.schema.vertices:
             self.rows.setdefault(v, ())
         for a in self.schema.arrows:
             self.columns.setdefault(a.name, {})
-        for v in self.rows:
+        for v, rows in self.rows.items():
             if not self.schema.graph.has_vertex(v):
                 raise StructuralError(f"rows declared for unknown vertex {v!r}")
+            if len(set(rows)) != len(rows):
+                seen: set[str] = set()
+                for row in rows:
+                    if row in seen:
+                        raise StructuralError(f"duplicate row {row!r} in table {v!r}")
+                    seen.add(row)
         for name in self.columns:
             self.schema.graph.arrow(name)
 
@@ -48,10 +57,6 @@ class Instance:
 
     def total_rows(self) -> int:
         return sum(len(r) for r in self.rows.values())
-
-
-def empty_instance(schema: Schema) -> Instance:
-    return Instance(schema)
 
 
 def evaluate_path(instance: Instance, path: Path, row: str) -> str:

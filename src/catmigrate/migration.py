@@ -587,6 +587,7 @@ class _VertexFamilies:
     families: list[dict[int, str]]  # component index -> source row
     row_ids: list[str]
     index: dict[frozenset, str]  # frozen family items -> row id
+    exhausted: bool  # the class search ran out of new classes within the bound
 
 
 @dataclass
@@ -601,12 +602,14 @@ def _comma_classes(
     path_bound: int,
     budget: int,
     element_cap: int,
-) -> list[Path]:
-    """Equivalence classes of paths out of ``start``, one representative each.
+) -> tuple[list[Path], bool]:
+    """Equivalence classes of paths out of ``start``, one representative each,
+    and whether the search ran out of new classes within ``path_bound``.
 
     Breadth-first over classes: extending only representatives is complete
     because the closure conditions let any extension be rewritten onto the
-    representative's extension.
+    representative's extension.  When the frontier empties, a larger bound
+    finds exactly the same classes.
     """
     classes: list[Path] = [trivial_path(start)]
     frontier = [0]
@@ -629,7 +632,7 @@ def _comma_classes(
                             vertex=start,
                         )
         frontier = next_frontier
-    return classes
+    return classes, not frontier
 
 
 def _match_class(
@@ -656,7 +659,7 @@ def _families_at(
 ) -> _VertexFamilies:
     D = translation.target
     C = translation.source
-    classes = _comma_classes(D, vertex, path_bound, budget, element_cap)
+    classes, exhausted = _comma_classes(D, vertex, path_bound, budget, element_cap)
     class_target = [path_target(D.graph, rep) for rep in classes]
     comps: list[tuple[str, int]] = []
     for c in C.vertices:
@@ -686,42 +689,112 @@ def _families_at(
                 (comp_index[(arrow.source, i)], comp_index[(arrow.target, j)], arrow.name)
             )
 
-    check_at: dict[int, list[tuple[int, int, str]]] = {}
-    for con in constraints:
-        check_at.setdefault(max(con[0], con[1]), []).append(con)
+    families = _compatible_families(instance, comps, constraints, family_cap, vertex)
+    row_ids = _family_row_ids(comps, families, classes)
+    index = {
+        frozenset(fam.items()): rid for fam, rid in zip(families, row_ids)
+    }
+    return _VertexFamilies(classes, comps, families, row_ids, index, exhausted)
 
+
+def _compatible_families(
+    instance: Instance,
+    comps: list[tuple[str, int]],
+    constraints: list[tuple[int, int, str]],
+    family_cap: int,
+    vertex: str,
+) -> list[dict[int, str]]:
+    """Every choice of one row per component that satisfies every constraint
+    ``column(arrow)[row i] == row j``, as an indexed join (see ``_join_plan``).
+
+    The families come out in nested-loop order: lexicographic over the
+    components in index order, by row position.
+    """
+    steps = _join_plan(instance, comps, constraints)
     families: list[dict[int, str]] = []
-    assignment: dict[int, str] = {}
+    values: list[str | None] = [None] * len(comps)
 
-    def recurse(k: int):
-        if k == len(comps):
-            families.append(dict(assignment))
+    def extend(s: int) -> None:
+        if s == len(steps):
+            families.append(dict(enumerate(values)))
             if len(families) > family_cap:
                 raise EnumerationCapError(
                     f"pi produced more than {family_cap} rows at vertex {vertex!r}",
                     vertex=vertex,
                 )
             return
-        c, _ = comps[k]
-        for row in instance.row_set(c):
-            assignment[k] = row
-            ok = True
-            for i, j, arrow in check_at.get(k, ()):
-                if i in assignment and j in assignment:
-                    if instance.column(arrow).get(assignment[i]) != assignment[j]:
-                        ok = False
+        k, driver, pool, lookups, checks = steps[s]
+        for row in pool if driver is None else pool.get(values[driver], ()):
+            values[k] = row
+            for j, i, column, rows in lookups:
+                value = column.get(values[i])
+                if value not in rows:
+                    break
+                values[j] = value
+            else:
+                for i, j, column in checks:
+                    if column.get(values[i]) != values[j]:
                         break
-            if ok:
-                recurse(k + 1)
-            del assignment[k]
+                else:
+                    extend(s + 1)
 
-    recurse(0)
+    extend(0)
+    return families
 
-    row_ids = _family_row_ids(comps, families, classes)
-    index = {
-        frozenset(fam.items()): rid for fam, rid in zip(families, row_ids)
-    }
-    return _VertexFamilies(classes, comps, families, row_ids, index)
+
+def _join_plan(
+    instance: Instance,
+    comps: list[tuple[str, int]],
+    constraints: list[tuple[int, int, str]],
+) -> list[tuple]:
+    """The join's steps, planned once because columns are functions.
+
+    Each step branches on the lowest-index unassigned component: it is drawn
+    from a column's preimage index when a constraint ties it to an assigned
+    component, and enumerated otherwise.  Then every component a constraint
+    reaches from an assigned one is looked up in that column (and must be a
+    row of its table), and every other constraint is checked once both its
+    ends are assigned.  A looked-up component is a function of the components
+    assigned before it, so it never tells two families apart; the branches,
+    taken in index order, keep the nested loop's order.
+
+    A step is ``(branch, driver, pool, lookups, checks)``: ``pool`` holds the
+    branch's rows, or with a ``driver`` component its preimage index keyed by
+    the driver's row.
+    """
+    rows_of = [instance.row_set(c) for c, _ in comps]
+    columns = {name: instance.column(name) for _, _, name in constraints}
+    row_sets: dict[str, frozenset[str]] = {}
+    assigned = [False] * len(comps)
+    pending = list(constraints)
+    steps: list[tuple] = []
+    for k in range(len(comps)):
+        if assigned[k]:
+            continue
+        driver, pool = None, rows_of[k]
+        tie = next((con for con in pending if con[0] == k and assigned[con[1]]), None)
+        if tie is not None:
+            pending.remove(tie)
+            driver, column = tie[1], columns[tie[2]]
+            pool = {}
+            for row in rows_of[k]:
+                pool.setdefault(column.get(row), []).append(row)
+        assigned[k] = True
+        lookups = []
+        while reach := next(
+            (con for con in pending if assigned[con[0]] and not assigned[con[1]]), None
+        ):
+            pending.remove(reach)
+            i, j, name = reach
+            c = comps[j][0]
+            if c not in row_sets:
+                row_sets[c] = frozenset(rows_of[j])
+            lookups.append((j, i, columns[name], row_sets[c]))
+            assigned[j] = True
+        checks = [(i, j, columns[name]) for i, j, name in pending if assigned[i] and assigned[j]]
+        pending = [con for con in pending if not (assigned[con[0]] and assigned[con[1]])]
+        steps.append((k, driver, pool, lookups, checks))
+    return steps
 
 
 def _family_row_ids(
@@ -762,6 +835,7 @@ def _family_row_ids(
 def _pi_core(
     translation: Translation,
     instance: Instance,
+    vertices: tuple[str, ...],
     path_bound: int,
     budget: int,
     element_cap: int,
@@ -772,7 +846,7 @@ def _pi_core(
         d: _families_at(
             translation, instance, d, path_bound, budget, element_cap, family_cap, log
         )
-        for d in translation.target.vertices
+        for d in vertices
     }
 
 
@@ -791,13 +865,22 @@ def pi_full(
     if log is not None:
         log.bounds.setdefault("path_bound", path_bound)
         log.bounds.setdefault("rewrite_budget", budget)
-    data = _pi_core(translation, instance, path_bound, budget, element_cap, family_cap, log)
-    # Mandatory stability check: one more unit of path bound must not change
-    # any row count, otherwise the comma category was not exhausted.
-    probe = _pi_core(
-        translation, instance, path_bound + 1, budget, element_cap, family_cap, None
+    D = translation.target
+    data = _pi_core(
+        translation, instance, D.vertices, path_bound, budget, element_cap, family_cap, log
     )
-    for d in translation.target.vertices:
+    # Mandatory stability check: one more unit of path bound must not change
+    # any row count, otherwise the comma category was not exhausted.  Where
+    # the class search ran out of new classes within the bound, the classes,
+    # and so the families, are the same one unit higher, so only the other
+    # vertices are recomputed.  All of them are recomputed before any count is
+    # compared, so a run that fails in several ways raises the same error as
+    # when every vertex is probed.
+    unsettled = tuple(d for d in D.vertices if not data[d].exhausted)
+    probe = _pi_core(
+        translation, instance, unsettled, path_bound + 1, budget, element_cap, family_cap, None
+    )
+    for d in unsettled:
         if len(data[d].families) != len(probe[d].families):
             raise PathBoundInstabilityError(
                 f"pi row count at vertex {d!r} changed when the path bound was "
@@ -806,7 +889,6 @@ def pi_full(
                 vertex=d,
             )
 
-    D = translation.target
     rows = {d: tuple(data[d].row_ids) for d in D.vertices}
     columns: dict[str, dict[str, str]] = {}
     for arrow in D.arrows:

@@ -21,12 +21,6 @@ class TripleStore:
     nodes: tuple[tuple[str, str], ...] = ()  # (node id, type vertex)
     triples: tuple[tuple[str, str, str], ...] = ()  # (subject, predicate arrow, object)
 
-    def node_type(self, node: str) -> str:
-        for n, t in self.nodes:
-            if n == node:
-                return t
-        raise TripleStoreError(f"unknown node {node!r}", node=node)
-
 
 def validate_store(store: TripleStore) -> list[str]:
     """Typing and functionality violations, one message per problem."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 
+from catmigrate.errors import EnumerationCapError
 from catmigrate.instances import Instance
 from catmigrate.migration import Translation
 from catmigrate.schemas import Path, Schema, path_target
@@ -225,6 +226,45 @@ class PiOracle:
             root = roots_d[index_d[composite]]
             out[k2] = family[obj_index_d[(c, root)]]
         return out
+
+
+def nested_loop_families(
+    instance: Instance,
+    comps: list[tuple[str, int]],
+    constraints: list[tuple[int, int, str]],
+    family_cap: int,
+    vertex: str,
+) -> list[dict[int, str]]:
+    """pi's compatible families at one vertex by the plain nested loop: every
+    row of every component in index order, each constraint checked once both
+    its ends are assigned.  A drop-in for ``migration._compatible_families``
+    that fixes the order the engine's join must reproduce."""
+    check_at: dict[int, list[tuple[int, int, str]]] = {}
+    for con in constraints:
+        check_at.setdefault(max(con[0], con[1]), []).append(con)
+    families: list[dict[int, str]] = []
+    assignment: dict[int, str] = {}
+
+    def recurse(k: int) -> None:
+        if k == len(comps):
+            families.append(dict(assignment))
+            if len(families) > family_cap:
+                raise EnumerationCapError(
+                    f"pi produced more than {family_cap} rows at vertex {vertex!r}",
+                    vertex=vertex,
+                )
+            return
+        for row in instance.row_set(comps[k][0]):
+            assignment[k] = row
+            if all(
+                instance.column(arrow).get(assignment[i]) == assignment[j]
+                for i, j, arrow in check_at.get(k, ())
+            ):
+                recurse(k + 1)
+            del assignment[k]
+
+    recurse(0)
+    return families
 
 
 def assert_pi_matches(translation: Translation, instance: Instance, result) -> None:

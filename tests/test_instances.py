@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from catmigrate.errors import SchemaMismatchError, UnknownRowError
+from catmigrate.errors import SchemaMismatchError, StructuralError, UnknownRowError
 from catmigrate.instances import (
     EquationViolation,
     Instance,
@@ -72,6 +72,21 @@ def test_single_cell_mutation_breaks_equation(staff):
 
 def test_empty_instance_is_valid(staff):
     assert validate_instance(Instance(staff.schema)) == []
+
+
+def test_construction_leaves_caller_dicts_alone():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    rows: dict = {}
+    columns: dict = {}
+    instance = Instance(schema, rows, columns)
+    assert rows == {} and columns == {}
+    assert instance.row_set("A") == () and instance.column("f") == {}
+
+
+def test_duplicate_row_rejected():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    with pytest.raises(StructuralError, match="duplicate row 'a' in table 'A'"):
+        Instance(schema, {"A": ("a", "b", "a"), "B": ("x",)}, {"f": {"a": "x", "b": "x"}})
 
 
 def test_dangling_value_reported():

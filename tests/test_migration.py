@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from catmigrate import migration
 from catmigrate.errors import (
+    EnumerationCapError,
     PathBoundInstabilityError,
     SaturationOverflowError,
     SchemaMismatchError,
@@ -49,8 +51,8 @@ from catmigrate.migration import (
 )
 from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema
 
-from .generators import rand_instance, rand_translation
-from .oracles import assert_pi_matches, assert_sigma_matches
+from .generators import rand_acyclic_schema, rand_instance, rand_translation
+from .oracles import assert_pi_matches, assert_sigma_matches, nested_loop_families
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +252,136 @@ def test_pi_unstable_bound_raises():
 def test_pi_on_morphism_identity_and_merge(F, I):
     image = pi_on_morphism(F, identity_morphism(I))
     assert morphisms_equal(image, identity_morphism(pi(F, I)))
+
+
+def _reference_pi(monkeypatch, translation, instance, **bounds):
+    """pi_full with the join swapped for the plain nested loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(migration, "_compatible_families", nested_loop_families)
+        return pi_full(translation, instance, **bounds)
+
+
+def _reversed_source(f: Translation) -> Translation:
+    """The same translation with its source vertices listed in reverse, so
+    that arrows run from later components to earlier ones."""
+    C = f.source
+    graph = Graph(tuple(reversed(C.vertices)), C.graph.arrows)
+    source = Schema(C.name, graph, C.equivalences)
+    return Translation(source, f.target, f.vertex_map, f.arrow_map)
+
+
+def _shuffled_rows(rng: random.Random, instance: Instance) -> Instance:
+    """The same instance with each table's rows in a random order, so that
+    row position and row id disagree."""
+    rows = {
+        v: tuple(rng.sample(instance.row_set(v), len(instance.row_set(v))))
+        for v in instance.schema.vertices
+    }
+    return Instance(instance.schema, rows, instance.columns)
+
+
+def test_pi_join_keeps_nested_loop_order(monkeypatch):
+    rng = random.Random(1212)
+    for case in range(150):
+        target = rand_acyclic_schema(rng, f"Ord{case}", max_vertices=4, max_arrows=5)
+        f = rand_translation(rng, target, name_prefix=f"o{case}_")
+        if case % 2:
+            f = _reversed_source(f)
+        instance = _shuffled_rows(rng, rand_instance(rng, f.source, max_rows=4))
+        got = pi_full(f, instance)
+        want = _reference_pi(monkeypatch, f, instance)
+        for d in target.vertices:
+            assert got.data[d].comps == want.data[d].comps
+            assert [list(fam.items()) for fam in got.data[d].families] == [
+                list(fam.items()) for fam in want.data[d].families
+            ], f"case {case}: families at {d!r} differ"
+            assert got.data[d].row_ids == want.data[d].row_ids
+        assert got.instance.rows == want.instance.rows
+        for arrow in target.arrows:
+            assert list(got.instance.column(arrow.name).items()) == list(
+                want.instance.column(arrow.name).items()
+            )
+
+
+def test_pi_join_skips_column_values_outside_their_table(monkeypatch):
+    # an unvalidated instance whose column points past its target table
+    schema = Schema("Dangle", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    instance = Instance(
+        schema, {"A": ("a1", "a2"), "B": ("b",)}, {"f": {"a1": "zzz", "a2": "b"}}
+    )
+    identity = identity_translation(schema)
+    got = pi_full(identity, instance)
+    want = _reference_pi(monkeypatch, identity, instance)
+    assert got.data["A"].families == want.data["A"].families == [{0: "a2", 1: "b"}]
+
+
+def test_pi_join_family_cap_raises_as_nested_loop(monkeypatch, F, I):
+    with pytest.raises(EnumerationCapError) as got:
+        pi_full(F, I, family_cap=1)
+    with pytest.raises(EnumerationCapError) as want:
+        _reference_pi(monkeypatch, F, I, family_cap=1)
+    assert str(got.value) == str(want.value)
+    assert got.value.vertex == want.value.vertex
+
+
+def _count_vertex_computations(monkeypatch) -> list[tuple[str, int]]:
+    calls: list[tuple[str, int]] = []
+    compute = migration._families_at
+
+    def counted(translation, instance, vertex, path_bound, *rest):
+        calls.append((vertex, path_bound))
+        return compute(translation, instance, vertex, path_bound, *rest)
+
+    monkeypatch.setattr(migration, "_families_at", counted)
+    return calls
+
+
+def test_pi_on_acyclic_target_skips_the_probe(monkeypatch, F, I):
+    calls = _count_vertex_computations(monkeypatch)
+    joined = pi(F, I)
+    assert sorted(calls) == sorted((d, 16) for d in F.target.vertices)
+    assert len(joined.row_set("T")) == 2
+
+
+def test_pi_probes_a_chain_as_long_as_the_bound(monkeypatch):
+    chain = Schema(
+        "Chain",
+        Graph(
+            ("X0", "X1", "X2", "X3"),
+            (Arrow("a1", "X0", "X1"), Arrow("a2", "X1", "X2"), Arrow("a3", "X2", "X3")),
+        ),
+    )
+    instance = Instance(
+        chain,
+        {"X0": ("p", "q"), "X1": ("p1",), "X2": ("p2",), "X3": ("p3",)},
+        {"a1": {"p": "p1", "q": "p1"}, "a2": {"p1": "p2"}, "a3": {"p2": "p3"}},
+    )
+    identity = identity_translation(chain)
+    calls = _count_vertex_computations(monkeypatch)
+    for bound, probed in ((3, ["X0"]), (4, [])):
+        calls.clear()
+        assert pi(identity, instance, path_bound=bound) == instance
+        assert [d for d, b in calls if b == bound + 1] == probed
+        assert sorted(d for d, b in calls if b == bound) == list(chain.vertices)
+
+
+def test_pi_runs_every_probe_before_comparing_counts():
+    # W1's row count grows with the bound; W2's probe overflows the class cap.
+    # The cap error of the later vertex wins, as when every vertex is probed.
+    loops = Schema(
+        "Loops",
+        Graph(
+            ("W1", "W2"),
+            (Arrow("a", "W1", "W1"), Arrow("b", "W2", "W2"), Arrow("c", "W2", "W2")),
+        ),
+    )
+    point = Schema("Pt2", Graph(("P", "Q"), ()))
+    f = Translation(point, loops, {"P": "W1", "Q": "W2"}, {})
+    instance = Instance(point, {"P": ("x", "y")}, {})
+    with pytest.raises(PathBoundInstabilityError) as err:
+        pi(f, instance, path_bound=2, element_cap=10)
+    assert err.value.vertex == "W2"
+    assert "path classes" in str(err.value)
 
 
 # -- sigma -------------------------------------------------------------------------
