@@ -441,6 +441,7 @@ class _Parser:
         self.expect_punct("{")
 
         rows: dict[str, list[str]] = {v: [] for v in schema.vertices}
+        row_sets: dict[str, set[str]] = {v: set() for v in schema.vertices}
         # (vertex, row, arrow) -> (value, token); resolved after all tables load.
         pending: dict[tuple[str, str, str], tuple[str, Token]] = {}
         seen_tables: set[str] = set()
@@ -457,9 +458,10 @@ class _Parser:
             self.expect_punct("{")
             while not (self.peek().kind == "punct" and self.peek().text == "}"):
                 row, row_token = self.name("a row id")
-                if row in rows[vertex]:
+                if row in row_sets[vertex]:
                     self.fail(f"duplicate row {row!r} in table {vertex!r}", row_token)
                 rows[vertex].append(row)
+                row_sets[vertex].add(row)
                 assigned: dict[str, tuple[str, Token]] = {}
                 if self.accept_punct("->"):
                     self.expect_punct("(")
@@ -493,7 +495,6 @@ class _Parser:
         self.expect_punct("}")
 
         columns: dict[str, dict[str, str]] = {a.name: {} for a in schema.arrows}
-        row_sets = {v: set(r) for v, r in rows.items()}
         for (vertex, row, arrow_name), (value, value_token) in pending.items():
             target = schema.graph.arrow(arrow_name).target
             if value not in row_sets[target]:

@@ -8,7 +8,9 @@ search) used by the adjunction checks.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     EnumerationCapError,
@@ -20,36 +22,61 @@ from .naming import pair_id, uniquify
 from .schemas import Path, Schema, path_target
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instance:
+    """One ordered row set per vertex and one column per arrow.
+
+    The instance is frozen, every table is a tuple, and ``rows`` and
+    ``columns`` are read-only views of copies of the caller's mappings, so
+    the row -> position map of a table, built on its first membership or
+    position query, cannot go stale.  The column dicts themselves are still
+    shared with the caller.
+    """
+
     schema: Schema
-    rows: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    columns: dict[str, dict[str, str]] = field(default_factory=dict)
+    rows: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    columns: Mapping[str, dict[str, str]] = field(default_factory=dict)
+    _positions: dict[str, dict[str, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        graph = self.schema.graph
         # Copies, so that filling in the empty tables leaves the caller's dicts alone.
-        self.rows = dict(self.rows)
-        self.columns = dict(self.columns)
+        rows = {v: tuple(table) for v, table in self.rows.items()}
+        columns = dict(self.columns)
         for v in self.schema.vertices:
-            self.rows.setdefault(v, ())
+            rows.setdefault(v, ())
         for a in self.schema.arrows:
-            self.columns.setdefault(a.name, {})
-        for v, rows in self.rows.items():
-            if not self.schema.graph.has_vertex(v):
+            columns.setdefault(a.name, {})
+        for v, table in rows.items():
+            if not graph.has_vertex(v):
                 raise StructuralError(f"rows declared for unknown vertex {v!r}")
-            if len(set(rows)) != len(rows):
+            if len(set(table)) != len(table):
                 seen: set[str] = set()
-                for row in rows:
+                for row in table:
                     if row in seen:
                         raise StructuralError(f"duplicate row {row!r} in table {v!r}")
                     seen.add(row)
-        for name in self.columns:
-            self.schema.graph.arrow(name)
+        for name in columns:
+            graph.arrow(name)
+        object.__setattr__(self, "rows", MappingProxyType(rows))
+        object.__setattr__(self, "columns", MappingProxyType(columns))
+
+    __hash__ = None  # instances compare by their tables, which are not hashable
 
     def row_set(self, vertex: str) -> tuple[str, ...]:
         if not self.schema.graph.has_vertex(vertex):
             raise StructuralError(f"unknown vertex {vertex!r}")
-        return self.rows.get(vertex, ())
+        return self.rows[vertex]
+
+    def positions(self, vertex: str) -> dict[str, int]:
+        """Row -> position in its table; built on first use, then kept."""
+        index = self._positions.get(vertex)
+        if index is None:
+            index = {row: i for i, row in enumerate(self.row_set(vertex))}
+            self._positions[vertex] = index
+        return index
 
     def column(self, arrow: str) -> dict[str, str]:
         self.schema.graph.arrow(arrow)
@@ -62,7 +89,7 @@ class Instance:
 def evaluate_path(instance: Instance, path: Path, row: str) -> str:
     """Apply each arrow's column function in order; a trivial path returns ``row``."""
     path_target(instance.schema.graph, path)
-    if row not in set(instance.row_set(path.source)):
+    if row not in instance.positions(path.source):
         raise UnknownRowError(path.source, row)
     at = row
     for name in path.arrows:
@@ -122,7 +149,7 @@ def validate_instance(instance: Instance) -> list:
     broken_rows: set[tuple[str, str]] = set()
     for arrow in schema.arrows:
         column = instance.column(arrow.name)
-        targets = set(instance.row_set(arrow.target))
+        targets = instance.positions(arrow.target)
         for row in instance.row_set(arrow.source):
             if row not in column:
                 report.append(MissingColumnValue(arrow.name, row))
@@ -265,6 +292,18 @@ def morphisms_equal(m: InstanceMorphism, n: InstanceMorphism) -> bool:
     )
 
 
+def equal_image_pairs(
+    left: tuple[str, ...], f: dict[str, str], right: tuple[str, ...], g: dict[str, str]
+) -> list[tuple[str, str]]:
+    """Every pair ``(a, b)`` of ``left`` x ``right`` with ``f[a] == g[b]``, in
+    nested-loop order (by ``a``, then by ``b``), joined through ``right``'s
+    rows grouped by image."""
+    by_image: dict[str, list[str]] = {}
+    for b in right:
+        by_image.setdefault(g[b], []).append(b)
+    return [(a, b) for a in left for b in by_image.get(f[a], ())]
+
+
 def instance_fiber_product(
     f: InstanceMorphism, g: InstanceMorphism
 ) -> tuple[Instance, InstanceMorphism, InstanceMorphism]:
@@ -280,15 +319,13 @@ def instance_fiber_product(
     left: dict[str, dict[str, str]] = {}
     right: dict[str, dict[str, str]] = {}
     for v in schema.vertices:
-        fv = f.component(v)
-        gv = g.component(v)
         names = []
         pair_of: dict[str, tuple[str, str]] = {}
-        for a in f.source.row_set(v):
-            for b in g.source.row_set(v):
-                if fv[a] == gv[b]:
-                    names.append(pair_id(a, b))
-                    pair_of[names[-1]] = (a, b)
+        for a, b in equal_image_pairs(
+            f.source.row_set(v), f.component(v), g.source.row_set(v), g.component(v)
+        ):
+            names.append(pair_id(a, b))
+            pair_of[names[-1]] = (a, b)
         names = uniquify(names)
         rows[v] = tuple(names)
         pairs[v] = pair_of

@@ -484,7 +484,7 @@ class _SigmaEngine:
     def _root_order_key(self, root: int) -> tuple:
         term = self.terms[self.rep[root]]
         c_idx = self.F.source.graph.vertex_index(term[1])
-        r_idx = self.I.row_set(term[1]).index(term[2])
+        r_idx = self.I.positions(term[1])[term[2]]
         if term[0] == "b":
             return (0, c_idx, r_idx)
         arrow_order = tuple(self.D.graph.arrow_order(a) for a in term[3])
@@ -764,7 +764,6 @@ def _join_plan(
     """
     rows_of = [instance.row_set(c) for c, _ in comps]
     columns = {name: instance.column(name) for _, _, name in constraints}
-    row_sets: dict[str, frozenset[str]] = {}
     assigned = [False] * len(comps)
     pending = list(constraints)
     steps: list[tuple] = []
@@ -786,10 +785,7 @@ def _join_plan(
         ):
             pending.remove(reach)
             i, j, name = reach
-            c = comps[j][0]
-            if c not in row_sets:
-                row_sets[c] = frozenset(rows_of[j])
-            lookups.append((j, i, columns[name], row_sets[c]))
+            lookups.append((j, i, columns[name], instance.positions(comps[j][0])))
             assigned[j] = True
         checks = [(i, j, columns[name]) for i, j, name in pending if assigned[i] and assigned[j]]
         pending = [con for con in pending if not (assigned[con[0]] and assigned[con[1]])]

@@ -94,27 +94,30 @@ def ungrothendieck(store: TripleStore) -> Instance:
         return node[len(prefix):] if node.startswith(prefix) else node
 
     rows: dict[str, list[str]] = {v: [] for v in store.schema.vertices}
+    row_sets: dict[str, set[str]] = {v: set() for v in store.schema.vertices}
+    nodes_of: dict[str, list[str]] = {v: [] for v in store.schema.vertices}
     row_of_node: dict[str, str] = {}
     for node, vertex in store.nodes:
         row = strip(node, vertex)
-        if row in rows[vertex]:
+        if row in row_sets[vertex]:
             raise TripleStoreError(
                 f"two nodes of type {vertex!r} collapse to row id {row!r}", node=node
             )
         rows[vertex].append(row)
+        row_sets[vertex].add(row)
+        nodes_of[vertex].append(node)
         row_of_node[node] = row
 
-    value: dict[tuple[str, str], str] = {}
+    objects: dict[str, dict[str, str]] = {a.name: {} for a in store.schema.arrows}
     for subject, predicate, obj in store.triples:
-        value[(subject, predicate)] = obj
+        objects[predicate][subject] = obj
 
     columns: dict[str, dict[str, str]] = {}
     for arrow in store.schema.arrows:
+        found = objects[arrow.name]
         mapping = {}
-        for node, vertex in store.nodes:
-            if vertex != arrow.source:
-                continue
-            obj = value.get((node, arrow.name))
+        for node in nodes_of[arrow.source]:
+            obj = found.get(node)
             if obj is None:
                 raise TripleStoreError(
                     f"store has no triple <{node} {arrow.name} _>; column is partial",

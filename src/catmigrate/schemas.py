@@ -29,70 +29,65 @@ class Arrow:
 
 @dataclass(frozen=True)
 class Graph:
+    """A finite directed multigraph.
+
+    Its lookups and its hash are built once, in ``__post_init__``; the fields
+    holding them take no part in ``==``, ``repr`` or ``__init__``, so
+    ``dataclasses.replace`` builds fresh ones.
+    """
+
     vertices: tuple[str, ...] = ()
     arrows: tuple[Arrow, ...] = ()
+    _vertex_order: dict[str, int] = field(init=False, repr=False, compare=False)
+    _arrow_by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
+    _arrow_order: dict[str, int] = field(init=False, repr=False, compare=False)
+    _out_arrows: dict[str, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
+        vertex_order: dict[str, int] = {}
+        for i, v in enumerate(self.vertices):
+            if v in vertex_order:
                 raise StructuralError(f"duplicate vertex {v!r}")
-            seen.add(v)
-        names = set()
+            vertex_order[v] = i
+        by_name: dict[str, Arrow] = {}
+        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
         for a in self.arrows:
-            if a.name in names:
+            if a.name in by_name:
                 raise StructuralError(f"duplicate arrow {a.name!r}")
-            names.add(a.name)
-            if a.source not in seen:
+            by_name[a.name] = a
+            if a.source not in vertex_order:
                 raise StructuralError(f"arrow {a.name!r} has unknown source {a.source!r}")
-            if a.target not in seen:
+            if a.target not in vertex_order:
                 raise StructuralError(f"arrow {a.name!r} has unknown target {a.target!r}")
+            out[a.source].append(a)
+        init = object.__setattr__
+        init(self, "_vertex_order", vertex_order)
+        init(self, "_arrow_by_name", by_name)
+        init(self, "_arrow_order", {name: i for i, name in enumerate(by_name)})
+        init(self, "_out_arrows", {v: tuple(arrows) for v, arrows in out.items()})
+        init(self, "_hash", hash((self.vertices, self.arrows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def arrow(self, name: str) -> Arrow:
         try:
-            return _arrow_index(self)[name]
+            return self._arrow_by_name[name]
         except KeyError:
             raise StructuralError(f"unknown arrow {name!r}") from None
 
     def has_vertex(self, name: str) -> bool:
-        return name in _vertex_set(self)
+        return name in self._vertex_order
 
     def out_arrows(self, vertex: str) -> tuple[Arrow, ...]:
-        return _out_arrows(self).get(vertex, ())
+        return self._out_arrows.get(vertex, ())
 
     def vertex_index(self, name: str) -> int:
-        return _vertex_order(self)[name]
+        return self._vertex_order[name]
 
     def arrow_order(self, name: str) -> int:
-        return _arrow_order(self)[name]
-
-
-@lru_cache(maxsize=1024)
-def _arrow_index(graph: Graph) -> dict[str, Arrow]:
-    return {a.name: a for a in graph.arrows}
-
-
-@lru_cache(maxsize=1024)
-def _vertex_set(graph: Graph) -> frozenset[str]:
-    return frozenset(graph.vertices)
-
-
-@lru_cache(maxsize=1024)
-def _vertex_order(graph: Graph) -> dict[str, int]:
-    return {v: i for i, v in enumerate(graph.vertices)}
-
-
-@lru_cache(maxsize=1024)
-def _arrow_order(graph: Graph) -> dict[str, int]:
-    return {a.name: i for i, a in enumerate(graph.arrows)}
-
-
-@lru_cache(maxsize=1024)
-def _out_arrows(graph: Graph) -> dict[str, tuple[Arrow, ...]]:
-    out: dict[str, list[Arrow]] = {v: [] for v in graph.vertices}
-    for a in graph.arrows:
-        out[a.source].append(a)
-    return {v: tuple(arrows) for v, arrows in out.items()}
+        return self._arrow_order[name]
 
 
 @dataclass(frozen=True)
@@ -155,11 +150,21 @@ class PathEquivalence:
 
 @dataclass(frozen=True)
 class Schema:
+    """A finitely presented category; like ``Graph``, it builds its rewrite
+    rules and its hash once, at construction."""
+
     name: str
     graph: Graph = field(default_factory=Graph)
     equivalences: tuple[PathEquivalence, ...] = ()
+    # The declared equivalences as (source vertex, lhs arrows, rhs arrows),
+    # in both directions.
+    _rules: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        rules = []
         for eq in self.equivalences:
             if eq.lhs.source != eq.rhs.source:
                 raise StructuralError(
@@ -171,6 +176,13 @@ class Schema:
                 raise StructuralError(
                     f"equation sides end at different vertices ({lt!r} vs {rt!r}): {eq}"
                 )
+            rules.append((eq.lhs.source, eq.lhs.arrows, eq.rhs.arrows))
+            rules.append((eq.rhs.source, eq.rhs.arrows, eq.lhs.arrows))
+        object.__setattr__(self, "_rules", tuple(rules))
+        object.__setattr__(self, "_hash", hash((self.name, self.graph, self.equivalences)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -194,22 +206,12 @@ def _vertex_at(graph: Graph, path: Path, i: int) -> str:
     return graph.arrow(path.arrows[i - 1]).target
 
 
-@lru_cache(maxsize=1024)
-def _rewrite_rules(schema: Schema) -> tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...]:
-    """Declared equivalences as (source-vertex, lhs-arrows, rhs-arrows), both directions."""
-    rules = []
-    for eq in schema.equivalences:
-        rules.append((eq.lhs.source, eq.lhs.arrows, eq.rhs.arrows))
-        rules.append((eq.rhs.source, eq.rhs.arrows, eq.lhs.arrows))
-    return tuple(rules)
-
-
 def _neighbors(schema: Schema, path: Path, length_cap: int):
     """All single-rule rewrites of ``path``, applied at any position."""
     graph = schema.graph
     arrows = path.arrows
     n = len(arrows)
-    for src, lhs, rhs in _rewrite_rules(schema):
+    for src, lhs, rhs in schema._rules:
         k = len(lhs)
         if n - k + len(rhs) > length_cap:
             continue

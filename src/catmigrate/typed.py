@@ -20,6 +20,7 @@ from .instances import (
     Instance,
     InstanceMorphism,
     compose_morphisms,
+    equal_image_pairs,
     validate_morphism,
 )
 from .migration import (
@@ -112,16 +113,10 @@ def typechange_delta(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     rows: dict[str, tuple[str, ...]] = {}
     chosen: dict[str, dict[str, tuple[str, str]]] = {}
     for v in schema.vertices:
-        tau = t.typing.component(v)
-        kv = k.component(v)
-        raw_names: list[str] = []
-        pairs: list[tuple[str, str]] = []
-        for x in t.instance.row_set(v):
-            for p in P.row_set(v):
-                if tau[x] == kv[p]:
-                    raw_names.append(x if injective else tuple_id((x, p)))
-                    pairs.append((x, p))
-        names = uniquify(raw_names)
+        pairs = equal_image_pairs(
+            t.instance.row_set(v), t.typing.component(v), P.row_set(v), k.component(v)
+        )
+        names = uniquify([x if injective else tuple_id((x, p)) for x, p in pairs])
         rows[v] = tuple(names)
         chosen[v] = dict(zip(names, pairs))
 

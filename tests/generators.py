@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from catmigrate.instances import Instance
+from catmigrate.instances import Instance, InstanceMorphism
 from catmigrate.migration import Translation
 from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema, path_target
 
@@ -111,6 +111,40 @@ def rand_instance(rng: random.Random, schema: Schema, max_rows: int = 3) -> Inst
         for a in schema.arrows
     }
     return repair_instance(Instance(schema, rows, columns))
+
+
+def rand_cover(
+    rng: random.Random, base: Instance, max_copies: int = 2, tag: str = "x"
+) -> InstanceMorphism:
+    """A random instance mapping onto ``base``, with that projection.
+
+    Each base row gets 0 to ``max_copies`` copies, at least one where a
+    column value lands on it; each table's copies come in a random order, and
+    a copy's column value is a random copy of its base row's value.  With
+    ``max_copies`` 1 the projection is injective.
+    """
+    schema = base.schema
+    hit: dict[str, set[str]] = {v: set() for v in schema.vertices}
+    for a in schema.arrows:
+        hit[a.target].update(base.column(a.name).values())
+    image: dict[str, dict[str, str]] = {}
+    copies: dict[str, dict[str, list[str]]] = {}
+    for v in schema.vertices:
+        image[v] = {}
+        copies[v] = {}
+        for r in base.row_set(v):
+            n = rng.randint(1 if r in hit[v] else 0, max_copies)
+            copies[v][r] = [f"{tag}{i}.{r}" for i in range(n)]
+            image[v].update((c, r) for c in copies[v][r])
+    rows = {v: tuple(rng.sample(list(image[v]), len(image[v]))) for v in schema.vertices}
+    columns = {
+        a.name: {
+            c: rng.choice(copies[a.target][base.column(a.name)[image[a.source][c]]])
+            for c in rows[a.source]
+        }
+        for a in schema.arrows
+    }
+    return InstanceMorphism(Instance(schema, rows, columns), base, image)
 
 
 def repair_instance(instance: Instance) -> Instance:

@@ -318,3 +318,12 @@ def assert_pi_matches(translation: Translation, instance: Instance, result) -> N
                 )
             )
             assert out_fam == expected, f"column {arrow.name!r} disagrees on {rid!r}"
+
+
+def nested_loop_pairs(
+    left: tuple[str, ...], f: dict[str, str], right: tuple[str, ...], g: dict[str, str]
+) -> list[tuple[str, str]]:
+    """The pairs of ``left`` x ``right`` with equal images by the plain nested
+    loop.  A drop-in for ``instances.equal_image_pairs`` that fixes the order
+    the fiber product and ``typechange_delta`` must reproduce."""
+    return [(a, b) for a in left for b in right if f[a] == g[b]]

@@ -56,6 +56,22 @@ instance I on S { table A { a1 } table B { b1 } }
     assert "a1" in str(err.value) and "f" in str(err.value)
 
 
+def test_duplicate_row_is_positioned_at_the_second_occurrence():
+    text = """schema S { nodes A; }
+instance I on S {
+  table A {
+    a
+    b
+    a
+  }
+}
+"""
+    with pytest.raises(ParseError) as err:
+        dsl.parse_document(text)
+    assert "duplicate row 'a' in table 'A'" in str(err.value)
+    assert (err.value.line, err.value.column) == (6, 5)
+
+
 def test_syntax_error_carries_position_and_expected_set():
     with pytest.raises(ParseError) as err:
         dsl.parse_document("schema S { nodes A B; }")

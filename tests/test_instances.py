@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from catmigrate import instances
 from catmigrate.errors import SchemaMismatchError, StructuralError, UnknownRowError
 from catmigrate.instances import (
     EquationViolation,
@@ -22,7 +24,8 @@ from catmigrate.instances import (
 )
 from catmigrate.schemas import Arrow, Graph, Path, Schema
 
-from .generators import rand_acyclic_schema, rand_instance
+from .generators import rand_acyclic_schema, rand_cover, rand_cyclic_schema, rand_instance
+from .oracles import nested_loop_pairs
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +84,30 @@ def test_construction_leaves_caller_dicts_alone():
     instance = Instance(schema, rows, columns)
     assert rows == {} and columns == {}
     assert instance.row_set("A") == () and instance.column("f") == {}
+
+
+def test_caller_list_change_leaves_rows_alone():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    table = ["a", "b"]
+    instance = Instance(schema, {"A": table, "B": ["x"]}, {"f": {"a": "x", "b": "x"}})
+    assert instance.positions("A") == {"a": 0, "b": 1}
+    table.append("c")
+    table.remove("a")
+    assert instance.row_set("A") == ("a", "b")
+    assert instance.positions("A") == {"a": 0, "b": 1}
+    assert evaluate_path(instance, Path("A", ("f",)), "a") == "x"
+
+
+def test_rows_and_columns_are_read_only():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    instance = Instance(schema, {"A": ("a",), "B": ("x",)}, {"f": {"a": "x"}})
+    with pytest.raises(TypeError):
+        instance.rows["A"] = ("a", "b")
+    with pytest.raises(TypeError):
+        instance.columns["f"] = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.rows = {"A": ("a", "b")}
+    assert instance.row_set("A") == ("a",)
 
 
 def test_duplicate_row_rejected():
@@ -211,6 +238,31 @@ def test_fiber_product_universal_property_small_random():
                     )
                 ]
                 assert len(mediating) == 1
+
+
+def test_fiber_product_hash_join_keeps_nested_loop_order(monkeypatch):
+    rng = random.Random(404)
+    for case in range(120):
+        make = rand_cyclic_schema if case % 3 == 0 else rand_acyclic_schema
+        schema = make(rng, f"fp{case}", max_vertices=3, max_arrows=4)
+        base = rand_instance(rng, schema, max_rows=4)
+        f = rand_cover(rng, base, max_copies=rng.randint(1, 3), tag="a")
+        g = rand_cover(rng, base, max_copies=rng.randint(1, 3), tag="b")
+        got = instance_fiber_product(f, g)
+        with monkeypatch.context() as patch:
+            patch.setattr(instances, "equal_image_pairs", nested_loop_pairs)
+            want = instance_fiber_product(f, g)
+        product, left, right = got
+        assert list(product.rows.items()) == list(want[0].rows.items()), f"case {case}"
+        for a in schema.arrows:
+            assert list(product.column(a.name).items()) == list(
+                want[0].column(a.name).items()
+            ), f"case {case}: column {a.name!r}"
+        for mine, theirs in ((left, want[1]), (right, want[2])):
+            for v in schema.vertices:
+                assert list(mine.component(v).items()) == list(
+                    theirs.component(v).items()
+                ), f"case {case}: projection at {v!r}"
 
 
 def test_fiber_product_schema_mismatch():

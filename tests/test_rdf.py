@@ -78,6 +78,16 @@ def test_missing_triple_is_an_error(staff):
     assert err.value.predicate == "Mgr"
 
 
+def test_nodes_collapsing_to_one_row_id_are_an_error():
+    schema = Schema("S", Graph(("A",), ()))
+    # "A/x" strips its type prefix, "x" has none: both become row "x"
+    store = TripleStore(schema, (("A/x", "A"), ("A/y", "A"), ("x", "A")), ())
+    assert validate_store(store) == []
+    with pytest.raises(TripleStoreError, match="collapse to row id 'x'") as err:
+        ungrothendieck(store)
+    assert err.value.node == "x"
+
+
 def test_duplicate_predicate_is_reported(staff):
     store = grothendieck(staff)
     doubled = TripleStore(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from catmigrate.schemas import (
     trivial_path,
 )
 
+from .conftest import load_documents
 from .generators import rand_cyclic_schema
 from .oracles import all_paths
 
@@ -88,6 +90,45 @@ def test_graph_rejects_duplicates_and_bad_endpoints():
         Graph(("A",), (Arrow("f", "A", "B"),))
     with pytest.raises(StructuralError):
         Graph(("A", "B"), (Arrow("f", "A", "B"), Arrow("f", "B", "A")))
+
+
+def test_equal_values_built_apart_compare_and_hash_equal():
+    _, first = load_documents("employee.cat")
+    _, second = load_documents("employee.cat")
+    a, b = first[("schema", "Company")], second[("schema", "Company")]
+    assert a is not b and a.graph is not b.graph
+    assert a.graph == b.graph and hash(a.graph) == hash(b.graph)
+    assert a == b and hash(a) == hash(b)
+
+
+def test_values_differing_in_one_part_compare_unequal(employee):
+    fewer = dataclasses.replace(employee, equivalences=employee.equivalences[:1])
+    assert fewer != employee
+    swapped = dataclasses.replace(
+        employee.graph, arrows=employee.graph.arrows[1:] + employee.graph.arrows[:1]
+    )
+    assert swapped != employee.graph
+    assert Schema("Company", swapped, employee.equivalences) != employee
+
+
+def test_replace_rebuilds_the_indexes(employee):
+    graph = employee.graph
+    grown = dataclasses.replace(
+        graph,
+        vertices=graph.vertices + ("Office",),
+        arrows=graph.arrows + (Arrow("sits", "Employee", "Office"),),
+    )
+    assert grown.has_vertex("Office") and not graph.has_vertex("Office")
+    assert grown.arrow("sits").target == "Office"
+    assert grown.vertex_index("Office") == 5 and grown.arrow_order("sits") == 6
+    assert [a.name for a in grown.out_arrows("Employee")][-1] == "sits"
+    assert [a.name for a in graph.out_arrows("Employee")][-1] == "isIn"
+    with pytest.raises(StructuralError, match="unknown arrow 'sits'"):
+        graph.arrow("sits")
+    lhs, rhs = Path("Employee", ("Mgr", "isIn")), Path("Employee", ("isIn",))
+    bare = dataclasses.replace(employee, equivalences=())
+    assert paths_equivalent(employee, lhs, rhs) is Equivalence.EQUIVALENT
+    assert paths_equivalent(bare, lhs, rhs) is Equivalence.NOT_PROVED
 
 
 def test_schema_rejects_equation_with_mismatched_endpoints(self_email):

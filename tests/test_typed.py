@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from catmigrate import typed
 from catmigrate.errors import TypeChangeError
 from catmigrate.instances import (
     Instance,
@@ -23,7 +26,8 @@ from catmigrate.typed import (
     validate_typed,
 )
 
-from .oracles import PiOracle
+from .generators import rand_acyclic_schema, rand_cover, rand_cyclic_schema, rand_instance
+from .oracles import PiOracle, nested_loop_pairs
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +141,30 @@ def test_delta_hat_empty_source_empties_instance(paper_env):
     empty_k = InstanceMorphism(nothing, q, {v: {} for v in q.schema.vertices})
     emptied = typechange_delta(empty_k, typed_staff)
     assert emptied.instance.total_rows() == 0
+
+
+def test_delta_hat_hash_join_keeps_nested_loop_order(monkeypatch):
+    rng = random.Random(505)
+    for case in range(120):
+        make = rand_cyclic_schema if case % 3 == 0 else rand_acyclic_schema
+        schema = make(rng, f"dh{case}", max_vertices=3, max_arrows=4)
+        types = rand_instance(rng, schema, max_rows=4)
+        t = TypedInstance(rand_cover(rng, types, max_copies=3, tag="x"))
+        # every other k is injective, which keeps the typed rows' own ids
+        k = rand_cover(rng, types, max_copies=1 + case % 2, tag="p")
+        got = typechange_delta(k, t).typing
+        with monkeypatch.context() as patch:
+            patch.setattr(typed, "equal_image_pairs", nested_loop_pairs)
+            want = typechange_delta(k, t).typing
+        assert list(got.source.rows.items()) == list(want.source.rows.items()), f"case {case}"
+        for a in schema.arrows:
+            assert list(got.source.column(a.name).items()) == list(
+                want.source.column(a.name).items()
+            ), f"case {case}: column {a.name!r}"
+        for v in schema.vertices:
+            assert list(got.component(v).items()) == list(
+                want.component(v).items()
+            ), f"case {case}: typing at {v!r}"
 
 
 def test_delta_hat_noninjective_duplicates(paper_env):
