@@ -3,8 +3,11 @@
 An instance holds one ordered row set per vertex and one total column function
 per arrow.  Operations here are the semantic core the rest of the engine leans
 on: path evaluation, validation against the declared equations, fiber
-products, and small-scale morphism search (enumeration, counting, isomorphism
-search) used by the adjunction checks.
+products, and the one indexed join, ``assignments``, that finds every
+assignment of rows to a finite diagram respecting its columns.  pi's
+compatible families are such assignments, and so are morphisms of instances:
+enumeration, counting and isomorphism search, used by the adjunction checks,
+run the join on the source instance's diagram of elements.
 """
 from __future__ import annotations
 
@@ -146,17 +149,14 @@ def validate_instance(instance: Instance) -> list:
     """
     report = []
     schema = instance.schema
-    broken_rows: set[tuple[str, str]] = set()
     for arrow in schema.arrows:
         column = instance.column(arrow.name)
         targets = instance.positions(arrow.target)
         for row in instance.row_set(arrow.source):
             if row not in column:
                 report.append(MissingColumnValue(arrow.name, row))
-                broken_rows.add((arrow.source, row))
             elif column[row] not in targets:
                 report.append(DanglingColumnValue(arrow.name, row, column[row]))
-                broken_rows.add((arrow.source, row))
     for eq in schema.equivalences:
         for row in instance.row_set(eq.lhs.source):
             try:
@@ -229,7 +229,7 @@ def validate_morphism(m: InstanceMorphism) -> list:
     schema = m.source.schema
     for v in schema.vertices:
         comp = m.component(v)
-        targets = set(m.target.row_set(v))
+        targets = m.target.positions(v)
         for row in m.source.row_set(v):
             if row not in comp:
                 report.append(MissingComponentValue(v, row))
@@ -374,85 +374,181 @@ def _components_of_schema(schema: Schema) -> list[list[str]]:
     return components
 
 
-class _MorphismSearch:
-    """Backtracking over (vertex, row) slots with column-consistency pruning.
+def assignments(
+    target: Instance,
+    comps: list[tuple],
+    constraints: list[tuple[int, int, str]],
+    *,
+    injective: bool = False,
+    work_cap: int | None = None,
+):
+    """Every choice of one row of ``target`` per component that satisfies
+    every constraint ``(i, j, arrow)``: ``column(arrow)[row i] == row j``.
 
-    Preimage indexes make each consistency check proportional to the slot's
-    arrow degree rather than the size of the partial assignment.
+    A component is a tuple whose first item is the vertex it draws its row
+    from.  This one join serves pi, whose components are comma objects, and
+    the morphism search, whose components are source rows (see
+    ``_element_diagram``).  The choices come out as tuples, in nested-loop
+    order: lexicographic over the components in index order, by row
+    position.  With ``injective``, components on one vertex get distinct
+    rows, pruned as the search runs.  Trying more than ``work_cap`` rows
+    raises ``EnumerationCapError``.
     """
+    steps = _join_plan(target, comps, constraints)
+    if not steps:
+        yield ()
+        return
+    values: list = [None] * len(comps)
+    used: set[tuple[str, str]] | None = set() if injective else None  # (vertex, row)
+    last = len(steps) - 1
+    work = 0
 
-    def __init__(self, source: Instance, target: Instance, vertices: list[str]):
-        self.source = source
-        self.target = target
-        self.slots = [(v, r) for v in vertices for r in source.row_set(v)]
-        inside = set(vertices)
-        self.out_edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-        self.in_edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-        for arrow in source.schema.arrows:
-            if arrow.source not in inside and arrow.target not in inside:
-                continue
-            col = source.column(arrow.name)
-            for r in source.row_set(arrow.source):
-                image = col.get(r)
-                if image is None:
-                    continue
-                self.out_edges.setdefault((arrow.source, r), []).append(
-                    (arrow.name, arrow.target, image)
-                )
-                self.in_edges.setdefault((arrow.target, image), []).append(
-                    (arrow.name, arrow.source, r)
-                )
-        self.assignment: dict[tuple[str, str], str] = {}
+    def extend(s: int):
+        nonlocal work
+        k, driver, pool, lookups, checks = steps[s]
+        if driver is not None:
+            pool = pool.get(values[driver], ())
+        if work_cap is not None:
+            work += len(pool)
+            if work > work_cap:
+                raise EnumerationCapError(f"search exceeded work cap {work_cap}")
+        filled = [k, *(j for j, *_ in lookups)] if injective else ()
+        for row in pool:
+            values[k] = row
+            for j, i, column, rows in lookups:
+                value = column.get(values[i])
+                if value not in rows:
+                    break
+                values[j] = value
+            else:
+                for i, j, column in checks:
+                    if column.get(values[i]) != values[j]:
+                        break
+                else:
+                    if used is not None:
+                        claimed = {(comps[c][0], values[c]) for c in filled}
+                        if len(claimed) < len(filled) or not used.isdisjoint(claimed):
+                            continue
+                        used.update(claimed)
+                    if s == last:
+                        yield tuple(values)
+                    else:
+                        yield from extend(s + 1)
+                    if used is not None:
+                        used.difference_update(claimed)
 
-    def consistent(self, slot: tuple[str, str], value: str) -> bool:
-        assignment = self.assignment
-        target = self.target
-        for name, w, image in self.out_edges.get(slot, ()):
-            assigned = assignment.get((w, image))
-            if assigned is not None and target.column(name).get(value) != assigned:
-                return False
-        for name, w, s in self.in_edges.get(slot, ()):
-            assigned = assignment.get((w, s))
-            if assigned is not None and target.column(name).get(assigned) != value:
-                return False
-        return True
+    yield from extend(0)
+
+
+def _join_plan(
+    target: Instance,
+    comps: list[tuple],
+    constraints: list[tuple[int, int, str]],
+) -> list[tuple]:
+    """The join's steps, planned once because columns are functions.
+
+    Each step branches on the lowest-index unassigned component: it is drawn
+    from a column's preimage index when a constraint ties it to an assigned
+    component, and enumerated otherwise.  Then every component a constraint
+    reaches from an assigned one is looked up in that column (and must be a
+    row of its table), and every other constraint is checked once both its
+    ends are assigned.  A looked-up component is a function of the components
+    assigned before it, so it never tells two assignments apart; the
+    branches, taken in index order, keep the nested loop's order.
+
+    A step is ``(branch, driver, pool, lookups, checks)``: ``pool`` holds the
+    branch's rows, or with a ``driver`` component its preimage index keyed by
+    the driver's row.
+    """
+    out_of: list[list[tuple[int, int, str]]] = [[] for _ in comps]
+    for n, (i, j, name) in enumerate(constraints):
+        out_of[i].append((n, j, name))
+    assigned = [False] * len(comps)
+    planned = [False] * len(constraints)  # used as a tie or a lookup
+    preimages: dict[tuple[str, str], dict[str, list[str]]] = {}
+    steps: list[tuple] = []
+    for k in range(len(comps)):
+        if assigned[k]:
+            continue
+        vertex = comps[k][0]
+        driver, pool = None, target.row_set(vertex)
+        tie = next((con for con in out_of[k] if assigned[con[1]]), None)
+        if tie is not None:
+            n, driver, name = tie
+            planned[n] = True
+            pool = preimages.get((vertex, name))
+            if pool is None:
+                column = target.column(name)
+                pool = preimages[vertex, name] = {}
+                for row in target.row_set(vertex):
+                    pool.setdefault(column.get(row), []).append(row)
+        assigned[k] = True
+        filled = [k]
+        lookups = []
+        for c in filled:  # grows as lookups assign components
+            for n, j, name in out_of[c]:
+                if not assigned[j]:
+                    planned[n] = assigned[j] = True
+                    filled.append(j)
+                    lookups.append((j, c, target.column(name), target.positions(comps[j][0])))
+        # A constraint out of a component assigned at an earlier step had its
+        # other end assigned then too, so what is left to check starts here.
+        checks = [
+            (c, j, target.column(name))
+            for c in filled
+            for n, j, name in out_of[c]
+            if not planned[n]
+        ]
+        steps.append((k, driver, pool, lookups, checks))
+    return steps
+
+
+def _element_diagram(
+    source: Instance, vertices: list[str]
+) -> tuple[list[tuple[str, str]], list[tuple[int, int, str]]]:
+    """A morphism out of ``source`` as an assignment (see ``assignments``):
+    one component per source row ``(v, r)`` of ``vertices``, in vertex then
+    row order, and one constraint per column value between two of them."""
+    comps = [(v, r) for v in vertices for r in source.row_set(v)]
+    slot = {comp: k for k, comp in enumerate(comps)}
+    constraints = []
+    for arrow in source.schema.arrows:
+        column = source.column(arrow.name)
+        for r in source.row_set(arrow.source):
+            i = slot.get((arrow.source, r))
+            j = slot.get((arrow.target, column.get(r)))
+            if i is not None and j is not None:
+                constraints.append((i, j, arrow.name))
+    return comps, constraints
+
+
+def _morphism(
+    source: Instance, target: Instance, comps: list[tuple[str, str]], values: tuple
+) -> InstanceMorphism:
+    components: dict[str, dict[str, str]] = {v: {} for v in source.schema.vertices}
+    for (v, r), value in zip(comps, values):
+        components[v][r] = value
+    return InstanceMorphism(source, target, components)
 
 
 def enumerate_morphisms(source: Instance, target: Instance, cap: int | None = None):
-    """Yield every natural transformation source -> target (backtracking search)."""
+    """Yield every natural transformation source -> target, lexicographic
+    over the source rows (vertex, then row order) by target row position."""
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
-    search = _MorphismSearch(source, target, list(source.schema.vertices))
-    slots = search.slots
-    produced = 0
-
-    def recurse(i: int):
-        nonlocal produced
-        if i == len(slots):
-            components: dict[str, dict[str, str]] = {v: {} for v in source.schema.vertices}
-            for (v, r), val in search.assignment.items():
-                components[v][r] = val
-            produced += 1
-            if cap is not None and produced > cap:
-                raise EnumerationCapError(f"morphism enumeration exceeded cap {cap}")
-            yield InstanceMorphism(source, target, components)
-            return
-        slot = slots[i]
-        v, _ = slot
-        for value in target.row_set(v):
-            if search.consistent(slot, value):
-                search.assignment[slot] = value
-                yield from recurse(i + 1)
-                del search.assignment[slot]
-
-    yield from recurse(0)
+    comps, constraints = _element_diagram(source, source.schema.vertices)
+    for produced, values in enumerate(assignments(target, comps, constraints), 1):
+        if cap is not None and produced > cap:
+            raise EnumerationCapError(f"morphism enumeration exceeded cap {cap}")
+        yield _morphism(source, target, comps, values)
 
 
 def count_morphisms(source: Instance, target: Instance, cap: int = 5_000_000) -> int:
     """Count natural transformations source -> target without materializing them.
 
     The count factors over connected components of the schema; a component
-    with no arrows contributes an exact power.
+    with no arrows contributes an exact power.  ``cap`` bounds both the count
+    and the rows each component's search tries.
     """
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
@@ -464,28 +560,8 @@ def count_morphisms(source: Instance, target: Instance, cap: int = 5_000_000) ->
                 if total > cap:
                     raise EnumerationCapError(f"morphism count exceeded cap {cap}")
             continue
-        search = _MorphismSearch(source, target, comp)
-        slots = search.slots
-        work = 0
-
-        def recurse(i: int) -> int:
-            nonlocal work
-            work += 1
-            if work > cap:
-                raise EnumerationCapError(f"morphism count exceeded work cap {cap}")
-            if i == len(slots):
-                return 1
-            slot = slots[i]
-            v, _ = slot
-            found = 0
-            for value in target.row_set(v):
-                if search.consistent(slot, value):
-                    search.assignment[slot] = value
-                    found += recurse(i + 1)
-                    del search.assignment[slot]
-            return found
-
-        total *= recurse(0)
+        comps, constraints = _element_diagram(source, comp)
+        total *= sum(1 for _ in assignments(target, comps, constraints, work_cap=cap))
         if total > cap:
             raise EnumerationCapError(f"morphism count exceeded cap {cap}")
     return total
@@ -505,40 +581,13 @@ def find_isomorphism(
     for v in source.schema.vertices:
         if len(source.row_set(v)) != len(target.row_set(v)):
             return None
-    search = _MorphismSearch(source, target, list(source.schema.vertices))
-    slots = search.slots
-    used: dict[str, set[str]] = {v: set() for v in source.schema.vertices}
-    work = 0
-
-    def recurse(i: int):
-        nonlocal work
-        work += 1
-        if work > work_cap:
-            raise EnumerationCapError(f"isomorphism search exceeded work cap {work_cap}")
-        if i == len(slots):
-            return dict(search.assignment)
-        slot = slots[i]
-        v, _ = slot
-        for value in target.row_set(v):
-            if value in used[v]:
-                continue
-            if search.consistent(slot, value):
-                search.assignment[slot] = value
-                used[v].add(value)
-                result = recurse(i + 1)
-                if result is not None:
-                    return result
-                used[v].remove(value)
-                del search.assignment[slot]
+    comps, constraints = _element_diagram(source, source.schema.vertices)
+    found = next(
+        assignments(target, comps, constraints, injective=True, work_cap=work_cap), None
+    )
+    if found is None:
         return None
-
-    assignment = recurse(0)
-    if assignment is None:
-        return None
-    components: dict[str, dict[str, str]] = {v: {} for v in source.schema.vertices}
-    for (v, r), val in assignment.items():
-        components[v][r] = val
-    iso = InstanceMorphism(source, target, components)
+    iso = _morphism(source, target, comps, found)
     if validate_morphism(iso):
         return None
     return iso

@@ -25,6 +25,7 @@ from .errors import (
 from .instances import (
     Instance,
     InstanceMorphism,
+    assignments,
     evaluate_path,
     require_natural,
 )
@@ -705,92 +706,17 @@ def _compatible_families(
     vertex: str,
 ) -> list[dict[int, str]]:
     """Every choice of one row per component that satisfies every constraint
-    ``column(arrow)[row i] == row j``, as an indexed join (see ``_join_plan``).
-
-    The families come out in nested-loop order: lexicographic over the
-    components in index order, by row position.
-    """
-    steps = _join_plan(instance, comps, constraints)
+    ``column(arrow)[row i] == row j``, in nested-loop order (see
+    ``instances.assignments``)."""
     families: list[dict[int, str]] = []
-    values: list[str | None] = [None] * len(comps)
-
-    def extend(s: int) -> None:
-        if s == len(steps):
-            families.append(dict(enumerate(values)))
-            if len(families) > family_cap:
-                raise EnumerationCapError(
-                    f"pi produced more than {family_cap} rows at vertex {vertex!r}",
-                    vertex=vertex,
-                )
-            return
-        k, driver, pool, lookups, checks = steps[s]
-        for row in pool if driver is None else pool.get(values[driver], ()):
-            values[k] = row
-            for j, i, column, rows in lookups:
-                value = column.get(values[i])
-                if value not in rows:
-                    break
-                values[j] = value
-            else:
-                for i, j, column in checks:
-                    if column.get(values[i]) != values[j]:
-                        break
-                else:
-                    extend(s + 1)
-
-    extend(0)
+    for values in assignments(instance, comps, constraints):
+        families.append(dict(enumerate(values)))
+        if len(families) > family_cap:
+            raise EnumerationCapError(
+                f"pi produced more than {family_cap} rows at vertex {vertex!r}",
+                vertex=vertex,
+            )
     return families
-
-
-def _join_plan(
-    instance: Instance,
-    comps: list[tuple[str, int]],
-    constraints: list[tuple[int, int, str]],
-) -> list[tuple]:
-    """The join's steps, planned once because columns are functions.
-
-    Each step branches on the lowest-index unassigned component: it is drawn
-    from a column's preimage index when a constraint ties it to an assigned
-    component, and enumerated otherwise.  Then every component a constraint
-    reaches from an assigned one is looked up in that column (and must be a
-    row of its table), and every other constraint is checked once both its
-    ends are assigned.  A looked-up component is a function of the components
-    assigned before it, so it never tells two families apart; the branches,
-    taken in index order, keep the nested loop's order.
-
-    A step is ``(branch, driver, pool, lookups, checks)``: ``pool`` holds the
-    branch's rows, or with a ``driver`` component its preimage index keyed by
-    the driver's row.
-    """
-    rows_of = [instance.row_set(c) for c, _ in comps]
-    columns = {name: instance.column(name) for _, _, name in constraints}
-    assigned = [False] * len(comps)
-    pending = list(constraints)
-    steps: list[tuple] = []
-    for k in range(len(comps)):
-        if assigned[k]:
-            continue
-        driver, pool = None, rows_of[k]
-        tie = next((con for con in pending if con[0] == k and assigned[con[1]]), None)
-        if tie is not None:
-            pending.remove(tie)
-            driver, column = tie[1], columns[tie[2]]
-            pool = {}
-            for row in rows_of[k]:
-                pool.setdefault(column.get(row), []).append(row)
-        assigned[k] = True
-        lookups = []
-        while reach := next(
-            (con for con in pending if assigned[con[0]] and not assigned[con[1]]), None
-        ):
-            pending.remove(reach)
-            i, j, name = reach
-            lookups.append((j, i, columns[name], instance.positions(comps[j][0])))
-            assigned[j] = True
-        checks = [(i, j, columns[name]) for i, j, name in pending if assigned[i] and assigned[j]]
-        pending = [con for con in pending if not (assigned[con[0]] and assigned[con[1]])]
-        steps.append((k, driver, pool, lookups, checks))
-    return steps
 
 
 def _family_row_ids(

@@ -20,7 +20,8 @@ from .instances import (
     Instance,
     InstanceMorphism,
     compose_morphisms,
-    equal_image_pairs,
+    enumerate_morphisms,
+    instance_fiber_product,
     validate_morphism,
 )
 from .migration import (
@@ -98,45 +99,34 @@ def typechange_sigma(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
 def typechange_delta(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     """Pullback along k: the fiber product of the instance with k's source.
 
-    When k is injective this filters rows to those typed inside k's image and
-    keeps their ids verbatim; otherwise rows are duplicated with pair ids.
+    When k is injective this is a filter: the rows typed inside k's image
+    keep their ids, and the columns are restricted to them.  Otherwise rows
+    are duplicated with pair ids, as the right leg of the fiber product.
     """
     if t.typing.target != k.target:
         raise SchemaMismatchError("typechange_delta: typing does not land in k's target")
-    P = k.source
     schema = t.instance.schema
     injective = all(
         len(set(k.component(v).values())) == len(k.component(v))
         for v in schema.vertices
     )
+    if not injective:
+        return TypedInstance(instance_fiber_product(t.typing, k)[2])
 
     rows: dict[str, tuple[str, ...]] = {}
-    chosen: dict[str, dict[str, tuple[str, str]]] = {}
+    typing: dict[str, dict[str, str]] = {}
     for v in schema.vertices:
-        pairs = equal_image_pairs(
-            t.instance.row_set(v), t.typing.component(v), P.row_set(v), k.component(v)
-        )
-        names = uniquify([x if injective else tuple_id((x, p)) for x, p in pairs])
-        rows[v] = tuple(names)
-        chosen[v] = dict(zip(names, pairs))
-
+        kv = k.component(v)
+        preimage = {kv[p]: p for p in k.source.row_set(v)}
+        tau = t.typing.component(v)
+        typing[v] = {x: preimage[tau[x]] for x in t.instance.row_set(v) if tau[x] in preimage}
+        rows[v] = tuple(typing[v])
     columns: dict[str, dict[str, str]] = {}
     for arrow in schema.arrows:
-        col_i = t.instance.column(arrow.name)
-        col_p = P.column(arrow.name)
-        reverse = {pair: n for n, pair in chosen[arrow.target].items()}
-        mapping = {}
-        for n, (x, p) in chosen[arrow.source].items():
-            mapping[n] = reverse[(col_i[x], col_p[p])]
-        columns[arrow.name] = mapping
-
+        column = t.instance.column(arrow.name)
+        columns[arrow.name] = {x: column[x] for x in rows[arrow.source]}
     pulled = Instance(schema, rows, columns)
-    typing = InstanceMorphism(
-        pulled,
-        P,
-        {v: {n: chosen[v][n][1] for n in rows[v]} for v in schema.vertices},
-    )
-    return TypedInstance(typing)
+    return TypedInstance(InstanceMorphism(pulled, k.source, typing))
 
 
 def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
@@ -227,8 +217,6 @@ def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
 
 def enumerate_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int | None = None):
     """All slice morphisms t -> u: instance morphisms commuting with the typings."""
-    from .instances import enumerate_morphisms
-
     if t.typing_instance != u.typing_instance:
         raise SchemaMismatchError("typed morphisms need a shared typing instance")
     for m in enumerate_morphisms(t.instance, u.instance, cap):

@@ -147,6 +147,16 @@ def rand_cover(
     return InstanceMorphism(Instance(schema, rows, columns), base, image)
 
 
+def shuffled_rows(rng: random.Random, instance: Instance) -> Instance:
+    """The same instance with each table's rows in a random order, so that
+    row position and row id disagree."""
+    rows = {
+        v: tuple(rng.sample(instance.row_set(v), len(instance.row_set(v))))
+        for v in instance.schema.vertices
+    }
+    return Instance(instance.schema, rows, instance.columns)
+
+
 def repair_instance(instance: Instance) -> Instance:
     """Quotient rows until every declared equation holds (congruence merge)."""
     schema = instance.schema

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 
-from catmigrate.errors import EnumerationCapError
-from catmigrate.instances import Instance
+from catmigrate.errors import EnumerationCapError, SchemaMismatchError
+from catmigrate.instances import Instance, InstanceMorphism
 from catmigrate.migration import Translation
+from catmigrate.naming import tuple_id, uniquify
+from catmigrate.typed import TypedInstance
 from catmigrate.schemas import Path, Schema, path_target
 
 
@@ -327,3 +329,138 @@ def nested_loop_pairs(
     loop.  A drop-in for ``instances.equal_image_pairs`` that fixes the order
     the fiber product and ``typechange_delta`` must reproduce."""
     return [(a, b) for a in left for b in right if f[a] == g[b]]
+
+
+# ---------------------------------------------------------------------------
+# morphism search: slot-by-slot backtracking
+# ---------------------------------------------------------------------------
+
+
+class _SlotSearch:
+    """Backtracking over (vertex, row) slots with column-consistency pruning.
+
+    Preimage indexes make each consistency check proportional to the slot's
+    arrow degree rather than the size of the partial assignment.
+    """
+
+    def __init__(self, source: Instance, target: Instance, vertices: list[str]):
+        self.source = source
+        self.target = target
+        self.slots = [(v, r) for v in vertices for r in source.row_set(v)]
+        inside = set(vertices)
+        self.out_edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+        self.in_edges: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
+        for arrow in source.schema.arrows:
+            if arrow.source not in inside and arrow.target not in inside:
+                continue
+            col = source.column(arrow.name)
+            for r in source.row_set(arrow.source):
+                image = col.get(r)
+                if image is None:
+                    continue
+                self.out_edges.setdefault((arrow.source, r), []).append(
+                    (arrow.name, arrow.target, image)
+                )
+                self.in_edges.setdefault((arrow.target, image), []).append(
+                    (arrow.name, arrow.source, r)
+                )
+        self.assignment: dict[tuple[str, str], str] = {}
+
+    def consistent(self, slot: tuple[str, str], value: str) -> bool:
+        assignment = self.assignment
+        target = self.target
+        for name, w, image in self.out_edges.get(slot, ()):
+            # a row a loop arrow fixes is its own image: check it at once
+            assigned = value if (w, image) == slot else assignment.get((w, image))
+            if assigned is not None and target.column(name).get(value) != assigned:
+                return False
+        for name, w, s in self.in_edges.get(slot, ()):
+            assigned = assignment.get((w, s))
+            if assigned is not None and target.column(name).get(assigned) != value:
+                return False
+        return True
+
+
+def slot_search_morphisms(source: Instance, target: Instance, cap: int | None = None):
+    """Every natural transformation source -> target by plain slot-by-slot
+    backtracking: each source row in turn tries every target row of its
+    vertex.  A drop-in for ``instances.enumerate_morphisms`` that fixes the
+    order the engine's join must reproduce.  This is the engine's former
+    search, with one fix: it skipped the constraint of a loop arrow at a row
+    that the loop fixes, and so also counted maps that are not natural."""
+    if source.schema != target.schema:
+        raise SchemaMismatchError("morphism search needs a shared schema")
+    search = _SlotSearch(source, target, list(source.schema.vertices))
+    slots = search.slots
+    produced = 0
+
+    def recurse(i: int):
+        nonlocal produced
+        if i == len(slots):
+            components: dict[str, dict[str, str]] = {v: {} for v in source.schema.vertices}
+            for (v, r), val in search.assignment.items():
+                components[v][r] = val
+            produced += 1
+            if cap is not None and produced > cap:
+                raise EnumerationCapError(f"morphism enumeration exceeded cap {cap}")
+            yield InstanceMorphism(source, target, components)
+            return
+        slot = slots[i]
+        v, _ = slot
+        for value in target.row_set(v):
+            if search.consistent(slot, value):
+                search.assignment[slot] = value
+                yield from recurse(i + 1)
+                del search.assignment[slot]
+
+    yield from recurse(0)
+
+
+# ---------------------------------------------------------------------------
+# delta-hat: pairwise construction
+# ---------------------------------------------------------------------------
+
+
+def pairwise_delta_hat(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
+    """``typed.typechange_delta`` built pair by pair: every (typed row, row of
+    k's source) pair with one image, named by the typed row when k is
+    injective and by the pair otherwise, with each column sending a pair to
+    the pair of its images.  The engine's former construction, with the pairs
+    from the plain nested loop; it fixes the rows, columns, typing and order
+    that the fiber product and the injective filter must reproduce."""
+    if t.typing.target != k.target:
+        raise SchemaMismatchError("typechange_delta: typing does not land in k's target")
+    P = k.source
+    schema = t.instance.schema
+    injective = all(
+        len(set(k.component(v).values())) == len(k.component(v))
+        for v in schema.vertices
+    )
+
+    rows: dict[str, tuple[str, ...]] = {}
+    chosen: dict[str, dict[str, tuple[str, str]]] = {}
+    for v in schema.vertices:
+        pairs = nested_loop_pairs(
+            t.instance.row_set(v), t.typing.component(v), P.row_set(v), k.component(v)
+        )
+        names = uniquify([x if injective else tuple_id((x, p)) for x, p in pairs])
+        rows[v] = tuple(names)
+        chosen[v] = dict(zip(names, pairs))
+
+    columns: dict[str, dict[str, str]] = {}
+    for arrow in schema.arrows:
+        col_i = t.instance.column(arrow.name)
+        col_p = P.column(arrow.name)
+        reverse = {pair: n for n, pair in chosen[arrow.target].items()}
+        mapping = {}
+        for n, (x, p) in chosen[arrow.source].items():
+            mapping[n] = reverse[(col_i[x], col_p[p])]
+        columns[arrow.name] = mapping
+
+    pulled = Instance(schema, rows, columns)
+    typing = InstanceMorphism(
+        pulled,
+        P,
+        {v: {n: chosen[v][n][1] for n in rows[v]} for v in schema.vertices},
+    )
+    return TypedInstance(typing)

@@ -7,7 +7,12 @@ import random
 import pytest
 
 from catmigrate import instances
-from catmigrate.errors import SchemaMismatchError, StructuralError, UnknownRowError
+from catmigrate.errors import (
+    EnumerationCapError,
+    SchemaMismatchError,
+    StructuralError,
+    UnknownRowError,
+)
 from catmigrate.instances import (
     EquationViolation,
     Instance,
@@ -24,8 +29,14 @@ from catmigrate.instances import (
 )
 from catmigrate.schemas import Arrow, Graph, Path, Schema
 
-from .generators import rand_acyclic_schema, rand_cover, rand_cyclic_schema, rand_instance
-from .oracles import nested_loop_pairs
+from .generators import (
+    rand_acyclic_schema,
+    rand_cover,
+    rand_cyclic_schema,
+    rand_instance,
+    shuffled_rows,
+)
+from .oracles import nested_loop_pairs, slot_search_morphisms
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +311,104 @@ def test_find_isomorphism_respects_columns():
     # no isomorphism when structure differs
     collapsed = _instance(schema, ["x1", "x2"], ["y1", "y2"], {"x1": "y1", "x2": "y1"})
     assert find_isomorphism(left, collapsed) is None
+
+
+def _components(m):
+    return [list(m.component(v).items()) for v in m.source.schema.vertices]
+
+
+def _first_injective(morphisms):
+    for m in morphisms:
+        if all(
+            len(set(m.component(v).values())) == len(m.component(v))
+            for v in m.source.schema.vertices
+        ):
+            return m
+    return None
+
+
+def test_morphism_search_keeps_slot_search_order():
+    # against ``a`` itself and against a random ``b``, each with its rows
+    # shuffled so that row position and row id disagree
+    rng = random.Random(606)
+    for case in range(240):
+        make = rand_cyclic_schema if case % 2 else rand_acyclic_schema
+        schema = make(rng, f"ms{case}", max_vertices=3, max_arrows=4)
+        a = rand_instance(rng, schema)
+        for b in (shuffled_rows(rng, a), shuffled_rows(rng, rand_instance(rng, schema))):
+            want = list(slot_search_morphisms(a, b))
+            got = list(enumerate_morphisms(a, b))
+            assert [_components(m) for m in got] == [_components(m) for m in want], case
+            assert count_morphisms(a, b) == len(want), case
+            same_sizes = all(len(a.row_set(v)) == len(b.row_set(v)) for v in schema.vertices)
+            iso = find_isomorphism(a, b)
+            ref = _first_injective(want) if same_sizes else None
+            assert (iso and _components(iso)) == (ref and _components(ref)), case
+
+
+def test_loop_fixing_a_row_constrains_the_morphism_search():
+    # ``a`` fixes q0 and q2, so a natural map sends them to fixed rows: 5 of
+    # the 15 maps that respect the other column values
+    schema = Schema("Loop", Graph(("P", "Q"), (Arrow("a", "Q", "Q"), Arrow("f", "P", "Q"))))
+    inst = Instance(
+        schema,
+        {"P": ("p0", "p1", "p2"), "Q": ("q0", "q1", "q2")},
+        {"a": {"q0": "q0", "q1": "q0", "q2": "q2"}, "f": {"p0": "q1", "p1": "q2", "p2": "q1"}},
+    )
+    morphisms = list(enumerate_morphisms(inst, inst))
+    assert len(morphisms) == count_morphisms(inst, inst) == 5
+    assert all(validate_morphism(m) == [] for m in morphisms)
+
+
+def _bare_table(rows: int) -> Instance:
+    return Instance(Schema("Bare", Graph(("A",), ())), {"A": tuple(f"r{i}" for i in range(rows))})
+
+
+def test_count_morphisms_cap_on_the_exact_power():
+    assert count_morphisms(_bare_table(3), _bare_table(3), cap=27) == 27
+    with pytest.raises(EnumerationCapError):
+        count_morphisms(_bare_table(3), _bare_table(3), cap=26)
+
+
+def test_count_morphisms_cap_on_a_searched_component():
+    schema = _two_table_schema()
+    source = _instance(schema, ["a1", "a2", "a3"], ["b"], {r: "b" for r in ("a1", "a2", "a3")})
+    target = _instance(schema, ["x1", "x2", "x3"], ["y"], {r: "y" for r in ("x1", "x2", "x3")})
+    assert count_morphisms(source, target) == 27
+    with pytest.raises(EnumerationCapError):
+        count_morphisms(source, target, cap=26)
+    # the cap also bounds the rows tried: finding 27 morphisms tries more
+    with pytest.raises(EnumerationCapError):
+        count_morphisms(source, target, cap=30)
+
+
+def test_enumerate_morphisms_cap_yields_then_raises():
+    every = list(enumerate_morphisms(_bare_table(2), _bare_table(3)))
+    assert len(every) == 9
+    search = enumerate_morphisms(_bare_table(2), _bare_table(3), cap=4)
+    assert [_components(next(search)) for _ in range(4)] == [_components(m) for m in every[:4]]
+    with pytest.raises(EnumerationCapError):
+        next(search)
+
+
+def test_find_isomorphism_prunes_collapsed_column_within_work_cap():
+    # without pruning rows while it searches, the search would try 8**8 maps
+    schema = _two_table_schema()
+    a_rows = [f"a{i}" for i in range(8)]
+    b_rows = [f"b{i}" for i in range(8)]
+    source = _instance(schema, a_rows, b_rows, {f"a{i}": f"b{i}" for i in range(8)})
+    collapsed = _instance(schema, a_rows, b_rows, {r: "b0" for r in a_rows})
+    assert find_isomorphism(source, collapsed) is None
+    mirrored = _instance(schema, a_rows, b_rows, {f"a{i}": f"b{7 - i}" for i in range(8)})
+    iso = find_isomorphism(source, mirrored)
+    assert iso is not None and validate_morphism(iso) == []
+
+
+def test_find_isomorphism_work_cap_raises():
+    schema = _two_table_schema()
+    left = _instance(schema, ["a1", "a2"], ["b1", "b2"], {"a1": "b1", "a2": "b2"})
+    with pytest.raises(EnumerationCapError):
+        find_isomorphism(left, left, work_cap=1)
 
 
 def test_evaluate_respects_composition():

@@ -51,7 +51,7 @@ from catmigrate.migration import (
 )
 from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema
 
-from .generators import rand_acyclic_schema, rand_instance, rand_translation
+from .generators import rand_acyclic_schema, rand_instance, rand_translation, shuffled_rows
 from .oracles import assert_pi_matches, assert_sigma_matches, nested_loop_families
 
 
@@ -270,16 +270,6 @@ def _reversed_source(f: Translation) -> Translation:
     return Translation(source, f.target, f.vertex_map, f.arrow_map)
 
 
-def _shuffled_rows(rng: random.Random, instance: Instance) -> Instance:
-    """The same instance with each table's rows in a random order, so that
-    row position and row id disagree."""
-    rows = {
-        v: tuple(rng.sample(instance.row_set(v), len(instance.row_set(v))))
-        for v in instance.schema.vertices
-    }
-    return Instance(instance.schema, rows, instance.columns)
-
-
 def test_pi_join_keeps_nested_loop_order(monkeypatch):
     rng = random.Random(1212)
     for case in range(150):
@@ -287,7 +277,7 @@ def test_pi_join_keeps_nested_loop_order(monkeypatch):
         f = rand_translation(rng, target, name_prefix=f"o{case}_")
         if case % 2:
             f = _reversed_source(f)
-        instance = _shuffled_rows(rng, rand_instance(rng, f.source, max_rows=4))
+        instance = shuffled_rows(rng, rand_instance(rng, f.source, max_rows=4))
         got = pi_full(f, instance)
         want = _reference_pi(monkeypatch, f, instance)
         for d in target.vertices:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from catmigrate import typed
+from catmigrate import instances
 from catmigrate.errors import TypeChangeError
 from catmigrate.instances import (
     Instance,
@@ -27,7 +27,7 @@ from catmigrate.typed import (
 )
 
 from .generators import rand_acyclic_schema, rand_cover, rand_cyclic_schema, rand_instance
-from .oracles import PiOracle, nested_loop_pairs
+from .oracles import PiOracle, nested_loop_pairs, pairwise_delta_hat
 
 
 @pytest.fixture(scope="module")
@@ -143,28 +143,47 @@ def test_delta_hat_empty_source_empties_instance(paper_env):
     assert emptied.instance.total_rows() == 0
 
 
-def test_delta_hat_hash_join_keeps_nested_loop_order(monkeypatch):
+def _delta_hat_cases():
+    """120 random (case, schema, k, t); every other k is injective, which
+    keeps the typed rows' own ids."""
     rng = random.Random(505)
     for case in range(120):
         make = rand_cyclic_schema if case % 3 == 0 else rand_acyclic_schema
         schema = make(rng, f"dh{case}", max_vertices=3, max_arrows=4)
         types = rand_instance(rng, schema, max_rows=4)
         t = TypedInstance(rand_cover(rng, types, max_copies=3, tag="x"))
-        # every other k is injective, which keeps the typed rows' own ids
         k = rand_cover(rng, types, max_copies=1 + case % 2, tag="p")
-        got = typechange_delta(k, t).typing
+        yield case, schema, k, t
+
+
+def _assert_same_typed(got: TypedInstance, want: TypedInstance, schema, case) -> None:
+    """Equal rows, columns and typing, each in the same order."""
+    got, want = got.typing, want.typing
+    assert list(got.source.rows.items()) == list(want.source.rows.items()), f"case {case}"
+    for a in schema.arrows:
+        assert list(got.source.column(a.name).items()) == list(
+            want.source.column(a.name).items()
+        ), f"case {case}: column {a.name!r}"
+    for v in schema.vertices:
+        assert list(got.component(v).items()) == list(
+            want.component(v).items()
+        ), f"case {case}: typing at {v!r}"
+
+
+def test_delta_hat_hash_join_keeps_nested_loop_order(monkeypatch):
+    for case, schema, k, t in _delta_hat_cases():
+        got = typechange_delta(k, t)
         with monkeypatch.context() as patch:
-            patch.setattr(typed, "equal_image_pairs", nested_loop_pairs)
-            want = typechange_delta(k, t).typing
-        assert list(got.source.rows.items()) == list(want.source.rows.items()), f"case {case}"
-        for a in schema.arrows:
-            assert list(got.source.column(a.name).items()) == list(
-                want.source.column(a.name).items()
-            ), f"case {case}: column {a.name!r}"
-        for v in schema.vertices:
-            assert list(got.component(v).items()) == list(
-                want.component(v).items()
-            ), f"case {case}: typing at {v!r}"
+            patch.setattr(instances, "equal_image_pairs", nested_loop_pairs)
+            want = typechange_delta(k, t)
+        _assert_same_typed(got, want, schema, case)
+
+
+def test_delta_hat_matches_pairwise_construction():
+    # the fiber product (duplicating k) and the filter (injective k) against
+    # the construction that pairs every typed row with every row of k's source
+    for case, schema, k, t in _delta_hat_cases():
+        _assert_same_typed(typechange_delta(k, t), pairwise_delta_hat(k, t), schema, case)
 
 
 def test_delta_hat_noninjective_duplicates(paper_env):
