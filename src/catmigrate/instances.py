@@ -349,31 +349,6 @@ def instance_fiber_product(
     return product, proj_left, proj_right
 
 
-def _components_of_schema(schema: Schema) -> list[list[str]]:
-    """Connected components of the underlying undirected graph."""
-    neighbors: dict[str, set[str]] = {v: set() for v in schema.vertices}
-    for a in schema.arrows:
-        neighbors[a.source].add(a.target)
-        neighbors[a.target].add(a.source)
-    seen: set[str] = set()
-    components = []
-    for v in schema.vertices:
-        if v in seen:
-            continue
-        stack = [v]
-        comp = []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in neighbors[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        components.append(sorted(comp, key=schema.graph.vertex_index))
-    return components
-
-
 def assignments(
     target: Instance,
     comps: list[tuple],
@@ -504,7 +479,7 @@ def _join_plan(
 
 
 def _element_diagram(
-    source: Instance, vertices: list[str]
+    source: Instance, vertices: tuple[str, ...]
 ) -> tuple[list[tuple[str, str]], list[tuple[int, int, str]]]:
     """A morphism out of ``source`` as an assignment (see ``assignments``):
     one component per source row ``(v, r)`` of ``vertices``, in vertex then
@@ -553,8 +528,9 @@ def count_morphisms(source: Instance, target: Instance, cap: int = 5_000_000) ->
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
     total = 1
-    for comp in _components_of_schema(source.schema):
-        if not any(a.source in comp for a in source.schema.arrows):
+    graph = source.schema.graph
+    for comp in graph.components():
+        if not any(graph.out_arrows(v) for v in comp):
             for v in comp:
                 total *= len(target.row_set(v)) ** len(source.row_set(v))
                 if total > cap:

@@ -3,8 +3,14 @@
 A schema is a finite graph together with declared path equivalences; two paths
 are equivalent when one rewrites to the other using the declared equivalences
 as bidirectional rules at any position.  The word problem is undecidable in
-general, so the decision procedure is budgeted and three-valued: it answers
-``EQUIVALENT`` or ``NOT_PROVED`` (never "provably different").
+general, so the decision procedure is budgeted and answers ``EQUIVALENT`` or
+``NOT_PROVED``, never "provably different".  A pair is proved iff a chain of
+at most ``budget`` single rewrites joins the two paths in which every path but
+the two endpoints is at most ``length_cap`` long (the endpoints may be of any
+length), unless the state cap stops the search first.  The search grows one
+ball of rewrites from each endpoint; a side whose visited set passes
+``_MAX_VISITED_STATES`` stops growing while the other goes on, and once both
+have stopped the pair is left unproved.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from .errors import CompositionError, StructuralError
 
 DEFAULT_REWRITE_BUDGET = 64
 DEFAULT_PATH_LENGTH_CAP = 32
-# Safety valve for the rewrite search; hitting it degrades to NOT_PROVED.
+# Safety valve for each side of the rewrite search; a side past it stops growing.
 _MAX_VISITED_STATES = 60_000
 
 
@@ -42,6 +48,7 @@ class Graph:
     _arrow_by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
     _arrow_order: dict[str, int] = field(init=False, repr=False, compare=False)
     _out_arrows: dict[str, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
+    _components: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,6 +73,13 @@ class Graph:
         init(self, "_arrow_by_name", by_name)
         init(self, "_arrow_order", {name: i for i, name in enumerate(by_name)})
         init(self, "_out_arrows", {v: tuple(arrows) for v, arrows in out.items()})
+        root = {v: v for v in self.vertices}  # union-find over the undirected graph
+        for a in self.arrows:
+            root[_find(root, a.source)] = _find(root, a.target)
+        components: dict[str, list[str]] = {}
+        for v in self.vertices:
+            components.setdefault(_find(root, v), []).append(v)
+        init(self, "_components", tuple(map(tuple, components.values())))
         init(self, "_hash", hash((self.vertices, self.arrows)))
 
     def __hash__(self) -> int:
@@ -88,6 +102,17 @@ class Graph:
 
     def arrow_order(self, name: str) -> int:
         return self._arrow_order[name]
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Connected components of the underlying undirected graph, each in
+        vertex order, ordered by their first vertex."""
+        return self._components
+
+
+def _find(root: dict[str, str], v: str) -> str:
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    return v
 
 
 @dataclass(frozen=True)
@@ -200,27 +225,29 @@ class Equivalence(Enum):
     NOT_PROVED = "not-proved-within-budget"
 
 
-def _vertex_at(graph: Graph, path: Path, i: int) -> str:
-    if i == 0:
-        return path.source
-    return graph.arrow(path.arrows[i - 1]).target
-
-
-def _neighbors(schema: Schema, path: Path, length_cap: int):
-    """All single-rule rewrites of ``path``, applied at any position."""
-    graph = schema.graph
-    arrows = path.arrows
+def _rewrites(
+    schema: Schema, source: str, arrows: tuple[str, ...], length_cap: int, goal: tuple[str, ...]
+):
+    """Every single-rule rewrite of the path ``source: arrows``, at any
+    position, that is at most ``length_cap`` long or is ``goal``."""
     n = len(arrows)
     for src, lhs, rhs in schema._rules:
         k = len(lhs)
-        if n - k + len(rhs) > length_cap:
+        m = n - k + len(rhs)
+        if m > length_cap and m != len(goal):
             continue
         for i in range(n - k + 1):
             if arrows[i : i + k] != lhs:
                 continue
-            if _vertex_at(graph, path, i) != src:
+            # A nonempty lhs fixes the vertex by its first arrow; an empty
+            # one matches at every position, so check the vertex there.
+            if not k and src != (
+                schema.graph._arrow_by_name[arrows[i - 1]].target if i else source
+            ):
                 continue
-            yield Path(path.source, arrows[:i] + rhs + arrows[i + k :])
+            path = arrows[:i] + rhs + arrows[i + k :]
+            if m <= length_cap or path == goal:
+                yield path
 
 
 def paths_equivalent(
@@ -249,21 +276,32 @@ def paths_equivalent(
 
 @lru_cache(maxsize=65536)
 def _search(schema: Schema, p: Path, q: Path, budget: int, length_cap: int) -> Equivalence:
-    visited = {p}
-    frontier = [p]
+    # States are arrow tuples: no rewrite moves the source.  Side 0 grows from
+    # p, side 1 from q; each layer grows the live side with the smaller frontier.
+    starts = (p.arrows, q.arrows)
+    seen = ({p.arrows}, {q.arrows})
+    frontiers = [[p.arrows], [q.arrows]]
+    live = [0, 1]
     for _ in range(budget):
-        if not frontier:
-            break
-        next_frontier = []
-        for current in frontier:
-            for neighbor in _neighbors(schema, current, length_cap):
-                if neighbor in visited:
+        if len(live) == 2:
+            side = 1 if len(frontiers[1]) < len(frontiers[0]) else 0
+        else:
+            side = live[0]
+        mine, theirs, goal = seen[side], seen[1 - side], starts[1 - side]
+        grown = []
+        for current in frontiers[side]:
+            for path in _rewrites(schema, p.source, current, length_cap, goal):
+                if path in mine:
                     continue
-                if neighbor == q:
+                if path in theirs:
                     return Equivalence.EQUIVALENT
-                visited.add(neighbor)
-                next_frontier.append(neighbor)
-        if len(visited) > _MAX_VISITED_STATES:
+                mine.add(path)
+                grown.append(path)
+        if not grown:
             return Equivalence.NOT_PROVED
-        frontier = next_frontier
+        frontiers[side] = grown
+        if len(mine) > _MAX_VISITED_STATES:
+            live.remove(side)
+            if not live:
+                break
     return Equivalence.NOT_PROVED

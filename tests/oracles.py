@@ -15,7 +15,7 @@ from catmigrate.instances import Instance, InstanceMorphism
 from catmigrate.migration import Translation
 from catmigrate.naming import tuple_id, uniquify
 from catmigrate.typed import TypedInstance
-from catmigrate.schemas import Path, Schema, path_target
+from catmigrate.schemas import _MAX_VISITED_STATES, Equivalence, Graph, Path, Schema, path_target
 
 
 def all_paths(schema: Schema, source: str, cap: int = 50_000) -> list[Path]:
@@ -77,6 +77,64 @@ def path_partition(schema: Schema, paths: list[Path]) -> list[int]:
         for rewritten in _rewrites(schema, path.arrows, path.source):
             uf.union(i, index[rewritten])
     return [uf.find(i) for i in range(len(paths))]
+
+
+# ---------------------------------------------------------------------------
+# path equivalence: the one-sided breadth-first search
+# ---------------------------------------------------------------------------
+
+
+def _vertex_at(graph: Graph, path: Path, i: int) -> str:
+    if i == 0:
+        return path.source
+    return graph.arrow(path.arrows[i - 1]).target
+
+
+def _neighbors(schema: Schema, path: Path, length_cap: int):
+    """All single-rule rewrites of ``path``, applied at any position."""
+    graph = schema.graph
+    arrows = path.arrows
+    n = len(arrows)
+    for src, lhs, rhs in schema._rules:
+        k = len(lhs)
+        if n - k + len(rhs) > length_cap:
+            continue
+        for i in range(n - k + 1):
+            if arrows[i : i + k] != lhs:
+                continue
+            if _vertex_at(graph, path, i) != src:
+                continue
+            yield Path(path.source, arrows[:i] + rhs + arrows[i + k :])
+
+
+def one_sided_search(
+    schema: Schema, p: Path, q: Path, budget: int, length_cap: int, caps_hit: list | None = None
+) -> Equivalence:
+    """The search ``schemas.paths_equivalent`` ran before it grew from both
+    ends: breadth-first from ``p`` alone, up to ``budget`` layers.  Verbatim
+    but for ``caps_hit``, which gets an entry when the state cap ends the
+    search, and the memo table it no longer has.  Every path it reaches,
+    ``q`` included, is at most ``length_cap`` long."""
+    visited = {p}
+    frontier = [p]
+    for _ in range(budget):
+        if not frontier:
+            break
+        next_frontier = []
+        for current in frontier:
+            for neighbor in _neighbors(schema, current, length_cap):
+                if neighbor in visited:
+                    continue
+                if neighbor == q:
+                    return Equivalence.EQUIVALENT
+                visited.add(neighbor)
+                next_frontier.append(neighbor)
+        if len(visited) > _MAX_VISITED_STATES:
+            if caps_hit is not None:
+                caps_hit.append(len(visited))
+            return Equivalence.NOT_PROVED
+        frontier = next_frontier
+    return Equivalence.NOT_PROVED
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from catmigrate import schemas
 from catmigrate.errors import CompositionError, StructuralError
+from catmigrate.instances import evaluate_path
 from catmigrate.schemas import (
     Arrow,
     Equivalence,
@@ -19,9 +21,10 @@ from catmigrate.schemas import (
     trivial_path,
 )
 
+from . import oracles
 from .conftest import load_documents
-from .generators import rand_cyclic_schema
-from .oracles import all_paths
+from .generators import rand_acyclic_schema, rand_cyclic_schema, rand_instance
+from .oracles import all_paths, one_sided_search
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +259,231 @@ def test_engine_agrees_with_exhaustive_closure_on_acyclic():
                         assert verdict is Equivalence.EQUIVALENT
                     else:
                         assert verdict is Equivalence.NOT_PROVED
+
+
+def _schema(vertices, arrows, equations, name="T"):
+    """A schema from (name, source, target) arrows and (source, lhs, rhs) equations."""
+    graph = Graph(tuple(vertices), tuple(Arrow(*a) for a in arrows))
+    return Schema(
+        name, graph, tuple(PathEquivalence(Path(s, l), Path(s, r)) for s, l, r in equations)
+    )
+
+
+def test_components_of_the_undirected_graph():
+    graph = Graph(
+        ("A", "B", "C", "D", "E"),
+        (Arrow("f", "D", "B"), Arrow("g", "E", "E"), Arrow("h", "B", "D")),
+    )
+    assert graph.components() == (("A",), ("B", "D"), ("C",), ("E",))
+    grown = dataclasses.replace(graph, arrows=graph.arrows + (Arrow("k", "C", "A"),))
+    assert grown.components() == (("A", "C"), ("B", "D"), ("E",))
+    rng = random.Random(15)
+    for i in range(100):
+        g = rand_cyclic_schema(rng, f"s{i}").graph
+        # reference: v and w share a component iff each reaches the other
+        # by undirected steps
+        reach = {v: {v} for v in g.vertices}
+        for _ in g.vertices:
+            for a in g.arrows:
+                reach[a.source] |= reach[a.target]
+                reach[a.target] |= reach[a.source]
+        want = []
+        for v in g.vertices:
+            comp = tuple(w for w in g.vertices if w in reach[v])
+            if comp not in want:
+                want.append(comp)
+        assert g.components() == tuple(want)
+
+
+def test_long_endpoint_proved_whichever_end_sorts_first():
+    # f.b^32 is 33 arrows long, one past the default length cap.
+    schema = _schema(
+        ("u", "v"),
+        (("f", "u", "v"), ("g", "u", "v"), ("b", "v", "v")),
+        (("v", ("b", "b"), ("b",)), ("u", ("g",), ("f", "b"))),
+    )
+    long = Path("u", ("f",) + ("b",) * 32)
+    g, fb = Path("u", ("g",)), Path("u", ("f", "b"))
+    assert paths_equivalent(schema, long, g) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, g, fb) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, long, fb) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, fb, long) is Equivalence.EQUIVALENT
+
+
+def test_length_cap_bounds_the_paths_between_the_endpoints():
+    # g = f.b.b.b is the only rewrite of g; at cap 3 it may be an endpoint
+    # but not a step on the way to f.b.
+    schema = _schema(
+        ("u", "v"),
+        (("f", "u", "v"), ("g", "u", "v"), ("b", "v", "v")),
+        (("v", ("b", "b"), ("b",)), ("u", ("g",), ("f", "b", "b", "b"))),
+    )
+    g, fb, fbbb = Path("u", ("g",)), Path("u", ("f", "b")), Path("u", ("f", "b", "b", "b"))
+    assert paths_equivalent(schema, g, fbbb, budget=1, length_cap=3) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, g, fb, length_cap=3) is Equivalence.NOT_PROVED
+    assert paths_equivalent(schema, g, fb, budget=3, length_cap=4) is Equivalence.EQUIVALENT
+    # both endpoints over the cap, one rewrite apart
+    long = Path("u", ("f",) + ("b",) * 5)
+    longer = Path("u", ("f",) + ("b",) * 6)
+    assert paths_equivalent(schema, long, longer, budget=1, length_cap=3) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, long, longer, budget=0, length_cap=3) is Equivalence.NOT_PROVED
+
+
+def test_proved_at_exactly_the_rewrite_distance():
+    # e0 = e1 = ... = e5, and dead-end spurs d1..d4 at e0, so that one end's
+    # frontier outgrows the other's and the search alternates sides.
+    chain = _schema(
+        ("u", "v"),
+        [(f"e{i}", "u", "v") for i in range(6)] + [(f"d{j}", "u", "v") for j in range(1, 5)],
+        [("u", (f"e{i}",), (f"e{i + 1}",)) for i in range(5)]
+        + [("u", ("e0",), (f"d{j}",)) for j in range(1, 5)],
+        name="Chain",
+    )
+    collapse = _schema(
+        ("u", "v"), (("f", "u", "v"), ("b", "v", "v")), (("v", ("b", "b"), ("b",)),), "Collapse"
+    )
+    for k in range(1, 6):
+        pairs = [
+            (chain, Path("u", ("e0",)), Path("u", (f"e{k}",))),
+            (chain, Path("u", (f"d{1 + k % 4}",)), Path("u", (f"e{k - 1}",))),
+            (collapse, Path("u", ("f",) + ("b",) * (k + 1)), Path("u", ("f", "b"))),
+        ]
+        for schema, p, q in pairs:
+            for a, b in ((p, q), (q, p)):
+                assert paths_equivalent(schema, a, b, budget=k) is Equivalence.EQUIVALENT
+                assert paths_equivalent(schema, a, b, budget=k - 1) is Equivalence.NOT_PROVED
+
+
+def test_state_cap_stops_only_the_side_that_passes_it(monkeypatch):
+    # a0 - a1 - a2 - a3 by renaming, a spur s at a0 and six spurs t1..t6 at
+    # a3.  Growing from a3 passes a cap of 6 states at once; the side of a0
+    # must go on and meet it, as the one-sided search from a0 does.
+    schema = _schema(
+        ("u", "v"),
+        [(n, "u", "v") for n in ("a0", "a1", "a2", "a3", "s", "t1", "t2", "t3", "t4", "t5", "t6")],
+        [("u", (f"a{i}",), (f"a{i + 1}",)) for i in range(3)]
+        + [("u", ("a0",), ("s",))]
+        + [("u", ("a3",), (f"t{j}",)) for j in range(1, 7)],
+    )
+    p, q = Path("u", ("a0",)), Path("u", ("a3",))
+    for cap, verdict in ((6, Equivalence.EQUIVALENT), (2, Equivalence.NOT_PROVED)):
+        monkeypatch.setattr(schemas, "_MAX_VISITED_STATES", cap)
+        monkeypatch.setattr(oracles, "_MAX_VISITED_STATES", cap)
+        schemas._search.cache_clear()
+        assert paths_equivalent(schema, p, q, budget=3) is verdict
+        assert one_sided_search(schema, p, q, 3, 32) is verdict
+    schemas._search.cache_clear()
+
+
+def test_identity_rules_insert_only_at_their_vertex(monkeypatch, employee):
+    # Secr.isIn = id matches at every position of a path; only the positions
+    # at Department may take it, so every path the search reaches is valid.
+    rewrites = schemas._rewrites
+
+    def checked(schema, source, arrows, length_cap, goal):
+        for path in rewrites(schema, source, arrows, length_cap, goal):
+            path_target(schema.graph, Path(source, path))
+            yield path
+
+    monkeypatch.setattr(schemas, "_rewrites", checked)
+    schemas._search.cache_clear()
+    p = Path("Employee", ("isIn", "Secr", "Mgr"))
+    assert paths_equivalent(employee, p, Path("Employee", ())) is Equivalence.NOT_PROVED
+    p, q = Path("Department", ("Secr", "isIn", "Name")), Path("Department", ("Name",))
+    assert paths_equivalent(employee, p, q) is Equivalence.EQUIVALENT
+    schemas._search.cache_clear()
+
+
+def _one_sided(schema, p, q, budget, length_cap, caps_hit):
+    """The reference, after the shortcut for equal paths and the ordering
+    that ``paths_equivalent`` puts before its search; the callers pass
+    paths with equal endpoints."""
+    if p == q:
+        return Equivalence.EQUIVALENT
+    if (q.arrows, q.source) < (p.arrows, p.source):
+        p, q = q, p
+    return one_sided_search(schema, p, q, budget, length_cap, caps_hit)
+
+
+def _walk(rng, graph, start, steps):
+    at, arrows = start, []
+    for _ in range(steps):
+        options = graph.out_arrows(at)
+        if not options:
+            break
+        arrow = rng.choice(options)
+        arrows.append(arrow.name)
+        at = arrow.target
+    return Path(start, tuple(arrows))
+
+
+def test_search_from_both_ends_agrees_with_one_sided_search(monkeypatch):
+    # Identical verdicts wherever the reference hit no state cap and both
+    # endpoints fit the length cap; elsewhere a superset of its proofs, each
+    # extra one sound on random instances.  Every third schema runs with a
+    # state cap of 3, so that capped searches occur.
+    rng = random.Random(16)
+    same = extra = capped = 0
+    for i in range(300):
+        make = rand_cyclic_schema if i % 2 else rand_acyclic_schema
+        schema = make(rng, f"s{i}")
+        graph = schema.graph
+        length_cap = rng.choice((2, 3, 4, 6))
+        pairs = []
+        for _ in range(6):
+            start = rng.choice(schema.vertices)
+            p, q = (_walk(rng, graph, start, rng.randint(0, 6)) for _ in range(2))
+            if path_target(graph, p) == path_target(graph, q):
+                pairs.append((p, q))
+        instances = [rand_instance(rng, schema) for _ in range(2)]
+        with monkeypatch.context() as patch:
+            if i % 3 == 0:
+                patch.setattr(schemas, "_MAX_VISITED_STATES", 3)
+                patch.setattr(oracles, "_MAX_VISITED_STATES", 3)
+            schemas._search.cache_clear()
+            for p, q in pairs:
+                for budget in (0, 1, 2, 3, 5, 8, 64):
+                    caps_hit: list = []
+                    want = _one_sided(schema, p, q, budget, length_cap, caps_hit)
+                    got = paths_equivalent(schema, p, q, budget, length_cap)
+                    fits = max(len(p.arrows), len(q.arrows)) <= length_cap
+                    if not caps_hit and fits:
+                        assert got is want, (schema, p, q, budget, length_cap)
+                        same += 1
+                        continue
+                    capped += bool(caps_hit)
+                    if want is Equivalence.EQUIVALENT:
+                        assert got is Equivalence.EQUIVALENT, (schema, p, q, budget)
+                    elif got is Equivalence.EQUIVALENT:
+                        extra += 1
+                        for instance in instances:
+                            for row in instance.row_set(p.source):
+                                assert evaluate_path(instance, p, row) == evaluate_path(
+                                    instance, q, row
+                                )
+        schemas._search.cache_clear()
+    assert same > 1000 and extra > 0 and capped > 0, (same, extra, capped)
+
+
+def test_search_from_both_ends_expands_far_fewer_paths(monkeypatch):
+    # x = x.x.y: every path equal to x starts with x, so x against y.x is a
+    # NOT_PROVED search that grows without end on the side of x.
+    schema = _schema(
+        ("h",), (("x", "h", "h"), ("y", "h", "h")), (("h", ("x",), ("x", "x", "y")),)
+    )
+    p, q = Path("h", ("x",)), Path("h", ("y", "x"))
+    expanded = {"new": 0, "reference": 0}
+
+    def counting(key, generator):
+        def counted(*args):
+            expanded[key] += 1
+            return generator(*args)
+
+        return counted
+
+    monkeypatch.setattr(schemas, "_rewrites", counting("new", schemas._rewrites))
+    monkeypatch.setattr(oracles, "_neighbors", counting("reference", oracles._neighbors))
+    schemas._search.cache_clear()
+    assert paths_equivalent(schema, p, q, budget=10) is Equivalence.NOT_PROVED
+    assert one_sided_search(schema, p, q, 10, 32) is Equivalence.NOT_PROVED
+    assert expanded["new"] * 20 <= expanded["reference"], expanded
