@@ -359,7 +359,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance_on_source")
     p.add_argument("instance_on_target")
     p.add_argument("files", nargs="+")
-    p.add_argument("--cap", type=int, default=2_000_000)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=2_000_000,
+        help="bound on search work: the rows each component of a hom-set count may "
+        "try (exit 3 past it); the counts themselves are exact, however large",
+    )
     p.add_argument("--corrupt-sigma", action="store_true", help="mutation-test mode")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stable", action="store_true")

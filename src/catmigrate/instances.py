@@ -6,8 +6,9 @@ on: path evaluation, validation against the declared equations, fiber
 products, and the one indexed join, ``assignments``, that finds every
 assignment of rows to a finite diagram respecting its columns.  pi's
 compatible families are such assignments, and so are morphisms of instances:
-enumeration, counting and isomorphism search, used by the adjunction checks,
-run the join on the source instance's diagram of elements.
+enumeration and isomorphism search run the join on the source instance's
+diagram of elements, and counting, which the adjunction checks use, runs it
+on each connected component of that diagram and multiplies the counts.
 """
 from __future__ import annotations
 
@@ -478,23 +479,43 @@ def _join_plan(
     return steps
 
 
-def _element_diagram(
-    source: Instance, vertices: tuple[str, ...]
-) -> tuple[list[tuple[str, str]], list[tuple[int, int, str]]]:
+def _element_diagram(source: Instance) -> tuple[list[tuple[str, str]], list[tuple[int, int, str]]]:
     """A morphism out of ``source`` as an assignment (see ``assignments``):
-    one component per source row ``(v, r)`` of ``vertices``, in vertex then
-    row order, and one constraint per column value between two of them."""
-    comps = [(v, r) for v in vertices for r in source.row_set(v)]
+    one component per source row ``(v, r)``, in vertex then row order, and
+    one constraint per column value."""
+    comps = [(v, r) for v in source.schema.vertices for r in source.row_set(v)]
     slot = {comp: k for k, comp in enumerate(comps)}
     constraints = []
     for arrow in source.schema.arrows:
         column = source.column(arrow.name)
         for r in source.row_set(arrow.source):
-            i = slot.get((arrow.source, r))
             j = slot.get((arrow.target, column.get(r)))
-            if i is not None and j is not None:
-                constraints.append((i, j, arrow.name))
+            if j is not None:
+                constraints.append((slot[arrow.source, r], j, arrow.name))
     return comps, constraints
+
+
+def _connected_parts(comps: list, constraints: list) -> list[tuple[list, list]]:
+    """The connected components of a diagram, found by a union-find over its
+    constraints: each a diagram of its own, renumbered in order."""
+    root = list(range(len(comps)))
+    for i, j, _ in constraints:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
+        root[i] = j
+    parts: dict[int, tuple[list, list]] = {}
+    local = []  # a component's index in its part
+    for k, comp in enumerate(comps):
+        while root[root[k]] != root[k]:
+            root[k] = root[root[k]]
+        part = parts.get(root[k]) or parts.setdefault(root[k], ([], []))
+        local.append(len(part[0]))
+        part[0].append(comp)
+    for i, j, name in constraints:
+        parts[root[i]][1].append((local[i], local[j], name))
+    return list(parts.values())
 
 
 def _morphism(
@@ -511,7 +532,7 @@ def enumerate_morphisms(source: Instance, target: Instance, cap: int | None = No
     over the source rows (vertex, then row order) by target row position."""
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
-    comps, constraints = _element_diagram(source, source.schema.vertices)
+    comps, constraints = _element_diagram(source)
     for produced, values in enumerate(assignments(target, comps, constraints), 1):
         if cap is not None and produced > cap:
             raise EnumerationCapError(f"morphism enumeration exceeded cap {cap}")
@@ -521,25 +542,21 @@ def enumerate_morphisms(source: Instance, target: Instance, cap: int | None = No
 def count_morphisms(source: Instance, target: Instance, cap: int = 5_000_000) -> int:
     """Count natural transformations source -> target without materializing them.
 
-    The count factors over connected components of the schema; a component
-    with no arrows contributes an exact power.  ``cap`` bounds both the count
-    and the rows each component's search tries.
+    Rows that no chain of column values links choose their images
+    independently, so the count is the product of the counts on the connected
+    components of the element diagram.  A component with no constraint is one
+    row, free to go to any row of its table; every other one is searched by
+    the join.  ``cap`` bounds the rows each search tries, not the count, which
+    comes back exact.
     """
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
     total = 1
-    graph = source.schema.graph
-    for comp in graph.components():
-        if not any(graph.out_arrows(v) for v in comp):
-            for v in comp:
-                total *= len(target.row_set(v)) ** len(source.row_set(v))
-                if total > cap:
-                    raise EnumerationCapError(f"morphism count exceeded cap {cap}")
-            continue
-        comps, constraints = _element_diagram(source, comp)
-        total *= sum(1 for _ in assignments(target, comps, constraints, work_cap=cap))
-        if total > cap:
-            raise EnumerationCapError(f"morphism count exceeded cap {cap}")
+    for comps, constraints in _connected_parts(*_element_diagram(source)):
+        if constraints:
+            total *= sum(1 for _ in assignments(target, comps, constraints, work_cap=cap))
+        else:
+            total *= len(target.row_set(comps[0][0]))
     return total
 
 
@@ -557,7 +574,7 @@ def find_isomorphism(
     for v in source.schema.vertices:
         if len(source.row_set(v)) != len(target.row_set(v)):
             return None
-    comps, constraints = _element_diagram(source, source.schema.vertices)
+    comps, constraints = _element_diagram(source)
     found = next(
         assignments(target, comps, constraints, injective=True, work_cap=work_cap), None
     )

@@ -312,7 +312,7 @@ class _SigmaEngine:
         self.term_ids: dict[tuple, int] = {}
         self.vertex_of: list[str] = []
         self.parent: list[int] = []
-        self.members: dict[int, list[int]] = {}
+        self.size: list[int] = []  # class size, read at roots only
         self.rep: dict[int, int] = {}
         self.img: dict[int, dict[str, int]] = {}
         self.queue: deque[tuple[int, int]] = deque()
@@ -332,10 +332,10 @@ class _SigmaEngine:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if len(self.members[ra]) < len(self.members[rb]):
+        if self.size[ra] < self.size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        self.members[ra].extend(self.members.pop(rb))
+        self.size[ra] += self.size[rb]
         if _term_sort_key(self.terms[self.rep[rb]]) < _term_sort_key(self.terms[self.rep[ra]]):
             self.rep[ra] = self.rep[rb]
         del self.rep[rb]
@@ -377,7 +377,7 @@ class _SigmaEngine:
         self.term_ids[term] = tid
         self.vertex_of.append(vertex)
         self.parent.append(tid)
-        self.members[tid] = [tid]
+        self.size.append(1)
         self.rep[tid] = tid
         self.img[tid] = {}
         return tid

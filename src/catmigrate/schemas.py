@@ -48,7 +48,6 @@ class Graph:
     _arrow_by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
     _arrow_order: dict[str, int] = field(init=False, repr=False, compare=False)
     _out_arrows: dict[str, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
-    _components: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -73,13 +72,6 @@ class Graph:
         init(self, "_arrow_by_name", by_name)
         init(self, "_arrow_order", {name: i for i, name in enumerate(by_name)})
         init(self, "_out_arrows", {v: tuple(arrows) for v, arrows in out.items()})
-        root = {v: v for v in self.vertices}  # union-find over the undirected graph
-        for a in self.arrows:
-            root[_find(root, a.source)] = _find(root, a.target)
-        components: dict[str, list[str]] = {}
-        for v in self.vertices:
-            components.setdefault(_find(root, v), []).append(v)
-        init(self, "_components", tuple(map(tuple, components.values())))
         init(self, "_hash", hash((self.vertices, self.arrows)))
 
     def __hash__(self) -> int:
@@ -102,17 +94,6 @@ class Graph:
 
     def arrow_order(self, name: str) -> int:
         return self._arrow_order[name]
-
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components of the underlying undirected graph, each in
-        vertex order, ordered by their first vertex."""
-        return self._components
-
-
-def _find(root: dict[str, str], v: str) -> str:
-    while root[v] != v:
-        root[v] = v = root[root[v]]
-    return v
 
 
 @dataclass(frozen=True)

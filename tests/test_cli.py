@@ -138,6 +138,20 @@ def test_check_adjunction_equal_counts(capsys):
     assert "pi adjunction: equal" in out
 
 
+def test_check_adjunction_on_the_full_instances(capsys):
+    files = [g("two_facts.cat"), g("table_t.cat"), g("translation_f.cat")]
+    code, out, _ = run(capsys, "check-adjunction", "F", "I", "J", *files)
+    assert code == 0
+    assert out.splitlines() == [
+        "|Hom(sigma I, J)| = 506250",
+        "|Hom(I, delta J)| = 506250",
+        "sigma adjunction: equal",
+        "|Hom(delta J, I)| = 67500000",
+        "|Hom(J, pi I)| = 67500000",
+        "pi adjunction: equal",
+    ]
+
+
 def test_check_adjunction_identity_translation(tmp_path, capsys):
     doc = """
 schema S { nodes A, B; arrows f : A -> B; }

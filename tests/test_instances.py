@@ -365,9 +365,34 @@ def _bare_table(rows: int) -> Instance:
 
 
 def test_count_morphisms_cap_on_the_exact_power():
-    assert count_morphisms(_bare_table(3), _bare_table(3), cap=27) == 27
+    # a row with no column is a component with no constraint: it is not
+    # searched, so no cap is reached, however large the count
+    assert count_morphisms(_bare_table(3), _bare_table(3), cap=1) == 27
+    assert count_morphisms(_bare_table(40), _bare_table(50), cap=1) == 50**40
+    assert count_morphisms(_bare_table(2), _bare_table(0), cap=1) == 0
+
+
+def test_count_morphisms_factors_over_the_element_diagram():
+    # A -f-> B is one connected schema, but its element diagram here has four
+    # components: (a_i, b_i) for each i, searched at 4 rows tried and 4
+    # morphisms each, and the lone b4, free to go to either y.
+    schema = _two_table_schema()
+    source = _instance(
+        schema,
+        ["a1", "a2", "a3"],
+        ["b1", "b2", "b3", "b4"],
+        {"a1": "b1", "a2": "b2", "a3": "b3"},
+    )
+    target = _instance(
+        schema,
+        ["x1", "x2", "x3", "x4"],
+        ["y1", "y2"],
+        {"x1": "y1", "x2": "y1", "x3": "y2", "x4": "y2"},
+    )
+    assert count_morphisms(source, target, cap=4) == 4**3 * 2
+    assert count_morphisms(source, target) == sum(1 for _ in enumerate_morphisms(source, target))
     with pytest.raises(EnumerationCapError):
-        count_morphisms(_bare_table(3), _bare_table(3), cap=26)
+        count_morphisms(source, target, cap=3)
 
 
 def test_count_morphisms_cap_on_a_searched_component():

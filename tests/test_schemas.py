@@ -269,32 +269,6 @@ def _schema(vertices, arrows, equations, name="T"):
     )
 
 
-def test_components_of_the_undirected_graph():
-    graph = Graph(
-        ("A", "B", "C", "D", "E"),
-        (Arrow("f", "D", "B"), Arrow("g", "E", "E"), Arrow("h", "B", "D")),
-    )
-    assert graph.components() == (("A",), ("B", "D"), ("C",), ("E",))
-    grown = dataclasses.replace(graph, arrows=graph.arrows + (Arrow("k", "C", "A"),))
-    assert grown.components() == (("A", "C"), ("B", "D"), ("E",))
-    rng = random.Random(15)
-    for i in range(100):
-        g = rand_cyclic_schema(rng, f"s{i}").graph
-        # reference: v and w share a component iff each reaches the other
-        # by undirected steps
-        reach = {v: {v} for v in g.vertices}
-        for _ in g.vertices:
-            for a in g.arrows:
-                reach[a.source] |= reach[a.target]
-                reach[a.target] |= reach[a.source]
-        want = []
-        for v in g.vertices:
-            comp = tuple(w for w in g.vertices if w in reach[v])
-            if comp not in want:
-                want.append(comp)
-        assert g.components() == tuple(want)
-
-
 def test_long_endpoint_proved_whichever_end_sorts_first():
     # f.b^32 is 33 arrows long, one past the default length cap.
     schema = _schema(
