@@ -7,8 +7,11 @@ structural validation (name resolution, endpoints, column totality) but not
 semantic validation (equation satisfaction, naturality) — that is the job of
 the validate operations.
 
-Identifiers are ``[A-Za-z0-9_$-]+``; anything else (dots, spaces, reserved
-words) must be double-quoted.  ``#`` starts a line comment.
+Identifiers are ``[A-Za-z0-9_$-]+``, but ``->`` ends one (``a-->b`` is
+``a-``, ``->``, ``b``); anything else (dots, spaces, reserved words) must be
+double-quoted.  A string's only escapes are ``\\\\`` and ``\\"``, and it
+does not span lines.  ``#`` starts a line comment.  Positions are 1-based; a
+tab is one column.
 """
 from __future__ import annotations
 
@@ -38,88 +41,94 @@ RESERVED = {
 }
 
 _IDENT_RE = re.compile(r"^[A-Za-z0-9_$-]+$")
-_IDENT_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$-")
-_PUNCT_CHARS = set("{}():;,.=")
+
+# One match per token.  It skips the blanks and comments before the token
+# and captures the token's raw text: a string (with its quotes and escapes),
+# an identifier (which stops before ``->``) or punctuation.  At the end of the
+# text the capture is empty.  Text that starts no token (a stray character,
+# or a string that is unterminated or holds a bad escape) is captured with
+# the rest of the text, so it is always the last token.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
+    r'"[^"\\\n]*(?:\\[\\"][^"\\\n]*)*"'
+    r"|(?:[A-Za-z0-9_$]|-(?!>))[A-Za-z0-9_$]*(?:-(?!>)[A-Za-z0-9_$]*)*"
+    r"|->|[{}():;,.=]"
+    r"|\Z|[\s\S]+)"
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
+_PUNCT = frozenset(["{", "}", "(", ")", ":", ";", ",", ".", "=", "->"])
+# Raw token texts that are not a bare name: end of input, punctuation, keywords.
+_NOT_NAMES = frozenset({""} | _PUNCT | RESERVED)
+# Every identifier or punctuation token starts with one of these.
+_BARE_STARTS = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$-{}():;,.="
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "string" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in '\\"':
-                        raise ParseError("bad escape in string", line, col)
-                    out.append(text[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                out.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token("string", "".join(out), start_line, start_col))
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _IDENT_CHARS:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
-                    break
-                j += 1
-            tokens.append(Token("ident", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT_CHARS:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+def _lex(text: str) -> list[str]:
+    """The raw text of each token; the last, ``""``, is the end of input."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        # trailing blanks match once as themselves, then once more, empty, at the end
+        tokens.pop()
+    if len(tokens) > 1 and tokens[-2][0] not in _BARE_STARTS:
+        _check_last(text, tokens[-2])
     return tokens
+
+
+def _check_last(text: str, last: str) -> None:
+    """Return if ``last``, the text's last token, is a string; otherwise it is
+    the rest of the text from where no token starts: raise its diagnostic."""
+    at = len(text) - len(last)
+    if last[0] != '"':
+        raise ParseError(f"unexpected character {last[0]!r}", *_position(text, at))
+    i = 1
+    while i < len(last) and last[i] != "\n":
+        if last[i] == '"':
+            # A string that closes before any error would have lexed, so this
+            # is the whole token, not the rest of the text.
+            return
+        if last[i] == "\\":
+            if last[i + 1 : i + 2] not in ("\\", '"'):
+                raise ParseError("bad escape in string", *_position(text, at + i))
+            i += 2
+        else:
+            i += 1
+    raise ParseError("unterminated string", *_position(text, at))
+
+
+def _unquote(raw: str) -> str:
+    body = raw[1:-1]
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+
+
+def _describe(raw: str) -> tuple[str, str]:
+    """A token's kind ("ident", "string", "punct" or "eof") and its text."""
+    if not raw:
+        return "eof", ""
+    if raw[0] == '"':
+        return "string", _unquote(raw)
+    return ("punct" if raw in _PUNCT else "ident"), raw
+
+
+def _token_offsets(text: str) -> list[int]:
+    """The offset of each token of ``_lex(text)``; diagnostics only."""
+    matches = list(_TOKEN_RE.finditer(text))
+    if len(matches) > 1 and not matches[-2].group(1):
+        matches.pop()
+    offsets = [m.start(1) for m in matches]
+    # The column does not advance inside a comment, so a comment that runs to
+    # the end of the text puts the end of input at its '#'.
+    tail = matches[-2].end(1) if len(matches) > 1 else 0
+    comment = text.find("#", max(tail, text.rfind("\n", tail) + 1))
+    if comment >= 0:
+        offsets[-1] = comment
+    return offsets
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of an offset; a tab is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -221,105 +230,101 @@ def _decl_value(decl: Declaration):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], env: dict[tuple[str, str], object]):
-        self.tokens = tokens
+    """Recursive descent over the raw token texts of ``_lex``.
+
+    A token is referred to by its index in ``tokens``; only ``fail`` turns an
+    index into a line and column.
+    """
+
+    def __init__(self, text: str, env: dict[tuple[str, str], object]):
+        self.text = text
+        self.tokens = _lex(text)
         self.pos = 0
         self.names: dict[tuple[str, str], object] = dict(env)
 
     # -- token plumbing -----------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
+    def fail(self, message: str, at: int | None = None, expected: tuple[str, ...] = ()):
+        offset = _token_offsets(self.text)[self.pos if at is None else at]
+        raise ParseError(message, *_position(self.text, offset), expected)
+
+    def fail_expected(self, text: str, at: int):
+        kind, found = _describe(self.tokens[at])
+        found = "end of input" if kind == "eof" else found
+        self.fail(f"expected {text!r}, found {found!r}", at, (text,))
+
+    def fail_name(self, what: str, at: int):
+        raw = self.tokens[at]
+        if raw in RESERVED:
+            self.fail(f"{raw!r} is a reserved word; quote it to use it as {what}", at)
+        self.fail(f"expected {what}", at, (what,))
+
+    def expect_punct(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            self.fail_expected(text, self.pos)
+        self.pos += 1
+
+    def accept(self, text: str) -> bool:
+        """Step over the next token if it is the punctuation or bare keyword
+        ``text``; a quoted string never is, as its raw text keeps the quotes."""
+        if self.tokens[self.pos] == text:
             self.pos += 1
-        return token
-
-    def fail(self, message: str, token: Token | None = None, expected: tuple[str, ...] = ()):
-        token = token or self.peek()
-        raise ParseError(message, token.line, token.col, expected)
-
-    def expect_punct(self, text: str) -> Token:
-        token = self.peek()
-        if token.kind == "punct" and token.text == text:
-            return self.advance()
-        self.fail(f"expected {text!r}, found {token.text or 'end of input'!r}", token, (text,))
-
-    def accept_punct(self, text: str) -> bool:
-        token = self.peek()
-        if token.kind == "punct" and token.text == text:
-            self.advance()
             return True
         return False
 
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token.kind == "ident" and token.text == word
+    def expect_keyword(self, word: str) -> None:
+        if self.tokens[self.pos] != word:
+            self.fail(f"expected keyword {word!r}", expected=(word,))
+        self.pos += 1
 
-    def expect_keyword(self, word: str) -> Token:
-        token = self.peek()
-        if token.kind == "ident" and token.text == word:
-            return self.advance()
-        self.fail(f"expected keyword {word!r}", token, (word,))
-
-    def name(self, what: str) -> tuple[str, Token]:
-        """A user name: a bare identifier (reserved words excluded) or a string."""
-        token = self.peek()
-        if token.kind == "string":
-            self.advance()
-            return token.text, token
-        if token.kind == "ident":
-            if token.text in RESERVED:
-                self.fail(
-                    f"{token.text!r} is a reserved word; quote it to use it as {what}",
-                    token,
-                )
-            self.advance()
-            return token.text, token
-        self.fail(f"expected {what}", token, (what,))
+    def name(self, what: str) -> tuple[str, int]:
+        """A user name, a bare identifier (reserved words excluded) or a
+        string, and its token index."""
+        at = self.pos
+        raw = self.tokens[at]
+        if raw in _NOT_NAMES:
+            self.fail_name(what, at)
+        self.pos = at + 1
+        return (_unquote(raw) if raw[0] == '"' else raw), at
 
     # -- shared pieces --------------------------------------------------------
 
-    def lookup(self, kind: str, name: str, token: Token):
+    def lookup(self, kind: str, name: str, at: int):
         value = self.names.get((kind, name))
         if value is None:
-            self.fail(f"unknown {kind} {name!r}", token)
+            self.fail(f"unknown {kind} {name!r}", at)
         return value
 
-    def declare(self, kind: str, name: str, value, token: Token):
+    def declare(self, kind: str, name: str, value, at: int):
         if (kind, name) in self.names:
-            self.fail(f"duplicate {kind} name {name!r}", token)
+            self.fail(f"duplicate {kind} name {name!r}", at)
         self.names[(kind, name)] = value
 
-    def path_arrows(self) -> list[tuple[str, Token]]:
+    def path_arrows(self) -> list[tuple[str, int]]:
         """A dotted arrow list, or the single keyword ``id`` for a trivial path."""
-        token = self.peek()
-        if token.kind == "ident" and token.text == "id":
-            self.advance()
+        if self.accept("id"):
             return []
-        arrows = []
-        name, tok = self.name("an arrow name")
-        arrows.append((name, tok))
-        while self.accept_punct("."):
-            name, tok = self.name("an arrow name")
-            arrows.append((name, tok))
+        arrows = [self.name("an arrow name")]
+        while self.accept("."):
+            arrows.append(self.name("an arrow name"))
         return arrows
 
-    def resolve_path(self, graph: Graph, source: str, arrows: list[tuple[str, Token]], token: Token) -> Path:
+    def resolve_path(self, graph: Graph, source: str, arrows: list[tuple[str, int]]) -> Path:
         at = source
         names = []
-        for name, tok in arrows:
+        for name, name_at in arrows:
             try:
                 arrow = graph.arrow(name)
             except Exception:
-                self.fail(f"unknown arrow {name!r}", tok)
+                self.fail(f"unknown arrow {name!r}", name_at)
             if arrow.source != at:
                 self.fail(
                     f"arrow {name!r} starts at {arrow.source!r}, "
                     f"but the path is at {at!r}",
-                    tok,
+                    name_at,
                 )
             names.append(name)
             at = arrow.target
@@ -328,295 +333,315 @@ class _Parser:
     # -- declarations ----------------------------------------------------------
 
     def document(self) -> Document:
+        readers = {
+            "schema": self.schema_decl,
+            "instance": self.instance_decl,
+            "translation": self.translation_decl,
+            "morphism": self.morphism_decl,
+            "typedinstance": self.typedinstance_decl,
+        }
         decls: list[Declaration] = []
-        while True:
-            token = self.peek()
-            if token.kind == "eof":
-                break
-            if token.kind != "ident":
-                self.fail(
-                    "expected a declaration",
-                    token,
-                    ("schema", "instance", "translation", "morphism", "typedinstance"),
-                )
-            if token.text == "schema":
-                decls.append(self.schema_decl())
-            elif token.text == "instance":
-                decls.append(self.instance_decl())
-            elif token.text == "translation":
-                decls.append(self.translation_decl())
-            elif token.text == "morphism":
-                decls.append(self.morphism_decl())
-            elif token.text == "typedinstance":
-                decls.append(self.typedinstance_decl())
-            else:
-                self.fail(
-                    f"unknown declaration {token.text!r}",
-                    token,
-                    ("schema", "instance", "translation", "morphism", "typedinstance"),
-                )
+        while self.peek():
+            read = readers.get(self.peek())
+            if read is None:
+                kind, text = _describe(self.peek())
+                message = f"unknown declaration {text!r}" if kind == "ident" else "expected a declaration"
+                self.fail(message, expected=tuple(readers))
+            decls.append(read())
         return Document(decls)
 
     def schema_decl(self) -> SchemaDecl:
         self.expect_keyword("schema")
-        name, name_token = self.name("a schema name")
+        name, name_at = self.name("a schema name")
         self.expect_punct("{")
 
         vertices: list[str] = []
-        seen_vertices: dict[str, Token] = {}
-        if self.at_keyword("nodes"):
-            self.advance()
+        seen_vertices: set[str] = set()
+        if self.accept("nodes"):
             while True:
-                v, tok = self.name("a vertex name")
+                v, v_at = self.name("a vertex name")
                 if v in seen_vertices:
-                    self.fail(f"duplicate vertex {v!r}", tok)
-                seen_vertices[v] = tok
+                    self.fail(f"duplicate vertex {v!r}", v_at)
+                seen_vertices.add(v)
                 vertices.append(v)
-                if self.accept_punct(","):
+                if self.accept(","):
                     continue
                 self.expect_punct(";")
                 break
 
         arrows: list[Arrow] = []
-        seen_arrows: dict[str, Token] = {}
-        if self.at_keyword("arrows"):
-            self.advance()
+        seen_arrows: set[str] = set()
+        if self.accept("arrows"):
             while True:
-                a, tok = self.name("an arrow name")
+                a, a_at = self.name("an arrow name")
                 if a in seen_arrows:
-                    self.fail(f"duplicate arrow {a!r}", tok)
-                seen_arrows[a] = tok
+                    self.fail(f"duplicate arrow {a!r}", a_at)
+                seen_arrows.add(a)
                 self.expect_punct(":")
-                src, src_tok = self.name("a vertex name")
+                src, src_at = self.name("a vertex name")
                 if src not in seen_vertices:
-                    self.fail(f"unknown vertex {src!r}", src_tok)
+                    self.fail(f"unknown vertex {src!r}", src_at)
                 self.expect_punct("->")
-                tgt, tgt_tok = self.name("a vertex name")
+                tgt, tgt_at = self.name("a vertex name")
                 if tgt not in seen_vertices:
-                    self.fail(f"unknown vertex {tgt!r}", tgt_tok)
+                    self.fail(f"unknown vertex {tgt!r}", tgt_at)
                 self.expect_punct(";")
                 arrows.append(Arrow(a, src, tgt))
-                if self.at_keyword("equations") or (
-                    self.peek().kind == "punct" and self.peek().text == "}"
-                ):
+                if self.peek() in ("equations", "}"):
                     break
 
         graph = Graph(tuple(vertices), tuple(arrows))
 
         equivalences: list[PathEquivalence] = []
-        if self.at_keyword("equations"):
-            self.advance()
+        if self.accept("equations"):
             while True:
-                src, src_tok = self.name("a vertex name")
+                src, src_at = self.name("a vertex name")
                 if src not in seen_vertices:
-                    self.fail(f"unknown vertex {src!r}", src_tok)
+                    self.fail(f"unknown vertex {src!r}", src_at)
                 self.expect_punct(":")
-                lhs_tok = self.peek()
-                lhs = self.resolve_path(graph, src, self.path_arrows(), lhs_tok)
+                lhs = self.resolve_path(graph, src, self.path_arrows())
                 self.expect_punct("=")
-                rhs_tok = self.peek()
-                rhs = self.resolve_path(graph, src, self.path_arrows(), rhs_tok)
+                rhs_at = self.pos
+                rhs = self.resolve_path(graph, src, self.path_arrows())
                 if path_target(graph, lhs) != path_target(graph, rhs):
                     self.fail(
                         f"equation sides end at different vertices "
                         f"({path_target(graph, lhs)!r} vs {path_target(graph, rhs)!r})",
-                        rhs_tok,
+                        rhs_at,
                     )
                 equivalences.append(PathEquivalence(lhs, rhs))
                 self.expect_punct(";")
-                if self.peek().kind == "punct" and self.peek().text == "}":
+                if self.peek() == "}":
                     break
 
         self.expect_punct("}")
         schema = Schema(name, graph, tuple(equivalences))
-        self.declare("schema", name, schema, name_token)
+        self.declare("schema", name, schema, name_at)
         return SchemaDecl(name, schema)
 
     def instance_decl(self) -> InstanceDecl:
         self.expect_keyword("instance")
-        name, name_token = self.name("an instance name")
+        name, name_at = self.name("an instance name")
         self.expect_keyword("on")
-        schema_name, schema_token = self.name("a schema name")
-        schema: Schema = self.lookup("schema", schema_name, schema_token)
+        schema_name, schema_at = self.name("a schema name")
+        schema: Schema = self.lookup("schema", schema_name, schema_at)
+        graph = schema.graph
         self.expect_punct("{")
+        body = self.pos
 
-        rows: dict[str, list[str]] = {v: [] for v in schema.vertices}
-        row_sets: dict[str, set[str]] = {v: set() for v in schema.vertices}
-        # (vertex, row, arrow) -> (value, token); resolved after all tables load.
-        pending: dict[tuple[str, str, str], tuple[str, Token]] = {}
+        # Each table is a dict used as an ordered set of its row ids.
+        tables: dict[str, dict[str, None]] = {v: {} for v in schema.vertices}
+        columns: dict[str, dict[str, str]] = {a.name: {} for a in schema.arrows}
         seen_tables: set[str] = set()
-
-        while self.at_keyword("table"):
-            self.advance()
-            vertex, vertex_token = self.name("a vertex name")
-            if not schema.graph.has_vertex(vertex):
-                self.fail(f"schema {schema_name!r} has no vertex {vertex!r}", vertex_token)
+        while self.accept("table"):
+            vertex, vertex_at = self.name("a vertex name")
+            if not graph.has_vertex(vertex):
+                self.fail(f"schema {schema_name!r} has no vertex {vertex!r}", vertex_at)
             if vertex in seen_tables:
-                self.fail(f"duplicate table {vertex!r}", vertex_token)
+                self.fail(f"duplicate table {vertex!r}", vertex_at)
             seen_tables.add(vertex)
-            out_arrows = {a.name: a for a in schema.graph.out_arrows(vertex)}
             self.expect_punct("{")
-            while not (self.peek().kind == "punct" and self.peek().text == "}"):
-                row, row_token = self.name("a row id")
-                if row in row_sets[vertex]:
-                    self.fail(f"duplicate row {row!r} in table {vertex!r}", row_token)
-                rows[vertex].append(row)
-                row_sets[vertex].add(row)
-                assigned: dict[str, tuple[str, Token]] = {}
-                if self.accept_punct("->"):
-                    self.expect_punct("(")
-                    while True:
-                        arrow_name, arrow_token = self.name("a column name")
-                        if arrow_name not in out_arrows:
-                            self.fail(
-                                f"table {vertex!r} has no column {arrow_name!r}",
-                                arrow_token,
-                            )
-                        if arrow_name in assigned:
-                            self.fail(f"column {arrow_name!r} assigned twice", arrow_token)
-                        self.expect_punct("=")
-                        value, value_token = self.name("a row id")
-                        assigned[arrow_name] = (value, value_token)
-                        if self.accept_punct(","):
-                            continue
-                        self.expect_punct(")")
-                        break
-                missing = [a for a in out_arrows if a not in assigned]
-                if missing:
-                    self.fail(
-                        f"row {row!r} of table {vertex!r} is missing columns: "
-                        + ", ".join(sorted(missing)),
-                        row_token,
-                    )
-                for arrow_name, (value, value_token) in assigned.items():
-                    pending[(vertex, row, arrow_name)] = (value, value_token)
+            out_columns = {a.name: columns[a.name] for a in graph.out_arrows(vertex)}
+            self.table_rows(vertex, tables[vertex], out_columns)
             self.expect_punct("}")
 
         self.expect_punct("}")
 
-        columns: dict[str, dict[str, str]] = {a.name: {} for a in schema.arrows}
-        for (vertex, row, arrow_name), (value, value_token) in pending.items():
-            target = schema.graph.arrow(arrow_name).target
-            if value not in row_sets[target]:
-                self.fail(
-                    f"column {arrow_name!r} of row {row!r} refers to {value!r}, "
-                    f"which is not a row of table {target!r}",
-                    value_token,
-                )
-            columns[arrow_name][row] = value
+        for arrow in schema.arrows:
+            if not tables[arrow.target].keys() >= set(columns[arrow.name].values()):
+                self.fail_dangling(graph, tables, body)
 
-        instance = Instance(schema, {v: tuple(r) for v, r in rows.items()}, columns)
-        self.declare("instance", name, instance, name_token)
+        instance = Instance(schema, {v: tuple(rows) for v, rows in tables.items()}, columns)
+        self.declare("instance", name, instance, name_at)
         return InstanceDecl(name, schema_name, instance)
+
+    def table_rows(
+        self, vertex: str, table: dict[str, None], out_columns: dict[str, dict[str, str]]
+    ) -> None:
+        """Read rows ``row`` or ``row -> (arrow = value, ...)`` up to the
+        table's closing brace into ``table`` and ``out_columns``.
+
+        One loop over the token list, for bulk data.  Where a token is not
+        what the grammar wants, it hands the index to the ``fail_*`` method
+        that ``name`` or ``expect_punct`` would have raised from.
+        """
+        tokens = self.tokens
+        width = len(out_columns)
+        i = self.pos
+        while tokens[i] != "}":
+            raw = tokens[i]
+            if raw in _NOT_NAMES:
+                self.fail_name("a row id", i)
+            row = _unquote(raw) if raw[0] == '"' else raw
+            if row in table:
+                self.fail(f"duplicate row {row!r} in table {vertex!r}", i)
+            table[row] = None
+            row_at = i
+            i += 1
+            filled = 0
+            if tokens[i] == "->":
+                i += 1
+                if tokens[i] != "(":
+                    self.fail_expected("(", i)
+                while True:
+                    i += 1
+                    raw = tokens[i]
+                    if raw in _NOT_NAMES:
+                        self.fail_name("a column name", i)
+                    arrow = _unquote(raw) if raw[0] == '"' else raw
+                    column = out_columns.get(arrow)
+                    if column is None:
+                        self.fail(f"table {vertex!r} has no column {arrow!r}", i)
+                    if row in column:
+                        self.fail(f"column {arrow!r} assigned twice", i)
+                    i += 1
+                    if tokens[i] != "=":
+                        self.fail_expected("=", i)
+                    i += 1
+                    raw = tokens[i]
+                    if raw in _NOT_NAMES:
+                        self.fail_name("a row id", i)
+                    column[row] = _unquote(raw) if raw[0] == '"' else raw
+                    filled += 1
+                    i += 1
+                    if tokens[i] != ",":
+                        break
+                if tokens[i] != ")":
+                    self.fail_expected(")", i)
+                i += 1
+            if filled != width:
+                missing = sorted(a for a, column in out_columns.items() if row not in column)
+                self.fail(
+                    f"row {row!r} of table {vertex!r} is missing columns: " + ", ".join(missing),
+                    row_at,
+                )
+        self.pos = i
+
+    def fail_dangling(self, graph: Graph, tables: dict[str, dict[str, None]], body: int):
+        """Raise for the first cell, in text order, of the instance body that
+        starts at token ``body`` whose value is not a row of the arrow's
+        target table."""
+        tokens = self.tokens
+        for i in range(body, self.pos):
+            if tokens[i] != "=":  # in an instance body, '=' is always a cell's
+                continue
+            arrow, value = _describe(tokens[i - 1])[1], _describe(tokens[i + 1])[1]
+            target = graph.arrow(arrow).target
+            if value not in tables[target]:
+                row_at = i
+                while tokens[row_at] != "(":
+                    row_at -= 1
+                row = _describe(tokens[row_at - 2])[1]
+                self.fail(
+                    f"column {arrow!r} of row {row!r} refers to {value!r}, "
+                    f"which is not a row of table {target!r}",
+                    i + 1,
+                )
 
     def translation_decl(self) -> TranslationDecl:
         self.expect_keyword("translation")
-        name, name_token = self.name("a translation name")
+        name, name_at = self.name("a translation name")
         self.expect_punct(":")
-        source_name, source_token = self.name("a schema name")
-        source: Schema = self.lookup("schema", source_name, source_token)
+        source_name, source_at = self.name("a schema name")
+        source: Schema = self.lookup("schema", source_name, source_at)
         self.expect_punct("->")
-        target_name, target_token = self.name("a schema name")
-        target: Schema = self.lookup("schema", target_name, target_token)
+        target_name, target_at = self.name("a schema name")
+        target: Schema = self.lookup("schema", target_name, target_at)
         self.expect_punct("{")
 
         vertex_map: dict[str, str] = {}
-        if self.at_keyword("nodes"):
-            self.advance()
+        if self.accept("nodes"):
             while True:
-                v, v_tok = self.name("a source vertex")
+                v, v_at = self.name("a source vertex")
                 if not source.graph.has_vertex(v):
-                    self.fail(f"schema {source_name!r} has no vertex {v!r}", v_tok)
+                    self.fail(f"schema {source_name!r} has no vertex {v!r}", v_at)
                 if v in vertex_map:
-                    self.fail(f"vertex {v!r} mapped twice", v_tok)
+                    self.fail(f"vertex {v!r} mapped twice", v_at)
                 self.expect_punct("->")
-                w, w_tok = self.name("a target vertex")
+                w, w_at = self.name("a target vertex")
                 if not target.graph.has_vertex(w):
-                    self.fail(f"schema {target_name!r} has no vertex {w!r}", w_tok)
+                    self.fail(f"schema {target_name!r} has no vertex {w!r}", w_at)
                 vertex_map[v] = w
-                if self.accept_punct(","):
+                if self.accept(","):
                     continue
                 self.expect_punct(";")
                 break
 
         arrow_map: dict[str, Path] = {}
-        if self.at_keyword("arrows"):
-            self.advance()
+        if self.accept("arrows"):
             while True:
-                a, a_tok = self.name("a source arrow")
+                a, a_at = self.name("a source arrow")
                 try:
                     arrow = source.graph.arrow(a)
                 except Exception:
-                    self.fail(f"schema {source_name!r} has no arrow {a!r}", a_tok)
+                    self.fail(f"schema {source_name!r} has no arrow {a!r}", a_at)
                 if a in arrow_map:
-                    self.fail(f"arrow {a!r} mapped twice", a_tok)
+                    self.fail(f"arrow {a!r} mapped twice", a_at)
                 self.expect_punct("->")
-                path_token = self.peek()
+                path_at = self.pos
                 expected_source = vertex_map.get(arrow.source)
                 if expected_source is None:
                     self.fail(
                         f"arrow {a!r} mapped before its source vertex {arrow.source!r}",
-                        a_tok,
+                        a_at,
                     )
-                image = self.resolve_path(
-                    target.graph, expected_source, self.path_arrows(), path_token
-                )
+                image = self.resolve_path(target.graph, expected_source, self.path_arrows())
                 actual_target = path_target(target.graph, image)
                 expected_target = vertex_map.get(arrow.target)
                 if expected_target is None:
                     self.fail(
                         f"arrow {a!r} mapped before its target vertex {arrow.target!r}",
-                        a_tok,
+                        a_at,
                     )
                 if actual_target != expected_target:
                     self.fail(
                         f"image of arrow {a!r} ends at {actual_target!r}, "
                         f"expected {expected_target!r}",
-                        path_token,
+                        path_at,
                     )
                 arrow_map[a] = image
                 self.expect_punct(";")
-                if self.peek().kind == "punct" and self.peek().text == "}":
+                if self.peek() == "}":
                     break
 
         self.expect_punct("}")
 
         for v in source.vertices:
             if v not in vertex_map:
-                self.fail(f"translation does not map vertex {v!r}", name_token)
+                self.fail(f"translation does not map vertex {v!r}", name_at)
         for a in source.arrows:
             if a.name not in arrow_map:
-                self.fail(f"translation does not map arrow {a.name!r}", name_token)
+                self.fail(f"translation does not map arrow {a.name!r}", name_at)
 
         translation = Translation(source, target, vertex_map, arrow_map)
-        self.declare("translation", name, translation, name_token)
+        self.declare("translation", name, translation, name_at)
         return TranslationDecl(name, source_name, target_name, translation)
 
     def component_blocks(
-        self, schema: Schema, source: Instance, target: Instance, owner: Token
+        self, schema: Schema, source: Instance, target: Instance, owner: int
     ) -> dict[str, dict[str, str]]:
         components: dict[str, dict[str, str]] = {v: {} for v in schema.vertices}
         seen_blocks: set[str] = set()
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            vertex, vertex_token = self.name("a vertex name")
+        while self.peek() != "}":
+            vertex, vertex_at = self.name("a vertex name")
             if not schema.graph.has_vertex(vertex):
-                self.fail(f"schema has no vertex {vertex!r}", vertex_token)
+                self.fail(f"schema has no vertex {vertex!r}", vertex_at)
             if vertex in seen_blocks:
-                self.fail(f"duplicate component block {vertex!r}", vertex_token)
+                self.fail(f"duplicate component block {vertex!r}", vertex_at)
             seen_blocks.add(vertex)
             source_rows = set(source.row_set(vertex))
             target_rows = set(target.row_set(vertex))
             self.expect_punct("{")
-            while not (self.peek().kind == "punct" and self.peek().text == "}"):
-                row, row_token = self.name("a row id")
+            while self.peek() != "}":
+                row, row_at = self.name("a row id")
                 if row not in source_rows:
-                    self.fail(f"{row!r} is not a row of the source at {vertex!r}", row_token)
+                    self.fail(f"{row!r} is not a row of the source at {vertex!r}", row_at)
                 if row in components[vertex]:
-                    self.fail(f"row {row!r} mapped twice", row_token)
+                    self.fail(f"row {row!r} mapped twice", row_at)
                 self.expect_punct("->")
-                value, value_token = self.name("a row id")
+                value, value_at = self.name("a row id")
                 if value not in target_rows:
-                    self.fail(f"{value!r} is not a row of the target at {vertex!r}", value_token)
+                    self.fail(f"{value!r} is not a row of the target at {vertex!r}", value_at)
                 components[vertex][row] = value
             self.expect_punct("}")
         for v in schema.vertices:
@@ -627,52 +652,49 @@ class _Parser:
 
     def morphism_decl(self) -> MorphismDecl:
         self.expect_keyword("morphism")
-        name, name_token = self.name("a morphism name")
+        name, name_at = self.name("a morphism name")
         self.expect_punct(":")
-        source_name, source_token = self.name("an instance name")
-        source: Instance = self.lookup("instance", source_name, source_token)
+        source_name, source_at = self.name("an instance name")
+        source: Instance = self.lookup("instance", source_name, source_at)
         self.expect_punct("->")
-        target_name, target_token = self.name("an instance name")
-        target: Instance = self.lookup("instance", target_name, target_token)
+        target_name, target_at = self.name("an instance name")
+        target: Instance = self.lookup("instance", target_name, target_at)
         if source.schema != target.schema:
-            self.fail("morphism endpoints live on different schemas", name_token)
+            self.fail("morphism endpoints live on different schemas", name_at)
         self.expect_punct("{")
-        components = self.component_blocks(source.schema, source, target, name_token)
+        components = self.component_blocks(source.schema, source, target, name_at)
         self.expect_punct("}")
         morphism = InstanceMorphism(source, target, components)
-        self.declare("morphism", name, morphism, name_token)
+        self.declare("morphism", name, morphism, name_at)
         return MorphismDecl(name, source_name, target_name, morphism)
 
     def typedinstance_decl(self) -> TypedInstanceDecl:
         self.expect_keyword("typedinstance")
-        name, name_token = self.name("a typed instance name")
+        name, name_at = self.name("a typed instance name")
         self.expect_punct("{")
         self.expect_keyword("instance")
-        instance_name, instance_token = self.name("an instance name")
-        instance: Instance = self.lookup("instance", instance_name, instance_token)
+        instance_name, instance_at = self.name("an instance name")
+        instance: Instance = self.lookup("instance", instance_name, instance_at)
         self.expect_punct(";")
         self.expect_keyword("typing")
-        typing_name, typing_token = self.name("an instance name")
-        typing_instance: Instance = self.lookup("instance", typing_name, typing_token)
+        typing_name, typing_at = self.name("an instance name")
+        typing_instance: Instance = self.lookup("instance", typing_name, typing_at)
         self.expect_punct(";")
         if instance.schema != typing_instance.schema:
-            self.fail("instance and typing instance live on different schemas", typing_token)
+            self.fail("instance and typing instance live on different schemas", typing_at)
         self.expect_keyword("components")
         self.expect_punct("{")
-        components = self.component_blocks(
-            instance.schema, instance, typing_instance, name_token
-        )
+        components = self.component_blocks(instance.schema, instance, typing_instance, name_at)
         self.expect_punct("}")
         self.expect_punct("}")
         typed = TypedInstance(InstanceMorphism(instance, typing_instance, components))
-        self.declare("typedinstance", name, typed, name_token)
+        self.declare("typedinstance", name, typed, name_at)
         return TypedInstanceDecl(name, instance_name, typing_name, typed)
 
 
 def parse_document(text: str, env: dict[tuple[str, str], object] | None = None) -> Document:
     """Parse one .cat document; ``env`` supplies declarations from earlier files."""
-    parser = _Parser(_tokenize(text), env or {})
-    return parser.document()
+    return _Parser(text, env or {}).document()
 
 
 def document_env(*documents: Document) -> dict[tuple[str, str], object]:

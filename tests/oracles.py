@@ -4,13 +4,15 @@ These work only on acyclic target schemas, where the path set is finite and
 can be enumerated completely, the path-equivalence closure computed by
 exhaustive positional rewriting, and the colimit/limit taken literally:
 the colimit as a quotient of all (seed, path) terms, the limit as filtered
-assignments over all comma objects.
+assignments over all comma objects.  The .cat lexer's reference is the
+character-by-character ``_tokenize`` at the end.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from catmigrate.errors import EnumerationCapError, SchemaMismatchError
+from catmigrate.errors import EnumerationCapError, ParseError, SchemaMismatchError
 from catmigrate.instances import Instance, InstanceMorphism
 from catmigrate.migration import Translation
 from catmigrate.naming import tuple_id, uniquify
@@ -522,3 +524,89 @@ def pairwise_delta_hat(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
         {v: {n: chosen[v][n][1] for n in rows[v]} for v in schema.vertices},
     )
     return TypedInstance(typing)
+
+
+# The character-by-character lexer that .cat parsing used before it lexed
+# with one regular expression; the reference for ``dsl._lex``.
+_IDENT_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$-")
+_PUNCT_CHARS = set("{}():;,.=")
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "ident" | "string" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            out = []
+            while True:
+                if i >= n:
+                    raise ParseError("unterminated string", start_line, start_col)
+                c = text[i]
+                if c == "\n":
+                    raise ParseError("unterminated string", start_line, start_col)
+                if c == "\\":
+                    if i + 1 >= n or text[i + 1] not in '\\"':
+                        raise ParseError("bad escape in string", line, col)
+                    out.append(text[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                out.append(c)
+                i += 1
+                col += 1
+            tokens.append(Token("string", "".join(out), start_line, start_col))
+            continue
+        if ch == "-" and i + 1 < n and text[i + 1] == ">":
+            tokens.append(Token("punct", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in _IDENT_CHARS:
+            start_line, start_col = line, col
+            j = i
+            while j < n and text[j] in _IDENT_CHARS:
+                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
+                    break
+                j += 1
+            tokens.append(Token("ident", text[i:j], start_line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _PUNCT_CHARS:
+            tokens.append(Token("punct", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(Token("eof", "", line, col))
+    return tokens

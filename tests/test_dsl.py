@@ -10,8 +10,9 @@ from catmigrate import dsl
 from catmigrate.errors import ParseError
 from catmigrate.instances import Instance
 
-from .conftest import GOLDEN_DIR, load_documents
+from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
 from .generators import rand_acyclic_schema, rand_instance
+from .oracles import _tokenize
 
 
 def test_employee_schema_transcription_shape():
@@ -205,3 +206,168 @@ def test_parse_never_raises_unpositioned_errors():
             dsl.parse_document(mangled)
         except ParseError as err:
             assert err.line > 0 and err.column > 0
+
+
+# -- the lexer against its character-by-character reference -------------------
+
+
+def _lexed(text: str):
+    """``dsl._lex``'s tokens as (kind, text, line, column), or its error."""
+    try:
+        raws = dsl._lex(text)
+    except ParseError as err:
+        return ("error", err.message, err.line, err.column)
+    offsets = dsl._token_offsets(text)
+    assert len(offsets) == len(raws)
+    return [(*dsl._describe(raw), *dsl._position(text, at)) for raw, at in zip(raws, offsets)]
+
+
+def _lexed_by_oracle(text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+    except ParseError as err:
+        return ("error", err.message, err.line, err.column)
+
+
+_MUTATION_CHARS = '{}():;,.=->"\\#' + " \t\r\nabzAZ09_$@"
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        edit = rng.choice(("insert", "delete", "replace"))
+        if edit == "insert":
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + rng.choice(_MUTATION_CHARS) + text[i + 1 :]
+    return text
+
+
+def test_lexer_matches_the_reference_on_every_golden_file():
+    for name in ALL_GOLDEN_FILES:
+        text = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+        assert _lexed(text) == _lexed_by_oracle(text), name
+
+
+# the golden files quote few names, so escapes get a base text of their own
+_QUOTED = 'instance I on S { table A { "a b" -> (f = "c\\"d") "e\\\\f" } }  # "x"\n'
+
+
+def test_lexer_matches_the_reference_on_mutated_golden_files():
+    rng = random.Random(7)
+    outcomes = set()
+    bases = {name: (GOLDEN_DIR / name).read_text(encoding="utf-8") for name in ALL_GOLDEN_FILES}
+    bases["quoted"] = _QUOTED
+    for name, base in bases.items():
+        for _ in range(150):
+            text = _mutate(rng, base)
+            expected = _lexed_by_oracle(text)
+            assert _lexed(text) == expected, (name, text)
+            outcomes.add(expected[1] if expected[0] == "error" else "tokens")
+    # the mutations reach every lexer diagnostic, not just clean token streams
+    assert {"tokens", "unterminated string", "bad escape in string"} <= outcomes
+    assert any(o.startswith("unexpected character") for o in outcomes)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a-->b",
+        "x-",
+        "-",
+        "->",
+        "x->y",
+        '"a\\\\b\\"c"',
+        '"\\q"',
+        '"ab\\',
+        '"abc\ndef"',
+        '"abc',
+        "a\r\nb",
+        "a\tb\t\tc",
+        "a @ b",
+        "@",
+        "",
+        "   \n\t ",
+        '""',
+        "a # comment\nb",
+        "a # comment at the end",
+        '# "not a string\n"string" # and #nested',
+    ],
+)
+def test_lexer_edge_cases_match_the_reference(text):
+    assert _lexed(text) == _lexed_by_oracle(text)
+
+
+def test_arrow_ends_an_identifier():
+    assert dsl._lex("a-->b") == ["a-", "->", "b", ""]
+    assert dsl._lex("x- - ->") == ["x-", "-", "->", ""]
+
+
+# -- diagnostics pinned with their exact text and position -------------------
+
+
+def _error(text: str) -> ParseError:
+    with pytest.raises(ParseError) as err:
+        dsl.parse_document(text)
+    return err.value
+
+
+_ONE_TABLE = "schema S { nodes A; arrows f : A -> A; } instance I on S { table A { "
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        (_ONE_TABLE + "a -> (g = a) } }", "table 'A' has no column 'g'", 1, 76),
+        (_ONE_TABLE + "a -> (f = a, f = a) } }", "column 'f' assigned twice", 1, 83),
+        (
+            _ONE_TABLE + "table -> (f = a) } }",
+            "'table' is a reserved word; quote it to use it as a row id",
+            1,
+            70,
+        ),
+        (_ONE_TABLE + "a -> f = a) } }", "expected '(', found 'f'", 1, 75),
+        (_ONE_TABLE + "a -> (f a) } }", "expected '=', found 'a'", 1, 78),
+        (_ONE_TABLE + "a -> (f = a } }", "expected ')', found '}'", 1, 82),
+        (_ONE_TABLE + "a -> (f = ) } }", "expected a row id", 1, 80),
+        (_ONE_TABLE + "a -> (= a) } }", "expected a column name", 1, 76),
+        (
+            "schema S { nodes A, B; arrows f : A -> B; g : A -> B; }\n"
+            "instance I on S { table A { a -> (g = b) } table B { b } }",
+            "row 'a' of table 'A' is missing columns: f",
+            2,
+            29,
+        ),
+        (
+            _ONE_TABLE + "a -> (f = b) } }",
+            "column 'f' of row 'a' refers to 'b', which is not a row of table 'A'",
+            1,
+            80,
+        ),
+        (
+            "schema S { nodes A, B; arrows f : A -> B; }\ninstance I on S {\n"
+            "  table A { a1 -> (f = b1)\n    a2 -> (f = b9) a3 -> (f = b8) }\n"
+            "  table B { b1 }\n}",
+            "column 'f' of row 'a2' refers to 'b9', which is not a row of table 'B'",
+            4,
+            16,
+        ),
+    ],
+)
+def test_instance_row_diagnostics_are_pinned(text, message, line, column):
+    err = _error(text)
+    assert (err.message, err.line, err.column) == (message, line, column)
+
+
+def test_end_of_input_after_a_trailing_comment_is_reported_at_the_comment():
+    # The column does not advance inside a comment, so a file that ends in
+    # one without a final newline reports the end of input at its '#'.
+    err = _error("schema S { nodes A; # trailing")
+    assert str(err) == "line 1, column 21: expected '}', found 'end of input' (expected })"
+
+
+def test_empty_quoted_name_is_not_reported_as_end_of_input():
+    err = _error('schema S { nodes A ""; }')
+    assert str(err) == "line 1, column 20: expected ';', found '' (expected ;)"
