@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
+from .errors import ParseError, StructuralError
 from .instances import Instance, InstanceMorphism
 from .migration import Translation
 from .schemas import Arrow, Graph, Path, PathEquivalence, Schema, path_target
@@ -40,7 +40,7 @@ RESERVED = {
     "id",
 }
 
-_IDENT_RE = re.compile(r"^[A-Za-z0-9_$-]+$")
+_IDENT_RE = re.compile(r"[A-Za-z0-9_$-]+")
 
 # One match per token.  It skips the blanks and comments before the token
 # and captures the token's raw text: a string (with its quotes and escapes),
@@ -711,8 +711,12 @@ def document_env(*documents: Document) -> dict[tuple[str, str], object]:
 
 
 def format_name(name: str) -> str:
-    if _IDENT_RE.match(name) and name not in RESERVED:
+    """``name`` bare if it lexes as one identifier, quoted otherwise.  A string
+    cannot span lines, so a name holding a newline has no spelling."""
+    if _IDENT_RE.fullmatch(name) and name not in RESERVED:
         return name
+    if "\n" in name:
+        raise StructuralError(f"name {name!r} holds a newline and cannot be printed")
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 

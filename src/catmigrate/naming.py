@@ -2,20 +2,22 @@
 
 Generated ids must be injective per table even when user row-ids contain the
 separator characters, so structural characters inside components are
-percent-encoded before joining.
+percent-encoded before joining.  The encoding is one ``str.translate`` by
+``_ENCODE``, a table from each structural character to its ``%XX`` escape.
 """
 from __future__ import annotations
 
 _STRUCTURAL = "%,()=;@"
+_ENCODE = {ord(c): f"%{ord(c):02X}" for c in _STRUCTURAL}
 
 
 def encode_component(s: str) -> str:
-    return "".join(f"%{ord(c):02X}" if c in _STRUCTURAL else c for c in s)
+    return s.translate(_ENCODE)
 
 
 def tuple_id(parts: tuple[str, ...] | list[str]) -> str:
     """``(a,b,c)`` — the shape of fiber-product and dependent-product ids."""
-    return "(" + ",".join(encode_component(p) for p in parts) + ")"
+    return "(" + ",".join(map(encode_component, parts)) + ")"
 
 
 def pair_id(a: str, b: str) -> str:

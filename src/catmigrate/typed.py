@@ -31,7 +31,7 @@ from .migration import (
     Translation,
     pi,
 )
-from .naming import tuple_id, uniquify
+from .naming import encode_component
 from .schemas import DEFAULT_REWRITE_BUDGET, Schema
 
 
@@ -133,81 +133,105 @@ def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     """Right pushforward (group satisfaction): over each target type q the
     rows are the choice functions assigning to every p in the k-fiber of q
     a row typed p.  Arrow actions are pointwise and must be well defined,
-    otherwise the input is inconsistent and the construction errors."""
+    otherwise the input is inconsistent and the construction errors.
+
+    A section over q is a mixed-radix number: its digits are the positions
+    of its rows in the pools of q's fiber, last digit fastest, the order in
+    which ``itertools.product`` lists them.  A row's place is its digit
+    times its pool's stride, so an arrow sends a section to the first
+    section over the image of q plus the places of its images.
+    """
     if t.typing.target != k.source:
         raise SchemaMismatchError("typechange_pi: typing does not land in k's source")
     P = k.source
     Q = k.target
-    schema = t.instance.schema
+    instance = t.instance
+    schema = instance.schema
 
     fibers: dict[str, dict[str, list[str]]] = {}  # vertex -> q -> ordered ps
-    tau_fibers: dict[str, dict[str, list[str]]] = {}  # vertex -> p -> ordered rows
+    pools: dict[str, dict[str, list[str]]] = {}  # vertex -> p -> ordered rows
     for v in schema.vertices:
         kv = k.component(v)
-        fibers[v] = {q: [p for p in P.row_set(v) if kv[p] == q] for q in Q.row_set(v)}
+        fibers[v] = {q: [] for q in Q.row_set(v)}
+        for p in P.row_set(v):
+            fibers[v].setdefault(kv[p], []).append(p)
         tau = t.typing.component(v)
-        tau_fibers[v] = {p: [] for p in P.row_set(v)}
-        for x in t.instance.row_set(v):
-            tau_fibers[v][tau[x]].append(x)
+        pools[v] = {p: [] for p in P.row_set(v)}
+        for x in instance.row_set(v):
+            pools[v][tau[x]].append(x)
 
     rows: dict[str, tuple[str, ...]] = {}
-    data: dict[str, list[tuple[str, dict[str, str]]]] = {}  # vertex -> [(q, section)]
-    index: dict[str, dict[tuple[str, frozenset], str]] = {}
+    spans: dict[str, dict[str, tuple[int, int]]] = {}  # vertex -> q -> its sections' positions
+    places: dict[str, dict[tuple[str, str], int]] = {}  # vertex -> (p, row typed p) -> place
     typing_comp: dict[str, dict[str, str]] = {}
     for v in schema.vertices:
-        entries: list[tuple[str, dict[str, str]]] = []
         names: list[str] = []
+        spans[v] = {}
+        places[v] = place = {}
+        typing_comp[v] = {}
         for q in Q.row_set(v):
             ps = fibers[v][q]
-            pools = [tau_fibers[v][p] for p in ps]
-            for choice in itertools.product(*pools):
-                section = dict(zip(ps, choice))
-                entries.append((q, section))
-                if ps:
-                    names.append(tuple_id(tuple(choice)))
-                else:
-                    names.append(f"()@{q}")
-        names = uniquify(names)
+            stride = 1
+            for p in reversed(ps):
+                for digit, x in enumerate(pools[v][p]):
+                    place[p, x] = digit * stride
+                stride *= len(pools[v][p])
+            if ps:
+                encoded = [[encode_component(x) for x in pools[v][p]] for p in ps]
+                block = ["(" + ",".join(choice) + ")" for choice in itertools.product(*encoded)]
+            else:
+                block = [f"()@{q}"]
+            spans[v][q] = (len(names), len(names) + len(block))
+            names += block
+            typing_comp[v].update(dict.fromkeys(block, q))
         rows[v] = tuple(names)
-        data[v] = entries
-        index[v] = {
-            (q, frozenset(section.items())): name
-            for (q, section), name in zip(entries, names)
-        }
-        typing_comp[v] = {name: q for (q, _), name in zip(entries, names)}
 
     columns: dict[str, dict[str, str]] = {}
     for arrow in schema.arrows:
         v, w = arrow.source, arrow.target
-        col = t.instance.column(arrow.name)
+        col = instance.column(arrow.name)
         p_col = P.column(arrow.name)
         q_col = Q.column(arrow.name)
         mapping = {}
-        for (q, section), name in zip(data[v], rows[v]):
+        for q, (start, stop) in spans[v].items():
+            if start == stop:
+                continue
+            ps = fibers[v][q]
             q_out = q_col[q]
-            out_section: dict[str, str] = {}
-            for p, x in section.items():
-                p_out = p_col[p]
-                image = col[x]
-                if out_section.get(p_out, image) != image:
+            p_outs = [p_col[p] for p in ps]
+            covered = set(p_outs) == set(fibers[w][q_out])
+            # per position and digit: the image, and its place if it is typed p_out
+            options = [
+                [(col[x], places[w].get((p_out, col[x]))) for x in pools[v][p]]
+                for p, p_out in zip(ps, p_outs)
+            ]
+            # each position's image must agree with that at the first position of its p_out
+            first_of = [p_outs.index(p_out) for p_out in p_outs]
+            repeats = [(i, j) for i, j in enumerate(first_of) if j < i]
+            firsts = [i for i, j in enumerate(first_of) if j == i]
+            base = spans[w][q_out][0]
+            for name, choice in zip(rows[v][start:stop], itertools.product(*options)):
+                for i, j in repeats:
+                    if choice[i][0] != choice[j][0]:
+                        raise TypeChangeError(
+                            f"pointwise action of {arrow.name!r} on row {name!r} is "
+                            f"ambiguous at type {p_outs[i]!r}"
+                        )
+                if not covered:
                     raise TypeChangeError(
-                        f"pointwise action of {arrow.name!r} on row {name!r} is "
-                        f"ambiguous at type {p_out!r}"
+                        f"pointwise action of {arrow.name!r} on row {name!r} does not "
+                        f"cover the fiber of {q_out!r}"
                     )
-                out_section[p_out] = image
-            required = set(fibers[w][q_out])
-            if set(out_section) != required:
-                raise TypeChangeError(
-                    f"pointwise action of {arrow.name!r} on row {name!r} does not "
-                    f"cover the fiber of {q_out!r}"
-                )
-            out = index[w].get((q_out, frozenset(out_section.items())))
-            if out is None:
-                raise TypeChangeError(
-                    f"action of {arrow.name!r} on row {name!r} does not land in a "
-                    "constructed family; input is inconsistent"
-                )
-            mapping[name] = out
+                out = base
+                for i in firsts:
+                    image_place = choice[i][1]
+                    if image_place is None:
+                        raise TypeChangeError(
+                            f"action of {arrow.name!r} on row {name!r} does not land in a "
+                            "constructed family; input is inconsistent"
+                        )
+                    out += image_place
+                mapping[name] = rows[w][out]
         columns[arrow.name] = mapping
 
     product = Instance(schema, rows, columns)

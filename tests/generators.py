@@ -11,6 +11,7 @@ import random
 from catmigrate.instances import Instance, InstanceMorphism
 from catmigrate.migration import Translation
 from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema, path_target
+from catmigrate.typed import TypedInstance
 
 from .oracles import all_paths, path_partition
 
@@ -145,6 +146,99 @@ def rand_cover(
         for a in schema.arrows
     }
     return InstanceMorphism(Instance(schema, rows, columns), base, image)
+
+
+# Row ids drawn from these hold every character that ``naming`` percent-encodes.
+_ADVERSARIAL_CHARS = "ab%,()=;@\u00e9"
+
+
+def _adversarial_ids(rng: random.Random, n: int) -> list[str]:
+    """``n`` distinct ids of 0 to 4 characters from ``_ADVERSARIAL_CHARS``."""
+    ids: set[str] = set()
+    while len(ids) < n:
+        ids.add("".join(rng.choice(_ADVERSARIAL_CHARS) for _ in range(rng.randint(0, 4))))
+    return rng.sample(sorted(ids), n)
+
+
+def _onto(n: int, m: int) -> bool:
+    """Whether a set of ``n`` elements maps onto one of ``m``."""
+    return m <= n and (m > 0 or n == 0)
+
+
+def rand_pi_hat_input(
+    rng: random.Random, noise: float = 0.0
+) -> tuple[InstanceMorphism, TypedInstance]:
+    """A morphism k : P -> Q and an instance typed over P, for ``typechange_pi``.
+
+    The schema has 1 to 3 vertices and 2 to 4 arrows (loops allowed) and no
+    equations.  Each table of Q has 1 to 3 rows; each q gets a fiber of 0 to
+    3 rows of P and each p a pool of 0 to 3 typed rows, at least one of each
+    per table.  All ids come from ``_adversarial_ids``.  Q's columns send a
+    type to one whose fiber its own fiber can map onto, P's send each fiber
+    onto the fiber of the image type, and the typed rows over ps that share
+    an image type all share one image, so most sections have a well-defined
+    action.  With probability ``noise`` a column value is any row of its
+    target table instead (for a typed row, any row of its image's pool),
+    which is how the inputs reach each of ``typechange_pi``'s three errors.
+    """
+    vertices = tuple(f"v{i}" for i in range(rng.randint(1, 3)))
+    arrows = tuple(
+        Arrow(f"f{i}", rng.choice(vertices), rng.choice(vertices))
+        for i in range(rng.randint(2, 4))
+    )
+    schema = Schema("PiHat", Graph(vertices, arrows))
+
+    def split(parents: tuple[str, ...]) -> tuple[dict[str, list[str]], dict[str, str]]:
+        """0 to 3 new rows under each parent, at least one in all; each new row's parent."""
+        widths = [rng.choice((0, 1, 1, 2, 2, 3)) for _ in parents]
+        if not any(widths):
+            widths[rng.randrange(len(widths))] = 1
+        ids = _adversarial_ids(rng, sum(widths))
+        under: dict[str, list[str]] = {}
+        for parent, width in zip(parents, widths):
+            under[parent], ids = ids[:width], ids[width:]
+        return under, {row: parent for parent, rows in under.items() for row in rows}
+
+    q_rows = {v: tuple(_adversarial_ids(rng, rng.randint(1, 3))) for v in vertices}
+    fiber, k_comp = {}, {}
+    pool, tau = {}, {}
+    for v in vertices:
+        fiber[v], k_comp[v] = split(q_rows[v])
+        pool[v], tau[v] = split(tuple(k_comp[v]))
+    p_rows = {v: tuple(rng.sample(list(k_comp[v]), len(k_comp[v]))) for v in vertices}
+    x_rows = {v: tuple(rng.sample(list(tau[v]), len(tau[v]))) for v in vertices}
+
+    def noisy(natural: list[str], anything: tuple[str, ...]) -> str:
+        return rng.choice(natural if natural and rng.random() >= noise else anything)
+
+    q_cols, p_cols, x_cols = {}, {}, {}
+    for a in arrows:
+        v, w = a.source, a.target
+        q_col = q_cols[a.name] = {}
+        for q in q_rows[v]:
+            onto_types = [r for r in q_rows[w] if _onto(len(fiber[v][q]), len(fiber[w][r]))]
+            q_col[q] = noisy(onto_types, q_rows[w])
+        p_col = p_cols[a.name] = {}
+        x_col = x_cols[a.name] = {}
+        for q in q_rows[v]:
+            ps, targets = fiber[v][q], fiber[w][q_col[q]]
+            onto = rng.sample(ps, len(ps))
+            for i, p in enumerate(onto):
+                natural = [targets[i]] if i < len(targets) else targets
+                p_col[p] = noisy(natural, p_rows[w])
+            shared = {
+                p_out: noisy(pool[w][p_out], x_rows[w])
+                for p_out in dict.fromkeys(p_col[p] for p in ps)
+            }
+            for p in ps:
+                image_pool = tuple(pool[w][p_col[p]]) or x_rows[w]
+                for x in pool[v][p]:
+                    x_col[x] = noisy([shared[p_col[p]]], image_pool)
+
+    Q = Instance(schema, q_rows, q_cols)
+    P = Instance(schema, p_rows, p_cols)
+    X = Instance(schema, x_rows, x_cols)
+    return InstanceMorphism(P, Q, k_comp), TypedInstance(InstanceMorphism(X, P, tau))
 
 
 def shuffled_rows(rng: random.Random, instance: Instance) -> Instance:

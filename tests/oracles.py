@@ -4,15 +4,21 @@ These work only on acyclic target schemas, where the path set is finite and
 can be enumerated completely, the path-equivalence closure computed by
 exhaustive positional rewriting, and the colimit/limit taken literally:
 the colimit as a quotient of all (seed, path) terms, the limit as filtered
-assignments over all comma objects.  The .cat lexer's reference is the
-character-by-character ``_tokenize`` at the end.
+assignments over all comma objects.  The dependent product's reference is
+``sectionwise_typechange_pi``, the .cat lexer's the character-by-character
+``_tokenize`` at the end.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from catmigrate.errors import EnumerationCapError, ParseError, SchemaMismatchError
+from catmigrate.errors import (
+    EnumerationCapError,
+    ParseError,
+    SchemaMismatchError,
+    TypeChangeError,
+)
 from catmigrate.instances import Instance, InstanceMorphism
 from catmigrate.migration import Translation
 from catmigrate.naming import tuple_id, uniquify
@@ -524,6 +530,106 @@ def pairwise_delta_hat(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
         {v: {n: chosen[v][n][1] for n in rows[v]} for v in schema.vertices},
     )
     return TypedInstance(typing)
+
+
+# ---------------------------------------------------------------------------
+# pi-hat: section dicts
+# ---------------------------------------------------------------------------
+
+# The construction ``typed.typechange_pi`` used before it computed sections by
+# arithmetic: each section a dict from the fiber's ps to rows, each arrow's
+# target section looked up by its frozen items.  The reference for the rows
+# (in order), columns, typing and error text of ``typechange_pi``.
+def sectionwise_typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
+    """Right pushforward (group satisfaction): over each target type q the
+    rows are the choice functions assigning to every p in the k-fiber of q
+    a row typed p.  Arrow actions are pointwise and must be well defined,
+    otherwise the input is inconsistent and the construction errors."""
+    if t.typing.target != k.source:
+        raise SchemaMismatchError("typechange_pi: typing does not land in k's source")
+    P = k.source
+    Q = k.target
+    schema = t.instance.schema
+
+    fibers: dict[str, dict[str, list[str]]] = {}  # vertex -> q -> ordered ps
+    tau_fibers: dict[str, dict[str, list[str]]] = {}  # vertex -> p -> ordered rows
+    for v in schema.vertices:
+        kv = k.component(v)
+        fibers[v] = {q: [p for p in P.row_set(v) if kv[p] == q] for q in Q.row_set(v)}
+        tau = t.typing.component(v)
+        tau_fibers[v] = {p: [] for p in P.row_set(v)}
+        for x in t.instance.row_set(v):
+            tau_fibers[v][tau[x]].append(x)
+
+    rows: dict[str, tuple[str, ...]] = {}
+    data: dict[str, list[tuple[str, dict[str, str]]]] = {}  # vertex -> [(q, section)]
+    index: dict[str, dict[tuple[str, frozenset], str]] = {}
+    typing_comp: dict[str, dict[str, str]] = {}
+    for v in schema.vertices:
+        entries: list[tuple[str, dict[str, str]]] = []
+        names: list[str] = []
+        for q in Q.row_set(v):
+            ps = fibers[v][q]
+            pools = [tau_fibers[v][p] for p in ps]
+            for choice in itertools.product(*pools):
+                section = dict(zip(ps, choice))
+                entries.append((q, section))
+                if ps:
+                    names.append(tuple_id(tuple(choice)))
+                else:
+                    names.append(f"()@{q}")
+        names = uniquify(names)
+        rows[v] = tuple(names)
+        data[v] = entries
+        index[v] = {
+            (q, frozenset(section.items())): name
+            for (q, section), name in zip(entries, names)
+        }
+        typing_comp[v] = {name: q for (q, _), name in zip(entries, names)}
+
+    columns: dict[str, dict[str, str]] = {}
+    for arrow in schema.arrows:
+        v, w = arrow.source, arrow.target
+        col = t.instance.column(arrow.name)
+        p_col = P.column(arrow.name)
+        q_col = Q.column(arrow.name)
+        mapping = {}
+        for (q, section), name in zip(data[v], rows[v]):
+            q_out = q_col[q]
+            out_section: dict[str, str] = {}
+            for p, x in section.items():
+                p_out = p_col[p]
+                image = col[x]
+                if out_section.get(p_out, image) != image:
+                    raise TypeChangeError(
+                        f"pointwise action of {arrow.name!r} on row {name!r} is "
+                        f"ambiguous at type {p_out!r}"
+                    )
+                out_section[p_out] = image
+            required = set(fibers[w][q_out])
+            if set(out_section) != required:
+                raise TypeChangeError(
+                    f"pointwise action of {arrow.name!r} on row {name!r} does not "
+                    f"cover the fiber of {q_out!r}"
+                )
+            out = index[w].get((q_out, frozenset(out_section.items())))
+            if out is None:
+                raise TypeChangeError(
+                    f"action of {arrow.name!r} on row {name!r} does not land in a "
+                    "constructed family; input is inconsistent"
+                )
+            mapping[name] = out
+        columns[arrow.name] = mapping
+
+    product = Instance(schema, rows, columns)
+    typing = InstanceMorphism(product, Q, typing_comp)
+    return TypedInstance(typing)
+
+
+# The generator that ``naming.encode_component`` was before it became one
+# ``str.translate``; the reference for its table.
+def encode_component_by_chars(s: str) -> str:
+    return "".join(f"%{ord(c):02X}" if c in "%,()=;@" else c for c in s)
 
 
 # The character-by-character lexer that .cat parsing used before it lexed

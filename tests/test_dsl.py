@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catmigrate import dsl
-from catmigrate.errors import ParseError
+from catmigrate.errors import ParseError, StructuralError
 from catmigrate.instances import Instance
 
 from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
@@ -193,6 +194,21 @@ def test_round_trip_arbitrary_row_ids(rows):
     instance = Instance(schema, {"A": tuple(rows)}, {})
     doc = dsl.Document([dsl.SchemaDecl("S", schema), dsl.InstanceDecl("I", "S", instance)])
     assert dsl.parse_document(dsl.print_document(doc)) == doc
+
+
+@pytest.mark.parametrize("name", ["abc\n", "a\nb", "\n"])
+def test_a_name_holding_a_newline_is_not_printed(name):
+    # a string token cannot span lines, so such a name has no .cat spelling;
+    # "abc\n" used to print bare and parse back as "abc"
+    from catmigrate.schemas import Graph, Schema
+
+    with pytest.raises(StructuralError, match=re.escape(repr(name))):
+        dsl.format_name(name)
+    schema = Schema("S", Graph(("A",), ()))
+    instance = Instance(schema, {"A": ("ok", name)}, {})
+    doc = dsl.Document([dsl.SchemaDecl("S", schema), dsl.InstanceDecl("I", "S", instance)])
+    with pytest.raises(StructuralError, match=re.escape(repr(name))):
+        dsl.print_document(doc)
 
 
 def test_parse_never_raises_unpositioned_errors():

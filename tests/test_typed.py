@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -26,8 +27,14 @@ from catmigrate.typed import (
     validate_typed,
 )
 
-from .generators import rand_acyclic_schema, rand_cover, rand_cyclic_schema, rand_instance
-from .oracles import PiOracle, nested_loop_pairs, pairwise_delta_hat
+from .generators import (
+    rand_acyclic_schema,
+    rand_cover,
+    rand_cyclic_schema,
+    rand_instance,
+    rand_pi_hat_input,
+)
+from .oracles import PiOracle, nested_loop_pairs, pairwise_delta_hat, sectionwise_typechange_pi
 
 
 @pytest.fixture(scope="module")
@@ -332,23 +339,188 @@ def test_pi_hat_fiber_product_of_cardinalities():
     assert len(result.instance.row_set("A")) == 2 * 3
 
 
+def _pair_input(k_l, p_f, k_m, tau_l, tau_m, x_f):
+    """k : P -> Q and an instance typed over P, on ``L -f-> M``.  Each table
+    of P and of the typed instance is its component's keys, in order; Q's
+    tables are the components' values, and Q's f sends every L row to Q's
+    first M row."""
+    schema = Schema("Pair", Graph(("L", "M"), (Arrow("f", "L", "M"),)))
+    q_l = tuple(dict.fromkeys(k_l.values()))
+    q_m = tuple(dict.fromkeys(k_m.values()))
+    q = Instance(schema, {"L": q_l, "M": q_m}, {"f": {x: q_m[0] for x in q_l}})
+    p = Instance(schema, {"L": tuple(k_l), "M": tuple(k_m)}, {"f": p_f})
+    k = InstanceMorphism(p, q, {"L": k_l, "M": k_m})
+    instance = Instance(schema, {"L": tuple(tau_l), "M": tuple(tau_m)}, {"f": x_f})
+    return k, TypedInstance(InstanceMorphism(instance, p, {"L": tau_l, "M": tau_m}))
+
+
+def _pi_error(k, typed) -> str:
+    with pytest.raises(TypeChangeError) as err:
+        typechange_pi(k, typed)
+    return str(err.value)
+
+
+_ONE_GROUP = {"1": "x", "2": "x"}
+_TWO_GROUPS = {"1": "x", "2": "y"}
+_AMBIGUOUS = "pointwise action of 'f' on row {!r} is ambiguous at type 'pm'"
+_UNCOVERED = "pointwise action of 'f' on row {!r} does not cover the fiber of 'qm'"
+_STRAY = "action of 'f' on row {!r} does not land in a constructed family; input is inconsistent"
+
+
 def test_pi_hat_inconsistent_action_errors():
     # two people in one group whose items map to different M rows: the
     # pointwise action cannot choose
-    schema = Schema("Pair", Graph(("L", "M"), (Arrow("f", "L", "M"),)))
-    instance = Instance(
-        schema,
-        {"L": ("a", "b"), "M": ("m1", "m2")},
-        {"f": {"a": "m1", "b": "m2"}},
+    k, typed = _pair_input(
+        _ONE_GROUP, {"1": "pm", "2": "pm"}, {"pm": "qm"},
+        {"a": "1", "b": "2"}, {"m1": "pm", "m2": "pm"}, {"a": "m1", "b": "m2"},
     )
-    p = Instance(schema, {"L": ("1", "2"), "M": ("pm",)}, {"f": {"1": "pm", "2": "pm"}})
-    q = Instance(schema, {"L": ("x",), "M": ("qm",)}, {"f": {"x": "qm"}})
-    k = InstanceMorphism(p, q, {"L": {"1": "x", "2": "x"}, "M": {"pm": "qm"}})
+    assert _pi_error(k, typed) == _AMBIGUOUS.format("(a,b)")
+
+
+@pytest.mark.parametrize(
+    "k_l, p_f, k_m, tau_l, tau_m, x_f, message",
+    [
+        pytest.param(
+            # two images, neither typed pm, still differ
+            _ONE_GROUP, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm2"},
+            {"a": "1", "b": "2"}, {"m2": "pm2", "m3": "pm2"}, {"a": "m2", "b": "m3"},
+            _AMBIGUOUS.format("(a,b)"),
+            id="ambiguous-untyped-images",
+        ),
+        pytest.param(
+            # the images cover pm but not pm2, both over qm
+            _TWO_GROUPS, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm"},
+            {"a": "1", "b": "2"}, {"m1": "pm", "m2": "pm2"}, {"a": "m1", "b": "m1"},
+            _UNCOVERED.format("(a)"),
+            id="uncovered",
+        ),
+        pytest.param(
+            # a's image m2 is typed pm2, not pm
+            _TWO_GROUPS, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm2"},
+            {"a": "1", "b": "2"}, {"m1": "pm", "m2": "pm2"}, {"a": "m2", "b": "m1"},
+            _STRAY.format("(a)"),
+            id="stray",
+        ),
+        pytest.param(
+            # ambiguous and not covering: ambiguity is checked first
+            _ONE_GROUP, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm"},
+            {"a": "1", "b": "2"}, {"m1": "pm", "m2": "pm"}, {"a": "m1", "b": "m2"},
+            _AMBIGUOUS.format("(a,b)"),
+            id="ambiguous-before-uncovered",
+        ),
+        pytest.param(
+            # not covering, and the image is typed pm2: coverage is checked first
+            _TWO_GROUPS, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm"},
+            {"a": "1", "b": "2"}, {"m1": "pm", "m2": "pm2"}, {"a": "m2", "b": "m2"},
+            _UNCOVERED.format("(a)"),
+            id="uncovered-before-stray",
+        ),
+        pytest.param(
+            # x's first section (a,b) is unambiguous, its second (a,c) is not;
+            # x does not cover qm's fiber, which is found at the first section
+            _ONE_GROUP, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm"},
+            {"a": "1", "b": "2", "c": "2"}, {"m1": "pm", "m2": "pm"},
+            {"a": "m1", "b": "m1", "c": "m2"},
+            _UNCOVERED.format("(a,b)"),
+            id="uncovered-at-first-section",
+        ),
+        pytest.param(
+            # the same with the ambiguous section first
+            _ONE_GROUP, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm"},
+            {"a": "1", "c": "2", "b": "2"}, {"m1": "pm", "m2": "pm"},
+            {"a": "m1", "b": "m1", "c": "m2"},
+            _AMBIGUOUS.format("(a,c)"),
+            id="ambiguous-at-first-section",
+        ),
+        pytest.param(
+            # (a,b) lands nowhere and comes before the ambiguous (a,c)
+            _ONE_GROUP, {"1": "pm", "2": "pm"}, {"pm": "qm", "pm2": "qm2"},
+            {"a": "1", "b": "2", "c": "2"}, {"m2": "pm", "m3": "pm2"},
+            {"a": "m3", "b": "m3", "c": "m2"},
+            _STRAY.format("(a,b)"),
+            id="stray-before-later-ambiguous",
+        ),
+    ],
+)
+def test_pi_hat_error_text_and_order(k_l, p_f, k_m, tau_l, tau_m, x_f, message):
+    k, typed = _pair_input(k_l, p_f, k_m, tau_l, tau_m, x_f)
+    assert _pi_error(k, typed) == message
+    with pytest.raises(TypeChangeError, match=re.escape(message)):
+        sectionwise_typechange_pi(k, typed)
+
+
+def test_pi_hat_uncovered_fiber_without_sections_is_no_error():
+    # group y's only person, 3, holds no item, so y has no section, and its
+    # fiber {3} does not cover qm's fiber {pm, pm2}: nothing is raised
+    k, typed = _pair_input(
+        {"1": "x", "2": "x", "3": "y"}, {"1": "pm", "2": "pm2", "3": "pm"},
+        {"pm": "qm", "pm2": "qm"}, {"a": "1", "b": "2"}, {"m1": "pm", "m2": "pm2"},
+        {"a": "m1", "b": "m2"},
+    )
+    result = typechange_pi(k, typed)
+    assert result.instance.row_set("L") == ("(a,b)",)
+    assert result.instance.row_set("M") == ("(m1,m2)",)
+    assert result.instance.column("f") == {"(a,b)": "(m1,m2)"}
+    assert result.typing.components == {"L": {"(a,b)": "x"}, "M": {"(m1,m2)": "qm"}}
+
+
+def _pi_outcome(construct, k, typed):
+    """The product's rows, columns and typing, each in order, or the error text."""
+    try:
+        result = construct(k, typed)
+    except TypeChangeError as err:
+        return str(err)
+    instance = result.instance
+    return (
+        {v: instance.row_set(v) for v in instance.schema.vertices},
+        {a.name: list(instance.column(a.name).items()) for a in instance.schema.arrows},
+        {v: list(result.typing.component(v).items()) for v in instance.schema.vertices},
+    )
+
+
+def test_pi_hat_matches_sectionwise_reference():
+    kinds = {"rows": 0, "ambiguous": 0, "cover": 0, "land": 0}
+    for seed in range(600):
+        rng = random.Random(seed)
+        k, typed = rand_pi_hat_input(rng, noise=rng.choice((0.0, 0.1, 0.3)))
+        expected = _pi_outcome(sectionwise_typechange_pi, k, typed)
+        assert _pi_outcome(typechange_pi, k, typed) == expected, seed
+        if isinstance(expected, str):
+            kinds[next(kind for kind in ("ambiguous", "cover", "land") if kind in expected)] += 1
+        else:
+            kinds["rows"] += 1
+            assert validate_typed(typechange_pi(k, typed)) == []
+    # every outcome is reached often enough to be compared
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_pi_hat_ids_are_distinct_on_adversarial_ids():
+    # ids holding every encoded character, ids that spell a section's id,
+    # empty fibers (whose one section is named ()@q) and an empty id
+    schema = _point_schema()
+    p_rows = ("1", "2", "3")
+    q_rows = ("q", "(a,b)", "", "()@q")
+    p = Instance(schema, {"A": p_rows}, {})
+    q = Instance(schema, {"A": q_rows}, {})
+    k = InstanceMorphism(p, q, {"A": {"1": "q", "2": "q", "3": "(a,b)"}})
+    x_rows = ("a", "b", "a,b", "", "()@q", "(a,b)", "%2C", "b)", "(a", "@", "=;%")
+    tau = {x: p_rows[i % 2] for i, x in enumerate(x_rows[:-1])}
+    tau[x_rows[-1]] = "3"
     typed = TypedInstance(
-        InstanceMorphism(instance, p, {"L": {"a": "1", "b": "2"}, "M": {"m1": "pm", "m2": "pm"}})
+        InstanceMorphism(Instance(schema, {"A": x_rows}, {}), p, {"A": tau})
     )
-    with pytest.raises(TypeChangeError):
-        typechange_pi(k, typed)
+    result = typechange_pi(k, typed)
+    ids = result.instance.row_set("A")
+    assert len(ids) == len(set(ids)) == 5 * 5 + 1 + 1 + 1
+    assert "()@" in ids and "()@()@q" in ids
+    for seed in range(100):
+        k, typed = rand_pi_hat_input(random.Random(seed))
+        try:
+            instance = typechange_pi(k, typed).instance
+        except TypeChangeError:
+            continue
+        for v in instance.schema.vertices:
+            assert len(set(instance.row_set(v))) == len(instance.row_set(v))
 
 
 def test_all_typechange_outputs_validate(paper_env):
