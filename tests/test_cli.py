@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from catmigrate import dsl
 from catmigrate.cli import main
 
-from .conftest import GOLDEN_DIR
+from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
+
+EXPECTED_DIR = Path(__file__).resolve().parent / "expected" / "migrate"
 
 
 def run(capsys, *argv):
@@ -269,3 +275,75 @@ def test_migrate_json_report_includes_chase_rounds(tmp_path, capsys):
     assert report["saturation_rounds"]
     assert report["saturation_rounds"][-1]["T"] == 7
     assert report["bounds"]["saturation_bound"] == 1000
+
+
+# ---------------------------------------------------------------------------
+# byte lock: the printed output of every golden migration
+# ---------------------------------------------------------------------------
+
+
+def _golden_migrations() -> list[tuple[str, str, str]]:
+    """Every (kind, translation, instance) the goldens admit: delta on each
+    instance over a translation's target, sigma and pi on each instance over
+    its source."""
+    _, env = load_documents(*ALL_GOLDEN_FILES)
+    instances = sorted(
+        (name, value.schema) for (kind, name), value in env.items() if kind == "instance"
+    )
+    runs = []
+    for (kind, name), translation in sorted(env.items()):
+        if kind != "translation":
+            continue
+        for instance, schema in instances:
+            if schema == translation.target:
+                runs.append(("delta", name, instance))
+            if schema == translation.source:
+                runs += [("sigma", name, instance), ("pi", name, instance)]
+    return runs
+
+
+def _migrate_transcript(kind: str, translation: str, instance: str, *flags: str):
+    """Exit code and transcript (exit code, standard output, standard error)
+    of one ``migrate`` run over every golden file, named relative to the
+    repository root."""
+    files = [f"golden/{name}" for name in ALL_GOLDEN_FILES]
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(GOLDEN_DIR.parent)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["migrate", kind, translation, instance, *files, *flags])
+    finally:
+        os.chdir(cwd)
+    return code, f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+
+
+_MODES = {"": (), "-json": ("--json", "--stable")}
+
+
+def test_golden_migrations_print_byte_identical():
+    """Each golden migration that exits 0 prints exactly its checked-in
+    transcript under ``tests/expected/migrate``; every other one still fails.
+    Regenerate the transcripts with ``python -m tests.test_cli``."""
+    seen = set()
+    for kind, translation, instance in _golden_migrations():
+        for suffix, flags in _MODES.items():
+            name = f"{kind}-{translation}-{instance}{suffix}.txt"
+            code, transcript = _migrate_transcript(kind, translation, instance, *flags)
+            expected = EXPECTED_DIR / name
+            if expected.exists():
+                seen.add(name)
+                assert transcript == expected.read_text(encoding="utf-8"), name
+            else:
+                assert code != 0, f"{name}: exits 0 but has no expected transcript"
+    assert seen == {p.name for p in EXPECTED_DIR.iterdir()}
+
+
+if __name__ == "__main__":
+    EXPECTED_DIR.mkdir(parents=True, exist_ok=True)
+    for kind, translation, instance in _golden_migrations():
+        for suffix, flags in _MODES.items():
+            code, transcript = _migrate_transcript(kind, translation, instance, *flags)
+            if code == 0:
+                path = EXPECTED_DIR / f"{kind}-{translation}-{instance}{suffix}.txt"
+                path.write_text(transcript, encoding="utf-8")
