@@ -59,13 +59,6 @@ class MigrationLog:
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
-    def as_dict(self) -> dict:
-        return {
-            "bounds": dict(self.bounds),
-            "warnings": list(self.warnings),
-            "saturation_rounds": [dict(r) for r in self.saturation_rounds],
-        }
-
 
 @dataclass
 class Translation:
@@ -276,21 +269,18 @@ def delta_on_morphism(translation: Translation, m: InstanceMorphism) -> Instance
 # sigma: the chase
 # ---------------------------------------------------------------------------
 
-# Terms: ('b', c, r) is the seeded image of source row r at vertex c;
-# ('s', c, r, arrows) is the Skolem element reached from that seed along
-# the given target-schema arrows.
+# A term (c, r, arrows) is the element reached from the image of source row
+# r at vertex c along the given target-schema arrows: with no arrows it is
+# that row's seed, otherwise a Skolem element.
 
 
 def _term_display(term: tuple) -> str:
-    if term[0] == "b":
-        return term[2]
-    return term[2] + "." + ".".join(term[3])
+    _, r, arrows = term
+    return r + "." + ".".join(arrows) if arrows else r
 
 
 def _term_sort_key(term: tuple) -> tuple:
-    if term[0] == "b":
-        return (0, term[2], term[1])
-    return (1, len(term[3]), _term_display(term), term[1])
+    return (len(term[2]), _term_display(term), term[0])
 
 
 class _SigmaEngine:
@@ -299,14 +289,12 @@ class _SigmaEngine:
         translation: Translation,
         instance: Instance,
         saturation_bound: int,
-        skolem_path_cap: int,
         log: MigrationLog | None,
     ):
         self.F = translation
         self.I = instance
         self.D = translation.target
         self.bound = saturation_bound
-        self.path_cap = skolem_path_cap
         self.log = log
         self.terms: list[tuple] = []
         self.term_ids: dict[tuple, int] = {}
@@ -356,12 +344,11 @@ class _SigmaEngine:
 
     # -- terms ---------------------------------------------------------------
 
-    def new_term(self, term: tuple) -> int:
-        vertex = self._vertex(term)
-        if term[0] == "s" and len(term[3]) > self.path_cap:
+    def new_term(self, term: tuple, vertex: str) -> int:
+        if len(term[2]) > DEFAULT_SKOLEM_PATH_CAP:
             raise SaturationOverflowError(
-                f"chase keeps extending Skolem paths past {self.path_cap} at vertex "
-                f"{vertex!r}; the colimit there is infinite or the bound too low",
+                f"chase keeps extending Skolem paths past {DEFAULT_SKOLEM_PATH_CAP} at "
+                f"vertex {vertex!r}; the colimit there is infinite or the bound too low",
                 vertex=vertex,
             )
         count = self.per_vertex[vertex] + 1
@@ -382,26 +369,17 @@ class _SigmaEngine:
         self.img[tid] = {}
         return tid
 
-    def _vertex(self, term: tuple) -> str:
-        base_vertex = self.F.vertex_image(term[1])
-        if term[0] == "b":
-            return base_vertex
-        return path_target(self.D.graph, Path(base_vertex, term[3]))
-
     def step_create(self, eid: int, arrow: str) -> int:
         """Image of an element under one arrow, creating a Skolem if missing."""
         root = self.find(eid)
         existing = self.img[root].get(arrow)
         if existing is not None:
             return self.find(existing)
-        rep_term = self.terms[self.rep[root]]
-        if rep_term[0] == "b":
-            term = ("s", rep_term[1], rep_term[2], (arrow,))
-        else:
-            term = ("s", rep_term[1], rep_term[2], rep_term[3] + (arrow,))
+        c, r, arrows = self.terms[self.rep[root]]
+        term = (c, r, arrows + (arrow,))
         tid = self.term_ids.get(term)
         if tid is None:
-            tid = self.new_term(term)
+            tid = self.new_term(term, self.D.graph.arrow(arrow).target)
         self.img[root][arrow] = tid
         return self.find(tid)
 
@@ -422,8 +400,9 @@ class _SigmaEngine:
 
     def seed(self) -> None:
         for c in self.F.source.vertices:
+            vertex = self.F.vertex_image(c)
             for r in self.I.row_set(c):
-                self.seeds[(c, r)] = self.new_term(("b", c, r))
+                self.seeds[(c, r)] = self.new_term((c, r, ()), vertex)
 
     def assert_naturality(self) -> None:
         for arrow in self.F.source.arrows:
@@ -483,13 +462,11 @@ class _SigmaEngine:
     # -- extraction ------------------------------------------------------------
 
     def _root_order_key(self, root: int) -> tuple:
-        term = self.terms[self.rep[root]]
-        c_idx = self.F.source.graph.vertex_index(term[1])
-        r_idx = self.I.positions(term[1])[term[2]]
-        if term[0] == "b":
-            return (0, c_idx, r_idx)
-        arrow_order = tuple(self.D.graph.arrow_order(a) for a in term[3])
-        return (1, c_idx, r_idx, len(term[3]), arrow_order)
+        c, r, arrows = self.terms[self.rep[root]]
+        c_idx = self.F.source.graph.vertex_index(c)
+        r_idx = self.I.positions(c)[r]
+        arrow_order = tuple(self.D.graph.arrow_order(a) for a in arrows)
+        return (bool(arrows), c_idx, r_idx, len(arrows), arrow_order)
 
     def extract(self) -> "SigmaResult":
         roots_by_vertex: dict[str, list[int]] = {v: [] for v in self.D.vertices}
@@ -527,7 +504,6 @@ def sigma_full(
     translation: Translation,
     instance: Instance,
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    skolem_path_cap: int = DEFAULT_SKOLEM_PATH_CAP,
     log: MigrationLog | None = None,
 ) -> SigmaResult:
     require_structural(translation)
@@ -535,8 +511,8 @@ def sigma_full(
         raise SchemaMismatchError("sigma: instance is not on the translation's source")
     if log is not None:
         log.bounds.setdefault("saturation_bound", saturation_bound)
-        log.bounds.setdefault("skolem_path_cap", skolem_path_cap)
-    engine = _SigmaEngine(translation, instance, saturation_bound, skolem_path_cap, log)
+        log.bounds.setdefault("skolem_path_cap", DEFAULT_SKOLEM_PATH_CAP)
+    engine = _SigmaEngine(translation, instance, saturation_bound, log)
     engine.run()
     return engine.extract()
 
@@ -545,31 +521,27 @@ def sigma(
     translation: Translation,
     instance: Instance,
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    skolem_path_cap: int = DEFAULT_SKOLEM_PATH_CAP,
     log: MigrationLog | None = None,
 ) -> Instance:
-    return sigma_full(translation, instance, saturation_bound, skolem_path_cap, log).instance
+    return sigma_full(translation, instance, saturation_bound, log=log).instance
 
 
 def sigma_on_morphism(
     translation: Translation,
     m: InstanceMorphism,
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    skolem_path_cap: int = DEFAULT_SKOLEM_PATH_CAP,
 ) -> InstanceMorphism:
     """Induced map on chase classes: a class named by (seed, path) goes to the
     class reached by walking the same path from the image seed."""
-    src = sigma_full(translation, m.source, saturation_bound, skolem_path_cap)
-    tgt = sigma_full(translation, m.target, saturation_bound, skolem_path_cap)
+    src = sigma_full(translation, m.source, saturation_bound)
+    tgt = sigma_full(translation, m.target, saturation_bound)
     components: dict[str, dict[str, str]] = {v: {} for v in translation.target.vertices}
     for d in translation.target.vertices:
         for row in src.instance.row_set(d):
-            term = src.row_term[(d, row)]
-            c, r = term[1], term[2]
+            c, r, arrows = src.row_term[(d, row)]
             at = tgt.seed_row[(c, m.apply(c, r))]
-            if term[0] == "s":
-                for arrow in term[3]:
-                    at = tgt.instance.column(arrow)[at]
+            for arrow in arrows:
+                at = tgt.instance.column(arrow)[at]
             components[d][row] = at
     return require_natural(
         InstanceMorphism(src.instance, tgt.instance, components), "sigma image"
@@ -585,9 +557,7 @@ def sigma_on_morphism(
 class _VertexFamilies:
     classes: list[Path]  # representative target paths out of this vertex
     comps: list[tuple[str, int]]  # (source vertex, class index)
-    families: list[dict[int, str]]  # component index -> source row
-    row_ids: list[str]
-    index: dict[frozenset, str]  # frozen family items -> row id
+    rows: dict[tuple[str, ...], str]  # join tuple (a row per comp) -> row id, join order
     exhausted: bool  # the class search ran out of new classes within the bound
 
 
@@ -691,11 +661,8 @@ def _families_at(
             )
 
     families = _compatible_families(instance, comps, constraints, family_cap, vertex)
-    row_ids = _family_row_ids(comps, families, classes)
-    index = {
-        frozenset(fam.items()): rid for fam, rid in zip(families, row_ids)
-    }
-    return _VertexFamilies(classes, comps, families, row_ids, index, exhausted)
+    rows = dict(zip(families, _family_row_ids(comps, families, classes)))
+    return _VertexFamilies(classes, comps, rows, exhausted)
 
 
 def _compatible_families(
@@ -704,13 +671,13 @@ def _compatible_families(
     constraints: list[tuple[int, int, str]],
     family_cap: int,
     vertex: str,
-) -> list[dict[int, str]]:
+) -> list[tuple[str, ...]]:
     """Every choice of one row per component that satisfies every constraint
     ``column(arrow)[row i] == row j``, in nested-loop order (see
     ``instances.assignments``)."""
-    families: list[dict[int, str]] = []
+    families: list[tuple[str, ...]] = []
     for values in assignments(instance, comps, constraints):
-        families.append(dict(enumerate(values)))
+        families.append(values)
         if len(families) > family_cap:
             raise EnumerationCapError(
                 f"pi produced more than {family_cap} rows at vertex {vertex!r}",
@@ -721,7 +688,7 @@ def _compatible_families(
 
 def _family_row_ids(
     comps: list[tuple[str, int]],
-    families: list[dict[int, str]],
+    families: list[tuple[str, ...]],
     classes: list[Path],
 ) -> list[str]:
     """Deterministic family ids.
@@ -754,24 +721,6 @@ def _family_row_ids(
     return uniquify(ids)
 
 
-def _pi_core(
-    translation: Translation,
-    instance: Instance,
-    vertices: tuple[str, ...],
-    path_bound: int,
-    budget: int,
-    element_cap: int,
-    family_cap: int,
-    log: MigrationLog | None,
-) -> dict[str, _VertexFamilies]:
-    return {
-        d: _families_at(
-            translation, instance, d, path_bound, budget, element_cap, family_cap, log
-        )
-        for d in vertices
-    }
-
-
 def pi_full(
     translation: Translation,
     instance: Instance,
@@ -788,9 +737,12 @@ def pi_full(
         log.bounds.setdefault("path_bound", path_bound)
         log.bounds.setdefault("rewrite_budget", budget)
     D = translation.target
-    data = _pi_core(
-        translation, instance, D.vertices, path_bound, budget, element_cap, family_cap, log
-    )
+    data = {
+        d: _families_at(
+            translation, instance, d, path_bound, budget, element_cap, family_cap, log
+        )
+        for d in D.vertices
+    }
     # Mandatory stability check: one more unit of path bound must not change
     # any row count, otherwise the comma category was not exhausted.  Where
     # the class search ran out of new classes within the bound, the classes,
@@ -798,12 +750,15 @@ def pi_full(
     # vertices are recomputed.  All of them are recomputed before any count is
     # compared, so a run that fails in several ways raises the same error as
     # when every vertex is probed.
-    unsettled = tuple(d for d in D.vertices if not data[d].exhausted)
-    probe = _pi_core(
-        translation, instance, unsettled, path_bound + 1, budget, element_cap, family_cap, None
-    )
+    unsettled = [d for d in D.vertices if not data[d].exhausted]
+    probe = {
+        d: _families_at(
+            translation, instance, d, path_bound + 1, budget, element_cap, family_cap, None
+        )
+        for d in unsettled
+    }
     for d in unsettled:
-        if len(data[d].families) != len(probe[d].families):
+        if len(data[d].rows) != len(probe[d].rows):
             raise PathBoundInstabilityError(
                 f"pi row count at vertex {d!r} changed when the path bound was "
                 f"raised from {path_bound} to {path_bound + 1}; raise the bound "
@@ -811,7 +766,7 @@ def pi_full(
                 vertex=d,
             )
 
-    rows = {d: tuple(data[d].row_ids) for d in D.vertices}
+    rows = {d: tuple(data[d].rows.values()) for d in D.vertices}
     columns: dict[str, dict[str, str]] = {}
     for arrow in D.arrows:
         src_data = data[arrow.source]
@@ -832,10 +787,8 @@ def pi_full(
                 )
             comp_map.append(src_comp_index[(c, idx)])
         mapping: dict[str, str] = {}
-        for fam, rid in zip(src_data.families, src_data.row_ids):
-            restricted = {k: fam[comp_map[k]] for k in range(len(tgt_data.comps))}
-            key = frozenset(restricted.items())
-            out = tgt_data.index.get(key)
+        for fam, rid in src_data.rows.items():
+            out = tgt_data.rows.get(tuple(fam[k] for k in comp_map))
             if out is None:
                 raise PathBoundInstabilityError(
                     f"pi restriction along {arrow.name!r} produced a family not "
@@ -874,9 +827,9 @@ def pi_on_morphism(
     for d in translation.target.vertices:
         sdata, tdata = src.data[d], tgt.data[d]
         mapping = {}
-        for fam, rid in zip(sdata.families, sdata.row_ids):
-            image = {k: m.apply(sdata.comps[k][0], fam[k]) for k in fam}
-            out = tdata.index.get(frozenset(image.items()))
+        for fam, rid in sdata.rows.items():
+            image = tuple(m.apply(c, row) for (c, _), row in zip(sdata.comps, fam))
+            out = tdata.rows.get(image)
             if out is None:
                 raise PathBoundInstabilityError(
                     f"pi image family missing at vertex {d!r}", vertex=d
@@ -905,10 +858,9 @@ def sigma_unit(
     translation: Translation,
     instance: Instance,
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    skolem_path_cap: int = DEFAULT_SKOLEM_PATH_CAP,
 ) -> InstanceMorphism:
     """eta_I: each source row goes to the chase class of its seed."""
-    result = sigma_full(translation, instance, saturation_bound, skolem_path_cap)
+    result = sigma_full(translation, instance, saturation_bound)
     pulled = delta(translation, result.instance)
     components = {
         c: {r: result.seed_row[(c, r)] for r in instance.row_set(c)}
@@ -923,19 +875,16 @@ def sigma_counit(
     translation: Translation,
     instance: Instance,
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    skolem_path_cap: int = DEFAULT_SKOLEM_PATH_CAP,
 ) -> InstanceMorphism:
     """epsilon_J: a chase class named (seed, path) evaluates its path in J."""
     pulled = delta(translation, instance)
-    result = sigma_full(translation, pulled, saturation_bound, skolem_path_cap)
+    result = sigma_full(translation, pulled, saturation_bound)
     components: dict[str, dict[str, str]] = {v: {} for v in translation.target.vertices}
     for d in translation.target.vertices:
         for row in result.instance.row_set(d):
-            term = result.row_term[(d, row)]
-            start_vertex = translation.vertex_image(term[1])
-            arrows = term[3] if term[0] == "s" else ()
+            c, r, arrows = result.row_term[(d, row)]
             components[d][row] = evaluate_path(
-                instance, Path(start_vertex, arrows), term[2]
+                instance, Path(translation.vertex_image(c), arrows), r
             )
     return require_natural(
         InstanceMorphism(result.instance, instance, components), "sigma counit"
@@ -956,11 +905,11 @@ def pi_unit(
         data = result.data[d]
         mapping = {}
         for row in instance.row_set(d):
-            family = {
-                k: evaluate_path(instance, Path(d, data.classes[cls].arrows), row)
-                for k, (_, cls) in enumerate(data.comps)
-            }
-            out = data.index.get(frozenset(family.items()))
+            family = tuple(
+                evaluate_path(instance, Path(d, data.classes[cls].arrows), row)
+                for _, cls in data.comps
+            )
+            out = data.rows.get(family)
             if out is None:
                 raise PathBoundInstabilityError(
                     f"pi unit family missing at vertex {d!r}", vertex=d
@@ -994,9 +943,7 @@ def pi_counit(
             raise PathBoundInstabilityError(
                 f"pi counit: no trivial-path component for {c!r} at {d!r}", vertex=d
             )
-        components[c] = {
-            rid: fam[k] for fam, rid in zip(data.families, data.row_ids)
-        }
+        components[c] = {rid: fam[k] for fam, rid in data.rows.items()}
     return require_natural(
         InstanceMorphism(pulled, instance, components), "pi counit"
     )
@@ -1007,14 +954,13 @@ def adjunction_unit_counit(
     instance_on_source: Instance,
     instance_on_target: Instance,
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    skolem_path_cap: int = DEFAULT_SKOLEM_PATH_CAP,
     path_bound: int = DEFAULT_PATH_BOUND,
     budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> AdjunctionWitnesses:
     """The four canonical morphisms witnessing sigma -| delta -| pi."""
     return AdjunctionWitnesses(
-        unit_sigma=sigma_unit(translation, instance_on_source, saturation_bound, skolem_path_cap),
-        counit_sigma=sigma_counit(translation, instance_on_target, saturation_bound, skolem_path_cap),
+        unit_sigma=sigma_unit(translation, instance_on_source, saturation_bound),
+        counit_sigma=sigma_counit(translation, instance_on_target, saturation_bound),
         unit_pi=pi_unit(translation, instance_on_target, path_bound, budget),
         counit_pi=pi_counit(translation, instance_on_source, path_bound, budget),
     )

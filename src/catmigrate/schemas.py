@@ -133,15 +133,11 @@ def path_target(graph: Graph, path: Path) -> str:
     return at
 
 
-def validate_path(graph: Graph, path: Path) -> None:
-    path_target(graph, path)
-
-
 def compose_paths(graph: Graph, p: Path, q: Path) -> Path:
     """Concatenate p then q; composing with a trivial path is the identity."""
     if path_target(graph, p) != q.source:
         raise CompositionError(path_target(graph, p), q.source)
-    validate_path(graph, q)
+    path_target(graph, q)
     return Path(p.source, p.arrows + q.arrows)
 
 

@@ -224,6 +224,39 @@ def assert_sigma_matches(translation: Translation, instance: Instance, result) -
                 assert result.instance.column(arrow.name)[row] == engine_element(extended)
 
 
+# The chase's orders over the tagged terms it once used: ('b', c, r) for the
+# seed of source row r at vertex c, ('s', c, r, arrows) for a Skolem element.
+# The references for ``migration._term_sort_key`` and ``_root_order_key``.
+
+
+def tag_term(term: tuple[str, str, tuple[str, ...]]) -> tuple:
+    c, r, arrows = term
+    return ("s", c, r, arrows) if arrows else ("b", c, r)
+
+
+def _tagged_term_display(term: tuple) -> str:
+    if term[0] == "b":
+        return term[2]
+    return term[2] + "." + ".".join(term[3])
+
+
+def tagged_term_sort_key(term: tuple) -> tuple:
+    if term[0] == "b":
+        return (0, term[2], term[1])
+    return (1, len(term[3]), _tagged_term_display(term), term[1])
+
+
+def tagged_root_order_key(engine, term: tuple) -> tuple:
+    """``_SigmaEngine._root_order_key`` of a root whose representative is
+    the tagged ``term``."""
+    c_idx = engine.F.source.graph.vertex_index(term[1])
+    r_idx = engine.I.positions(term[1])[term[2]]
+    if term[0] == "b":
+        return (0, c_idx, r_idx)
+    arrow_order = tuple(engine.D.graph.arrow_order(a) for a in term[3])
+    return (1, c_idx, r_idx, len(term[3]), arrow_order)
+
+
 # ---------------------------------------------------------------------------
 # pi oracle: filtered assignments over all comma objects
 # ---------------------------------------------------------------------------
@@ -302,7 +335,7 @@ def nested_loop_families(
     constraints: list[tuple[int, int, str]],
     family_cap: int,
     vertex: str,
-) -> list[dict[int, str]]:
+) -> list[tuple[str, ...]]:
     """pi's compatible families at one vertex by the plain nested loop: every
     row of every component in index order, each constraint checked once both
     its ends are assigned.  A drop-in for ``migration._compatible_families``
@@ -310,12 +343,12 @@ def nested_loop_families(
     check_at: dict[int, list[tuple[int, int, str]]] = {}
     for con in constraints:
         check_at.setdefault(max(con[0], con[1]), []).append(con)
-    families: list[dict[int, str]] = []
+    families: list[tuple[str, ...]] = []
     assignment: dict[int, str] = {}
 
     def recurse(k: int) -> None:
         if k == len(comps):
-            families.append(dict(assignment))
+            families.append(tuple(assignment[i] for i in range(len(comps))))
             if len(families) > family_cap:
                 raise EnumerationCapError(
                     f"pi produced more than {family_cap} rows at vertex {vertex!r}",
@@ -363,7 +396,7 @@ def assert_pi_matches(translation: Translation, instance: Instance, result) -> N
         correspondence[d] = mapping
 
         engine_families = {
-            frozenset((mapping[k], v) for k, v in fam.items()) for fam in data.families
+            frozenset((mapping[k], v) for k, v in enumerate(fam)) for fam in data.rows
         }
         oracle_families = {frozenset(f.items()) for f in oracle.families_at[d]}
         assert engine_families == oracle_families, f"family sets differ at {d!r}"
@@ -371,20 +404,14 @@ def assert_pi_matches(translation: Translation, instance: Instance, result) -> N
     # columns agree under the correspondence
     for arrow in D.arrows:
         d, d2 = arrow.source, arrow.target
-        data = result.data[d]
-        for fam, rid in zip(data.families, data.row_ids):
-            oracle_fam = {correspondence[d][k]: v for k, v in fam.items()}
+        family_of = {rid: fam for fam, rid in result.data[d2].rows.items()}
+        for fam, rid in result.data[d].rows.items():
+            oracle_fam = {correspondence[d][k]: v for k, v in enumerate(fam)}
             expected = oracle.restrict(arrow.name, d, d2, oracle_fam)
-            out_rid = result.instance.column(arrow.name)[rid]
-            out_fam = dict(
-                zip(
-                    (correspondence[d2][k] for k in range(len(result.data[d2].comps))),
-                    (
-                        result.data[d2].families[result.data[d2].row_ids.index(out_rid)][k]
-                        for k in range(len(result.data[d2].comps))
-                    ),
-                )
-            )
+            out_fam = {
+                correspondence[d2][k]: v
+                for k, v in enumerate(family_of[result.instance.column(arrow.name)[rid]])
+            }
             assert out_fam == expected, f"column {arrow.name!r} disagrees on {rid!r}"
 
 

@@ -52,7 +52,14 @@ from catmigrate.migration import (
 from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema
 
 from .generators import rand_acyclic_schema, rand_instance, rand_translation, shuffled_rows
-from .oracles import assert_pi_matches, assert_sigma_matches, nested_loop_families
+from .oracles import (
+    assert_pi_matches,
+    assert_sigma_matches,
+    nested_loop_families,
+    tag_term,
+    tagged_root_order_key,
+    tagged_term_sort_key,
+)
 
 
 @pytest.fixture(scope="module")
@@ -282,10 +289,9 @@ def test_pi_join_keeps_nested_loop_order(monkeypatch):
         want = _reference_pi(monkeypatch, f, instance)
         for d in target.vertices:
             assert got.data[d].comps == want.data[d].comps
-            assert [list(fam.items()) for fam in got.data[d].families] == [
-                list(fam.items()) for fam in want.data[d].families
-            ], f"case {case}: families at {d!r} differ"
-            assert got.data[d].row_ids == want.data[d].row_ids
+            assert list(got.data[d].rows.items()) == list(
+                want.data[d].rows.items()
+            ), f"case {case}: families at {d!r} differ"
         assert got.instance.rows == want.instance.rows
         for arrow in target.arrows:
             assert list(got.instance.column(arrow.name).items()) == list(
@@ -302,7 +308,8 @@ def test_pi_join_skips_column_values_outside_their_table(monkeypatch):
     identity = identity_translation(schema)
     got = pi_full(identity, instance)
     want = _reference_pi(monkeypatch, identity, instance)
-    assert got.data["A"].families == want.data["A"].families == [{0: "a2", 1: "b"}]
+    assert list(got.data["A"].rows.items()) == list(want.data["A"].rows.items())
+    assert list(got.data["A"].rows) == [("a2", "b")]
 
 
 def test_pi_join_family_cap_raises_as_nested_loop(monkeypatch, F, I):
@@ -434,6 +441,48 @@ def test_sigma_nontermination_names_the_vertex():
     with pytest.raises(SaturationOverflowError) as err:
         sigma(f, instance, saturation_bound=40)
     assert err.value.vertex == "W"
+    assert "Skolem paths past 16" in str(err.value)
+
+
+def _sign(a, b) -> int:
+    return (a > b) - (a < b)
+
+
+def test_sigma_term_orders_match_the_tagged_keys():
+    # three source vertices sharing row ids (one holding a dot, so a seed and
+    # a Skolem element can display alike), each listing them in its own order
+    source = Schema("Src", Graph(("C0", "C1", "C2"), ()))
+    arrows = tuple(Arrow(a, "X", "X") for a in ("h", "f", "g"))
+    target = Schema("Tgt", Graph(("X",), arrows))
+    f = Translation(source, target, {c: "X" for c in source.vertices}, {})
+    ids = ["a", "a.f", "b", "a.f.g"]
+    rng = random.Random(4242)
+    rows = {}
+    for c in source.vertices:
+        rng.shuffle(ids)
+        rows[c] = tuple(ids)
+    engine = migration._SigmaEngine(f, Instance(source, rows, {}), 1000, None)
+    for _ in range(200):
+        terms = list(
+            dict.fromkeys(
+                (
+                    rng.choice(source.vertices),
+                    rng.choice(ids),
+                    tuple(rng.choice("fgh") for _ in range(rng.choice((0, 0, 1, 2, 3)))),
+                )
+                for _ in range(rng.randint(1, 25))
+            )
+        )
+        engine.terms = terms
+        engine.rep = {i: i for i in range(len(terms))}
+        new_keys = [migration._term_sort_key(t) for t in terms]
+        old_keys = [tagged_term_sort_key(tag_term(t)) for t in terms]
+        new_roots = [engine._root_order_key(i) for i in range(len(terms))]
+        old_roots = [tagged_root_order_key(engine, tag_term(t)) for t in terms]
+        for i in range(len(terms)):
+            for j in range(len(terms)):
+                assert _sign(new_keys[i], new_keys[j]) == _sign(old_keys[i], old_keys[j])
+                assert _sign(new_roots[i], new_roots[j]) == _sign(old_roots[i], old_roots[j])
 
 
 def test_sigma_on_morphism_inclusion_and_merge(F, I):
