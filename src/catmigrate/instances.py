@@ -22,7 +22,7 @@ from .errors import (
     StructuralError,
     UnknownRowError,
 )
-from .naming import pair_id, uniquify
+from .naming import pair_id
 from .schemas import Path, Schema, path_target
 
 
@@ -305,10 +305,24 @@ def equal_image_pairs(
     return [(a, b) for a in left for b in by_image.get(f[a], ())]
 
 
+def unpaired_images(arrow: str, a: str, a_out: str, b: str, b_out: str) -> str:
+    """The error text for a pair ``(a, b)`` over one row whose images by
+    ``arrow`` lie over different rows, so that the pair has no image."""
+    return (
+        f"arrow {arrow!r} sends {a!r} to {a_out!r} and {b!r} to {b_out!r}, "
+        "which lie over different rows: a leg is not natural"
+    )
+
+
 def instance_fiber_product(
     f: InstanceMorphism, g: InstanceMorphism
 ) -> tuple[Instance, InstanceMorphism, InstanceMorphism]:
-    """Pointwise pullback of f and g over their shared target, with projections."""
+    """Pointwise pullback of f and g over their shared target, with projections.
+
+    Row ``(a,b)`` pairs rows with one image; ``pair_id`` is injective, so the
+    ids need no disambiguation.  When f or g is not natural, a column can
+    send a pair to one that is not a row, and ``StructuralError`` names it.
+    """
     if f.target != g.target:
         raise SchemaMismatchError("fiber product needs morphisms into the same instance")
     schema = f.source.schema
@@ -316,32 +330,33 @@ def instance_fiber_product(
         raise SchemaMismatchError("fiber product legs live on different schemas")
 
     rows: dict[str, tuple[str, ...]] = {}
-    pairs: dict[str, dict[str, tuple[str, str]]] = {}
+    pairs: dict[str, dict[str, tuple[str, str]]] = {}  # vertex -> row id -> its pair
     left: dict[str, dict[str, str]] = {}
     right: dict[str, dict[str, str]] = {}
     for v in schema.vertices:
-        names = []
-        pair_of: dict[str, tuple[str, str]] = {}
-        for a, b in equal_image_pairs(
-            f.source.row_set(v), f.component(v), g.source.row_set(v), g.component(v)
-        ):
-            names.append(pair_id(a, b))
-            pair_of[names[-1]] = (a, b)
-        names = uniquify(names)
-        rows[v] = tuple(names)
-        pairs[v] = pair_of
-        left[v] = {n: pair_of[n][0] for n in names}
-        right[v] = {n: pair_of[n][1] for n in names}
+        pair_of = pairs[v] = {
+            pair_id(a, b): (a, b)
+            for a, b in equal_image_pairs(
+                f.source.row_set(v), f.component(v), g.source.row_set(v), g.component(v)
+            )
+        }
+        rows[v] = tuple(pair_of)
+        left[v] = {n: a for n, (a, _) in pair_of.items()}
+        right[v] = {n: b for n, (_, b) in pair_of.items()}
 
     columns: dict[str, dict[str, str]] = {}
     for arrow in schema.arrows:
         col_a = f.source.column(arrow.name)
         col_b = g.source.column(arrow.name)
-        reverse = {pairs[arrow.target][n]: n for n in rows[arrow.target]}
+        reverse = {pair: n for n, pair in pairs[arrow.target].items()}
         mapping = {}
-        for n in rows[arrow.source]:
-            a, b = pairs[arrow.source][n]
-            mapping[n] = reverse[(col_a[a], col_b[b])]
+        for n, (a, b) in pairs[arrow.source].items():
+            image = reverse.get((col_a[a], col_b[b]))
+            if image is None:
+                raise StructuralError(
+                    unpaired_images(arrow.name, a, col_a[a], b, col_b[b])
+                )
+            mapping[n] = image
         columns[arrow.name] = mapping
 
     product = Instance(schema, rows, columns)

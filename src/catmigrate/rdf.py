@@ -2,8 +2,10 @@
 
 Every (vertex, row) becomes a typed node; every (arrow, row) becomes one
 triple.  Node ids are namespaced ``vertex/row`` because row ids are only
-unique per table.  The reverse construction rebuilds tables from node types
-and triples, and the export writes deterministic N-Triples-shaped lines.
+unique per table, with ``%`` and ``/`` percent-encoded in the vertex part, so
+the first ``/`` of an id ends its vertex and ids of distinct nodes differ.
+The reverse construction rebuilds tables from node types and triples, and
+the export writes deterministic N-Triples-shaped lines.
 """
 from __future__ import annotations
 
@@ -62,23 +64,28 @@ def validate_store(store: TripleStore) -> list[str]:
     return problems
 
 
-def node_id(vertex: str, row: str) -> str:
-    return f"{vertex}/{row}"
+_VERTEX_ESCAPES = str.maketrans({"%": "%25", "/": "%2F"})
+
+
+def node_prefix(vertex: str) -> str:
+    """The part of a node id before its row: the encoded vertex and a ``/``.
+    A node's id is its vertex's prefix followed by its row id."""
+    return vertex.translate(_VERTEX_ESCAPES) + "/"
 
 
 def grothendieck(instance: Instance) -> TripleStore:
     """One node per (vertex, row), one triple per (arrow, source row)."""
+    prefix = {v: node_prefix(v) for v in instance.schema.vertices}
     nodes = []
     for v in instance.schema.vertices:
         for r in instance.row_set(v):
-            nodes.append((node_id(v, r), v))
+            nodes.append((prefix[v] + r, v))
     triples = []
     for arrow in instance.schema.arrows:
         column = instance.column(arrow.name)
+        source, target = prefix[arrow.source], prefix[arrow.target]
         for r in instance.row_set(arrow.source):
-            triples.append(
-                (node_id(arrow.source, r), arrow.name, node_id(arrow.target, column[r]))
-            )
+            triples.append((source + r, arrow.name, target + column[r]))
     return TripleStore(instance.schema, tuple(nodes), tuple(triples))
 
 
@@ -89,8 +96,10 @@ def ungrothendieck(store: TripleStore) -> Instance:
     if problems:
         raise TripleStoreError("; ".join(problems[:3]))
 
+    prefixes = {v: node_prefix(v) for v in store.schema.vertices}
+
     def strip(node: str, vertex: str) -> str:
-        prefix = vertex + "/"
+        prefix = prefixes[vertex]
         return node[len(prefix):] if node.startswith(prefix) else node
 
     rows: dict[str, list[str]] = {v: [] for v in store.schema.vertices}

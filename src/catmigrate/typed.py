@@ -9,19 +9,24 @@ morphism k between typing instances induces three type-change functors:
   duplication otherwise);
 * ``typechange_pi`` forms the dependent product: over each target type the
   rows are the choice functions picking one source row per k-preimage.
+
+The slice category over a typing instance P is the category of instances on
+P's category of elements, so typed hom-sets are counted as plain ones there.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import SchemaMismatchError, TypeChangeError
+from .errors import SchemaMismatchError, StructuralError, TypeChangeError
 from .instances import (
     Instance,
     InstanceMorphism,
     compose_morphisms,
-    enumerate_morphisms,
+    count_morphisms,
     instance_fiber_product,
+    require_natural,
+    unpaired_images,
     validate_morphism,
 )
 from .migration import (
@@ -31,8 +36,8 @@ from .migration import (
     Translation,
     pi,
 )
-from .naming import encode_component
-from .schemas import DEFAULT_REWRITE_BUDGET, Schema
+from .naming import encode_component, pair_id
+from .schemas import DEFAULT_REWRITE_BUDGET, Arrow, Graph, Schema
 
 
 @dataclass
@@ -102,6 +107,8 @@ def typechange_delta(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     When k is injective this is a filter: the rows typed inside k's image
     keep their ids, and the columns are restricted to them.  Otherwise rows
     are duplicated with pair ids, as the right leg of the fiber product.
+    Either way a column value whose pair of images is not a row, which only
+    a typing or a k that is not natural gives, raises ``StructuralError``.
     """
     if t.typing.target != k.target:
         raise SchemaMismatchError("typechange_delta: typing does not land in k's target")
@@ -124,7 +131,14 @@ def typechange_delta(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     columns: dict[str, dict[str, str]] = {}
     for arrow in schema.arrows:
         column = t.instance.column(arrow.name)
-        columns[arrow.name] = {x: column[x] for x in rows[arrow.source]}
+        p_column = k.source.column(arrow.name)
+        over = typing[arrow.target]
+        columns[arrow.name] = mapping = {}
+        for x, p in typing[arrow.source].items():
+            y = mapping[x] = column[x]
+            # the fiber product's row (y, p's image) exists iff y is kept over it
+            if over.get(y) != p_column[p]:
+                raise StructuralError(unpaired_images(arrow.name, x, y, p, p_column[p]))
     pulled = Instance(schema, rows, columns)
     return TypedInstance(InstanceMorphism(pulled, k.source, typing))
 
@@ -239,18 +253,46 @@ def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     return TypedInstance(typing)
 
 
-def enumerate_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int | None = None):
-    """All slice morphisms t -> u: instance morphisms commuting with the typings."""
+def _on_elements(t: TypedInstance) -> Instance:
+    """``t`` as a plain instance on the category of elements of its typing
+    instance P: an instance typed over P is an instance on that category.
+
+    Vertex ``(v,p)`` holds the rows of ``t`` typed p, in table order, and
+    arrow ``(a,p)`` goes from ``(v,p)`` to the vertex of P's image of p, its
+    column being a's restricted to the rows typed p.  The category of
+    elements gets no equations: both ends of a morphism already satisfy the
+    schema's, and whether a map is natural does not depend on them.
+    """
+    P = t.typing_instance
+    schema = P.schema
+    rows: dict[str, list[str]] = {}
+    for v in schema.vertices:
+        typed_as = {p: rows.setdefault(pair_id(v, p), []) for p in P.row_set(v)}
+        tau = t.typing.component(v)
+        for x in t.instance.row_set(v):
+            typed_as[tau[x]].append(x)
+    arrows = []
+    columns: dict[str, dict[str, str]] = {}
+    for a in schema.arrows:
+        column = t.instance.column(a.name)
+        p_column = P.column(a.name)
+        for p in P.row_set(a.source):
+            name = pair_id(a.name, p)
+            source = pair_id(a.source, p)
+            arrows.append(Arrow(name, source, pair_id(a.target, p_column[p])))
+            columns[name] = {x: column[x] for x in rows[source]}
+    graph = Graph(tuple(rows), tuple(arrows))
+    return Instance(Schema(pair_id("elements", schema.name), graph), rows, columns)
+
+
+def count_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int = 5_000_000) -> int:
+    """Count slice morphisms t -> u: instance morphisms commuting with the
+    typings.  They are the plain morphisms between t and u read as instances
+    on the category of elements of the shared typing instance, so they are
+    counted by ``count_morphisms`` there, with its ``cap``.  Both typings must
+    be natural."""
     if t.typing_instance != u.typing_instance:
         raise SchemaMismatchError("typed morphisms need a shared typing instance")
-    for m in enumerate_morphisms(t.instance, u.instance, cap):
-        composite = compose_morphisms(m, u.typing)
-        if all(
-            composite.component(v) == t.typing.component(v)
-            for v in t.instance.schema.vertices
-        ):
-            yield m
-
-
-def count_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int | None = None) -> int:
-    return sum(1 for _ in enumerate_typed_morphisms(t, u, cap))
+    require_natural(t.typing, "typing of the source")
+    require_natural(u.typing, "typing of the target")
+    return count_morphisms(_on_elements(t), _on_elements(u), cap)

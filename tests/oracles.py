@@ -5,7 +5,8 @@ can be enumerated completely, the path-equivalence closure computed by
 exhaustive positional rewriting, and the colimit/limit taken literally:
 the colimit as a quotient of all (seed, path) terms, the limit as filtered
 assignments over all comma objects.  The dependent product's reference is
-``sectionwise_typechange_pi``, the .cat lexer's the character-by-character
+``sectionwise_typechange_pi``, the typed hom-set's the enumerate-and-filter
+``enumerate_typed_morphisms``, the .cat lexer's the character-by-character
 ``_tokenize`` at the end.
 """
 from __future__ import annotations
@@ -19,7 +20,12 @@ from catmigrate.errors import (
     SchemaMismatchError,
     TypeChangeError,
 )
-from catmigrate.instances import Instance, InstanceMorphism
+from catmigrate.instances import (
+    Instance,
+    InstanceMorphism,
+    compose_morphisms,
+    enumerate_morphisms,
+)
 from catmigrate.migration import Translation
 from catmigrate.naming import tuple_id, uniquify
 from catmigrate.typed import TypedInstance
@@ -507,6 +513,28 @@ def slot_search_morphisms(source: Instance, target: Instance, cap: int | None = 
                 del search.assignment[slot]
 
     yield from recurse(0)
+
+
+# ---------------------------------------------------------------------------
+# typed hom-sets: enumerate and filter
+# ---------------------------------------------------------------------------
+
+
+def enumerate_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int | None = None):
+    """All slice morphisms t -> u: instance morphisms commuting with the typings.
+
+    The engine's former typed hom-set: every untyped morphism, kept when its
+    composite with u's typing is t's typing.  The reference that
+    ``typed.count_typed_morphisms`` must agree with on natural typings."""
+    if t.typing_instance != u.typing_instance:
+        raise SchemaMismatchError("typed morphisms need a shared typing instance")
+    for m in enumerate_morphisms(t.instance, u.instance, cap):
+        composite = compose_morphisms(m, u.typing)
+        if all(
+            composite.component(v) == t.typing.component(v)
+            for v in t.instance.schema.vertices
+        ):
+            yield m
 
 
 # ---------------------------------------------------------------------------

@@ -138,3 +138,24 @@ def test_export_percent_encodes_spaces():
     text = export_triples(grothendieck(instance), "http://x")
     assert "has%20space" in text
     assert "has space" not in text
+
+
+def test_vertex_names_holding_slash_or_percent_keep_node_ids_distinct():
+    # vertex a's row b/c and vertex a/b's row c would both be node a/b/c
+    # without encoding the vertex part; a% and a%2F would then collide too
+    vertices = ("a", "a/b", "a%", "a%2F")
+    schema = Schema(
+        "Slash", Graph(vertices, (Arrow("to", "a/b", "a"), Arrow("back", "a%", "a%2F")))
+    )
+    instance = Instance(
+        schema,
+        {"a": ("b/c", "c"), "a/b": ("c",), "a%": ("2F/x",), "a%2F": ("x", "/x")},
+        {"to": {"c": "b/c"}, "back": {"2F/x": "/x"}},
+    )
+    store = grothendieck(instance)
+    ids = [node for node, _ in store.nodes]
+    assert len(ids) == len(set(ids)) == 6
+    assert ("a%2Fb/c", "to", "a/b/c") in store.triples
+    assert ("a%25/2F/x", "back", "a%252F//x") in store.triples
+    assert validate_store(store) == []
+    assert ungrothendieck(store) == instance

@@ -6,13 +6,15 @@ import re
 import pytest
 
 from catmigrate import instances
-from catmigrate.errors import TypeChangeError
+from catmigrate.errors import EnumerationCapError, StructuralError, TypeChangeError
 from catmigrate.instances import (
     Instance,
     InstanceMorphism,
+    count_morphisms,
     find_isomorphism,
     identity_morphism,
     validate_instance,
+    validate_morphism,
 )
 from catmigrate.migration import pi_full
 from catmigrate.schemas import Arrow, Graph, Path, Schema
@@ -34,7 +36,13 @@ from .generators import (
     rand_instance,
     rand_pi_hat_input,
 )
-from .oracles import PiOracle, nested_loop_pairs, pairwise_delta_hat, sectionwise_typechange_pi
+from .oracles import (
+    PiOracle,
+    enumerate_typed_morphisms,
+    nested_loop_pairs,
+    pairwise_delta_hat,
+    sectionwise_typechange_pi,
+)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +160,9 @@ def test_delta_hat_empty_source_empties_instance(paper_env):
 
 def _delta_hat_cases():
     """120 random (case, schema, k, t); every other k is injective, which
-    keeps the typed rows' own ids."""
+    keeps the typed rows' own ids.  Then one duplicating case whose ids spell
+    a pair, a ``uniquify`` suffix and the escape character: the pair ids are
+    distinct as they stand (an ``Instance`` refuses a repeated row)."""
     rng = random.Random(505)
     for case in range(120):
         make = rand_cyclic_schema if case % 3 == 0 else rand_acyclic_schema
@@ -161,6 +171,16 @@ def _delta_hat_cases():
         t = TypedInstance(rand_cover(rng, types, max_copies=3, tag="x"))
         k = rand_cover(rng, types, max_copies=1 + case % 2, tag="p")
         yield case, schema, k, t
+    schema = Schema("Loop", Graph(("A",), (Arrow("s", "A", "A"),)))
+    q = Instance(schema, {"A": ("q",)}, {"s": {"q": "q"}})
+    p_rows = ("(a", "b)", "x#2", "%")
+    p = Instance(schema, {"A": p_rows}, {"s": dict(zip(p_rows, p_rows[1:] + p_rows[:1]))})
+    k = InstanceMorphism(p, q, {"A": dict.fromkeys(p_rows, "q")})
+    x_rows = ("(a,b)", "x#2", "%", "x", "a", "(x,x#2)")
+    x = Instance(schema, {"A": x_rows}, {"s": dict(zip(x_rows, reversed(x_rows)))})
+    yield "adversarial", schema, k, TypedInstance(
+        InstanceMorphism(x, q, {"A": dict.fromkeys(x_rows, "q")})
+    )
 
 
 def _assert_same_typed(got: TypedInstance, want: TypedInstance, schema, case) -> None:
@@ -204,6 +224,27 @@ def test_delta_hat_noninjective_duplicates(paper_env):
     doubled = typechange_delta(fold, typed)
     assert len(doubled.instance.row_set("A")) == 4
     assert validate_typed(doubled) == []
+
+
+@pytest.mark.parametrize("p_rows", [("p",), ("p1", "p2")], ids=["filter", "fiber-product"])
+def test_delta_hat_refuses_a_typing_that_is_not_natural(p_rows):
+    # the loop f sends x to y, but x is typed q and y is typed r, and Q's f
+    # fixes both: the typing is not natural at f on x.  k sends P onto q, so
+    # x is kept and y is not; the filter used to leave f dangling, and the
+    # fiber product raised a bare KeyError
+    schema = Schema("Loop", Graph(("X",), (Arrow("f", "X", "X"),)))
+    q = Instance(schema, {"X": ("q", "r")}, {"f": {"q": "q", "r": "r"}})
+    p = Instance(schema, {"X": p_rows}, {"f": {row: row for row in p_rows}})
+    k = InstanceMorphism(p, q, {"X": dict.fromkeys(p_rows, "q")})
+    x = Instance(schema, {"X": ("x", "y")}, {"f": {"x": "y", "y": "y"}})
+    t = TypedInstance(InstanceMorphism(x, q, {"X": {"x": "q", "y": "r"}}))
+    p0 = p_rows[0]
+    message = (
+        f"arrow 'f' sends 'x' to 'y' and {p0!r} to {p0!r}, "
+        "which lie over different rows: a leg is not natural"
+    )
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        typechange_delta(k, t)
 
 
 def test_filtering_auxiliary_implied_instance(paper_env):
@@ -321,6 +362,93 @@ def test_slice_adjunctions_by_enumeration():
     left2 = count_typed_morphisms(typechange_delta(k, u), t2)
     right2 = count_typed_morphisms(u, typechange_pi(k, t2))
     assert left2 == right2
+
+
+# -- typed hom-sets on the category of elements --------------------------------
+
+
+def test_typed_endomorphisms_of_the_grouped_items(paper_env):
+    typed_items = paper_env[("typedinstance", "TypedItems")]
+    assert count_typed_morphisms(typed_items, typed_items) == 108
+
+
+def _natural_draws():
+    """``(seed, k, t)`` for the noise-0 ``rand_pi_hat_input`` draws whose k
+    and typing are both natural."""
+    for seed in range(200):
+        k, t = rand_pi_hat_input(random.Random(seed))
+        if not validate_morphism(k) and not validate_typed(t):
+            yield seed, k, t
+
+
+def _within(count, *args, cap: int = 2_000):
+    """``count(*args, cap=cap)``, or None where a component's search tries
+    more than ``cap`` rows."""
+    try:
+        return count(*args, cap=cap)
+    except EnumerationCapError:
+        return None
+
+
+def test_typed_homsets_match_enumerate_and_filter():
+    # t against u = delta-hat sigma-hat t, both ways; the reference walks the
+    # plain hom-set, so a pair is compared only where that has at most 20 000
+    # morphisms and counting it tries at most 2 000 rows per component
+    sizes = {"zero": 0, "one": 0, "more": 0}
+    for seed, k, t in _natural_draws():
+        u = typechange_delta(k, typechange_sigma(k, t))
+        for a, b in ((t, t), (t, u), (u, t), (u, u)):
+            plain = _within(count_morphisms, a.instance, b.instance)
+            if plain is None or plain > 20_000:
+                continue
+            want = sum(1 for _ in enumerate_typed_morphisms(a, b))
+            assert count_typed_morphisms(a, b) == want, seed
+            sizes[("zero", "one", "more")[min(want, 2)]] += 1
+    assert sum(sizes.values()) >= 200 and min(sizes.values()) >= 10, sizes
+
+
+def test_slice_adjunctions_on_schemas_with_arrows():
+    # sigma-hat -| delta-hat at (t, sigma-hat t), delta-hat -| pi-hat at
+    # (sigma-hat t, t); a check is skipped where pi-hat is undefined or a
+    # count tries more than 2 000 rows in one component
+    checked = {"sigma-delta": 0, "delta-pi": 0}
+    for seed, k, t in _natural_draws():
+        s = typechange_sigma(k, t)
+        u = typechange_delta(k, s)
+        left = _within(count_typed_morphisms, s, s)
+        right = _within(count_typed_morphisms, t, u)
+        if left is not None and right is not None:
+            assert left == right, seed
+            checked["sigma-delta"] += 1
+        try:
+            product = typechange_pi(k, t)
+        except TypeChangeError:
+            continue
+        left = _within(count_typed_morphisms, u, t)
+        right = _within(count_typed_morphisms, s, product)
+        if left is not None and right is not None:
+            assert left == right, seed
+            checked["delta-pi"] += 1
+    assert min(checked.values()) >= 60, checked
+
+
+def test_typed_homsets_refuse_typings_that_are_not_natural():
+    # even at noise 0 a draw can be ill-typed: an empty pool falls back to
+    # any row.  The empty instance typed over P is natural, so it isolates
+    # each end's check
+    refused = 0
+    for seed in range(200):
+        k, t = rand_pi_hat_input(random.Random(seed))
+        if not validate_typed(t):
+            continue
+        P = t.typing_instance
+        empty = TypedInstance(InstanceMorphism(Instance(P.schema), P, {}))
+        with pytest.raises(StructuralError, match="^typing of the source is not natural"):
+            count_typed_morphisms(t, empty)
+        with pytest.raises(StructuralError, match="^typing of the target is not natural"):
+            count_typed_morphisms(empty, t)
+        refused += 1
+    assert refused >= 50, refused
 
 
 def test_pi_hat_fiber_product_of_cardinalities():
