@@ -16,6 +16,7 @@ ALL_GOLDEN_FILES = [
     "truncated.cat",
     "equivalence.cat",
     "employee.cat",
+    "inferred_departments.cat",
     "self_email.cat",
     "times50.cat",
     "satisfaction.cat",
