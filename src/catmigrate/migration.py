@@ -297,7 +297,6 @@ class _SigmaEngine:
         self.bound = saturation_bound
         self.log = log
         self.terms: list[tuple] = []
-        self.term_ids: dict[tuple, int] = {}
         self.vertex_of: list[str] = []
         self.parent: list[int] = []
         self.size: list[int] = []  # class size, read at roots only
@@ -344,7 +343,12 @@ class _SigmaEngine:
 
     # -- terms ---------------------------------------------------------------
 
-    def new_term(self, term: tuple, vertex: str) -> int:
+    # A term rep + (arrow,) is only ever made where the class holding rep has
+    # no image under arrow, and a class keeps its terms and its images, so no
+    # term is made twice.
+
+    def charge(self, term: tuple, vertex: str) -> None:
+        """Count a term against the Skolem path cap and the bound at its vertex."""
         if len(term[2]) > DEFAULT_SKOLEM_PATH_CAP:
             raise SaturationOverflowError(
                 f"chase keeps extending Skolem paths past {DEFAULT_SKOLEM_PATH_CAP} at "
@@ -359,9 +363,11 @@ class _SigmaEngine:
                 vertex=vertex,
             )
         self.per_vertex[vertex] = count
+
+    def make_term(self, term: tuple, vertex: str) -> int:
+        """A new element, alone in its class; ``charge`` has counted it."""
         tid = len(self.terms)
         self.terms.append(term)
-        self.term_ids[term] = tid
         self.vertex_of.append(vertex)
         self.parent.append(tid)
         self.size.append(1)
@@ -369,19 +375,23 @@ class _SigmaEngine:
         self.img[tid] = {}
         return tid
 
+    def new_term(self, term: tuple, vertex: str) -> int:
+        self.charge(term, vertex)
+        return self.make_term(term, vertex)
+
+    def step_term(self, root: int, arrow: str) -> tuple:
+        c, r, arrows = self.terms[self.rep[root]]
+        return (c, r, arrows + (arrow,))
+
     def step_create(self, eid: int, arrow: str) -> int:
         """Image of an element under one arrow, creating a Skolem if missing."""
         root = self.find(eid)
         existing = self.img[root].get(arrow)
         if existing is not None:
             return self.find(existing)
-        c, r, arrows = self.terms[self.rep[root]]
-        term = (c, r, arrows + (arrow,))
-        tid = self.term_ids.get(term)
-        if tid is None:
-            tid = self.new_term(term, self.D.graph.arrow(arrow).target)
+        tid = self.new_term(self.step_term(root, arrow), self.D.graph.arrow(arrow).target)
         self.img[root][arrow] = tid
-        return self.find(tid)
+        return tid
 
     def step_assert(self, eid: int, arrow: str, target: int) -> None:
         root = self.find(eid)
@@ -395,6 +405,47 @@ class _SigmaEngine:
         for name in arrows:
             eid = self.step_create(eid, name)
         return eid
+
+    def settle(self, a: int, f: str | None, b: int, g: str | None) -> bool:
+        """Equate the f-image of a with the g-image of b, where None stands
+        for no step.  A missing image is asserted to be the other side's
+        element instead of being made and merged back; it is still charged,
+        and if its term would have named the class it is made and merged, as
+        before.  When both are missing, only the term that sorts first is
+        made.  True when the two were not yet equal."""
+        a, b = self.find(a), self.find(b)
+        x = a if f is None else self.img[a].get(f)
+        y = b if g is None else self.img[b].get(g)
+        if x is not None and y is not None:
+            if self.find(x) == self.find(y):
+                return False
+            self.queue.append((x, y))
+            return True
+        if x is None and y is None:
+            s, t = self.step_term(a, f), self.step_term(b, g)
+            vertex = self.D.graph.arrow(f).target
+            if s == t:
+                self.img[a][f] = self.new_term(s, vertex)
+                return False
+            self.charge(s, vertex)
+            self.charge(t, vertex)
+            tid = self.make_term(min(s, t, key=_term_sort_key), vertex)
+            self.img[a][f] = self.img[b][g] = tid
+            return True
+        if x is None:
+            at, arrow, x = a, f, y
+        else:
+            at, arrow = b, g
+        term = self.step_term(at, arrow)
+        vertex = self.vertex_of[x]
+        if _term_sort_key(term) < _term_sort_key(self.terms[self.rep[self.find(x)]]):
+            tid = self.new_term(term, vertex)
+            self.queue.append((tid, x))
+        else:
+            self.charge(term, vertex)
+            tid = x
+        self.img[at][arrow] = tid
+        return True
 
     # -- chase phases ---------------------------------------------------------
 
@@ -420,24 +471,22 @@ class _SigmaEngine:
     def apply_equations(self) -> bool:
         changed = False
         for eq in self.D.equivalences:
-            roots = [r for r in list(self.rep) if self.vertex_of[r] == eq.lhs.source]
+            lhs, rhs = eq.lhs.arrows, eq.rhs.arrows
+            f = lhs[-1] if lhs else None
+            g = rhs[-1] if rhs else None
+            roots = [r for r in self.rep if self.vertex_of[r] == eq.lhs.source]
             for root in roots:
-                if root not in self.rep:  # merged away mid-loop
-                    continue
-                lhs = self.walk_create(root, eq.lhs.arrows)
-                rhs = self.walk_create(root, eq.rhs.arrows)
-                if self.find(lhs) != self.find(rhs):
-                    self.queue.append((lhs, rhs))
-                    changed = True
+                a = self.walk_create(root, lhs[:-1])
+                b = self.walk_create(root, rhs[:-1])
+                changed |= self.settle(a, f, b, g)
         return changed
 
     def totalize(self) -> bool:
         changed = False
-        for root in list(self.rep):
-            if root not in self.rep:
-                continue
+        for root in list(self.rep):  # rep holds only roots; no union runs here
+            img = self.img[root]
             for arrow in self.D.graph.out_arrows(self.vertex_of[root]):
-                if arrow.name not in self.img[self.find(root)]:
+                if arrow.name not in img:
                     self.step_create(root, arrow.name)
                     changed = True
         return changed
@@ -462,34 +511,48 @@ class _SigmaEngine:
     # -- extraction ------------------------------------------------------------
 
     def _root_order_key(self, root: int) -> tuple:
+        """Seeds in source table order, then Skolem elements by their seed's
+        place, path length and arrow order."""
         c, r, arrows = self.terms[self.rep[root]]
-        c_idx = self.F.source.graph.vertex_index(c)
-        r_idx = self.I.positions(c)[r]
-        arrow_order = tuple(self.D.graph.arrow_order(a) for a in arrows)
-        return (bool(arrows), c_idx, r_idx, len(arrows), arrow_order)
+        positions = self.I._positions
+        at = (positions[c] if c in positions else self.I.positions(c))[r]
+        if not arrows:
+            return (False, self.F.source.graph._vertex_order[c], at)
+        order = self.D.graph._arrow_order
+        return (
+            True,
+            self.F.source.graph._vertex_order[c],
+            at,
+            len(arrows),
+            tuple([order[a] for a in arrows]),
+        )
 
     def extract(self) -> "SigmaResult":
+        terms, rep, find, img = self.terms, self.rep, self.find, self.img
         roots_by_vertex: dict[str, list[int]] = {v: [] for v in self.D.vertices}
-        for root in self.rep:
+        for root in rep:
             roots_by_vertex[self.vertex_of[root]].append(root)
         rows: dict[str, tuple[str, ...]] = {}
         display: dict[int, str] = {}
         row_term: dict[tuple[str, str], tuple] = {}
         for v in self.D.vertices:
             ordered = sorted(roots_by_vertex[v], key=self._root_order_key)
-            names = uniquify([_term_display(self.terms[self.rep[r]]) for r in ordered])
+            names = [_term_display(terms[rep[root]]) for root in ordered]
+            if len(set(names)) < len(names):
+                names = uniquify(names)
             rows[v] = tuple(names)
             for root, name in zip(ordered, names):
                 display[root] = name
-                row_term[(v, name)] = self.terms[self.rep[root]]
+                row_term[(v, name)] = terms[rep[root]]
         columns: dict[str, dict[str, str]] = {}
         for arrow in self.D.arrows:
-            mapping = {}
-            for root in roots_by_vertex[arrow.source]:
-                mapping[display[root]] = display[self.find(self.img[root][arrow.name])]
-            columns[arrow.name] = mapping
+            name = arrow.name
+            columns[name] = {
+                display[root]: display[find(img[root][name])]
+                for root in roots_by_vertex[arrow.source]
+            }
         instance = Instance(self.D, rows, columns)
-        seed_row = {key: display[self.find(tid)] for key, tid in self.seeds.items()}
+        seed_row = {key: display[find(tid)] for key, tid in self.seeds.items()}
         return SigmaResult(instance, seed_row, row_term)
 
 

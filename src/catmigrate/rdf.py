@@ -143,14 +143,15 @@ def ungrothendieck(store: TripleStore) -> Instance:
     )
 
 
-def _uri(base: str, component: str) -> str:
-    return "<" + base.rstrip("/") + "/" + quote(component, safe="/:$-_.~()") + ">"
-
-
 def export_triples(store: TripleStore, base: str) -> str:
-    """One sorted line per triple: ``<base/subj> <base/pred> <base/obj> .``"""
-    lines = [
-        f"{_uri(base, s)} {_uri(base, p)} {_uri(base, o)} ."
-        for s, p, o in store.triples
-    ]
-    return "".join(line + "\n" for line in sorted(lines))
+    """One sorted line per triple: ``<base/subj> <base/pred> <base/obj> .``
+
+    Each distinct component is quoted once: node ids recur across triples,
+    and predicates in every one."""
+    prefix = "<" + base.rstrip("/") + "/"
+    uri = {
+        component: prefix + quote(component, safe="/:$-_.~()") + ">"
+        for component in {c for triple in store.triples for c in triple}
+    }
+    lines = sorted(f"{uri[s]} {uri[p]} {uri[o]} ." for s, p, o in store.triples)
+    return "".join(line + "\n" for line in lines)

@@ -95,9 +95,12 @@ def validate_typed(t: TypedInstance) -> list:
 
 
 def typechange_sigma(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
-    """Left pushforward: same instance, typing post-composed with k."""
+    """Left pushforward: same instance, typing post-composed with k.  A k that
+    is not natural would give a typing that is not natural, so it raises
+    ``StructuralError``."""
     if t.typing.target != k.source:
         raise SchemaMismatchError("typechange_sigma: typing does not land in k's source")
+    require_natural(k, "k")
     return TypedInstance(compose_morphisms(t.typing, k))
 
 

@@ -385,3 +385,86 @@ def rand_translation(
     equations = tuple(candidates[: rng.randint(0, max_equations)])
     source = Schema(f"{name_prefix}src", graph, equations)
     return Translation(source, target, vertex_map, arrow_map)
+
+
+def company_staff(
+    rng: random.Random, employees: int, departments: int, shuffle: bool = False
+) -> tuple[Translation, Instance]:
+    """Staff on ``Company`` without ``isIn``, and the inclusion into it.
+
+    Shaped like the benchmark's company input: each department's manager
+    chains stay inside it and end at a self-managed head, and its secretary
+    works in it, so sigma along the inclusion infers every employee's
+    department from ``Mgr.isIn = isIn`` and ``Secr.isIn = id`` and makes no
+    new employees.  Needs at least one employee per department.  With
+    ``shuffle`` the tables list their rows in random order, so a manager may come after its staff.
+    """
+    vertices = ("Employee", "Department", "String1", "String2", "String3")
+    common = (
+        Arrow("First", "Employee", "String1"),
+        Arrow("Last", "Employee", "String2"),
+        Arrow("Mgr", "Employee", "Employee"),
+        Arrow("Name", "Department", "String3"),
+        Arrow("Secr", "Department", "Employee"),
+    )
+    source = Schema("CompanySrc", Graph(vertices, common))
+    target = Schema(
+        "Company",
+        Graph(vertices, common + (Arrow("isIn", "Employee", "Department"),)),
+        (
+            PathEquivalence(Path("Employee", ("Mgr", "isIn")), Path("Employee", ("isIn",))),
+            PathEquivalence(Path("Department", ("Secr", "isIn")), Path("Department", ())),
+        ),
+    )
+    emps = [f"e{i:05d}" for i in range(employees)]
+    firsts = [f"first{i:03d}" for i in range(max(1, employees // 20))]
+    lasts = [f"last{i:03d}" for i in range(max(1, employees // 10))]
+    names = [f"dept{i:03d}" for i in range(departments)]
+    depts = [f"d{i:03d}" for i in range(departments)]
+    members: list[list[str]] = [[] for _ in range(departments)]
+    mgr: dict[str, str] = {}
+    for i, e in enumerate(emps):
+        d = i if i < departments else rng.randrange(departments)
+        mgr[e] = rng.choice(members[d]) if members[d] else e
+        members[d].append(e)
+    rows = {
+        "Employee": emps,
+        "Department": depts,
+        "String1": firsts,
+        "String2": lasts,
+        "String3": names,
+    }
+    if shuffle:
+        for table in rows.values():
+            rng.shuffle(table)
+    columns = {
+        "First": {e: rng.choice(firsts) for e in emps},
+        "Last": {e: rng.choice(lasts) for e in emps},
+        "Mgr": mgr,
+        "Name": dict(zip(depts, names)),
+        "Secr": {d: rng.choice(staff) for d, staff in zip(depts, members)},
+    }
+    translation = Translation(
+        source,
+        target,
+        {v: v for v in vertices},
+        {a.name: Path(a.source, (a.name,)) for a in common},
+    )
+    return translation, Instance(source, {v: tuple(t) for v, t in rows.items()}, columns)
+
+
+def rand_inclusion(rng: random.Random, name: str) -> tuple[Translation, Instance]:
+    """A random cyclic schema, a source that keeps its vertices and some of
+    its arrows with no equations, the inclusion, and a random instance on the
+    source: sigma must infer the dropped arrows from the equations, as it
+    infers ``isIn`` on the company input."""
+    target = rand_cyclic_schema(rng, name, max_equations=3)
+    kept = tuple(a for a in target.arrows if rng.random() < 0.5)
+    source = Schema(f"{name}src", Graph(target.vertices, kept))
+    translation = Translation(
+        source,
+        target,
+        {v: v for v in target.vertices},
+        {a.name: Path(a.source, (a.name,)) for a in kept},
+    )
+    return translation, rand_instance(rng, source)

@@ -12,11 +12,14 @@ assignments over all comma objects.  The dependent product's reference is
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
+from urllib.parse import quote
 
 from catmigrate.errors import (
     EnumerationCapError,
     ParseError,
+    SaturationOverflowError,
     SchemaMismatchError,
     TypeChangeError,
 )
@@ -26,8 +29,17 @@ from catmigrate.instances import (
     compose_morphisms,
     enumerate_morphisms,
 )
-from catmigrate.migration import Translation
+from catmigrate.migration import (
+    DEFAULT_SATURATION_BOUND,
+    DEFAULT_SKOLEM_PATH_CAP,
+    MigrationLog,
+    SigmaResult,
+    Translation,
+    _term_display,
+    _term_sort_key,
+)
 from catmigrate.naming import tuple_id, uniquify
+from catmigrate.rdf import TripleStore
 from catmigrate.typed import TypedInstance
 from catmigrate.schemas import _MAX_VISITED_STATES, Equivalence, Graph, Path, Schema, path_target
 
@@ -228,6 +240,255 @@ def assert_sigma_matches(translation: Translation, instance: Instance, result) -
             for arrow in translation.target.graph.out_arrows(d):
                 extended = (term[0], term[1], term[2] + (arrow.name,))
                 assert result.instance.column(arrow.name)[row] == engine_element(extended)
+
+
+# ---------------------------------------------------------------------------
+# sigma reference: the chase that builds both sides of every equation
+# ---------------------------------------------------------------------------
+
+# The chase as it was before equations were settled by assertion: it creates
+# a Skolem element for every missing step on both sides of an equation and
+# lets the union merge them back.  Verbatim apart from its name.
+
+
+class MergeBackSigmaEngine:
+    def __init__(
+        self,
+        translation: Translation,
+        instance: Instance,
+        saturation_bound: int,
+        log: MigrationLog | None,
+    ):
+        self.F = translation
+        self.I = instance
+        self.D = translation.target
+        self.bound = saturation_bound
+        self.log = log
+        self.terms: list[tuple] = []
+        self.term_ids: dict[tuple, int] = {}
+        self.vertex_of: list[str] = []
+        self.parent: list[int] = []
+        self.size: list[int] = []  # class size, read at roots only
+        self.rep: dict[int, int] = {}
+        self.img: dict[int, dict[str, int]] = {}
+        self.queue: deque[tuple[int, int]] = deque()
+        self.per_vertex: dict[str, int] = {v: 0 for v in self.D.vertices}
+        self.seeds: dict[tuple[str, str], int] = {}
+
+    # -- union-find ---------------------------------------------------------
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        if _term_sort_key(self.terms[self.rep[rb]]) < _term_sort_key(self.terms[self.rep[ra]]):
+            self.rep[ra] = self.rep[rb]
+        del self.rep[rb]
+        target_img = self.img[ra]
+        for name, t in self.img.pop(rb).items():
+            if name in target_img:
+                self.queue.append((t, target_img[name]))
+            else:
+                target_img[name] = t
+        return True
+
+    def process_queue(self) -> bool:
+        changed = False
+        while self.queue:
+            a, b = self.queue.popleft()
+            changed |= self.union(a, b)
+        return changed
+
+    # -- terms ---------------------------------------------------------------
+
+    def new_term(self, term: tuple, vertex: str) -> int:
+        if len(term[2]) > DEFAULT_SKOLEM_PATH_CAP:
+            raise SaturationOverflowError(
+                f"chase keeps extending Skolem paths past {DEFAULT_SKOLEM_PATH_CAP} at "
+                f"vertex {vertex!r}; the colimit there is infinite or the bound too low",
+                vertex=vertex,
+            )
+        count = self.per_vertex[vertex] + 1
+        if count > self.bound:
+            raise SaturationOverflowError(
+                f"chase exceeded {self.bound} elements at vertex {vertex!r}; "
+                "the colimit there is infinite or the bound too low",
+                vertex=vertex,
+            )
+        self.per_vertex[vertex] = count
+        tid = len(self.terms)
+        self.terms.append(term)
+        self.term_ids[term] = tid
+        self.vertex_of.append(vertex)
+        self.parent.append(tid)
+        self.size.append(1)
+        self.rep[tid] = tid
+        self.img[tid] = {}
+        return tid
+
+    def step_create(self, eid: int, arrow: str) -> int:
+        """Image of an element under one arrow, creating a Skolem if missing."""
+        root = self.find(eid)
+        existing = self.img[root].get(arrow)
+        if existing is not None:
+            return self.find(existing)
+        c, r, arrows = self.terms[self.rep[root]]
+        term = (c, r, arrows + (arrow,))
+        tid = self.term_ids.get(term)
+        if tid is None:
+            tid = self.new_term(term, self.D.graph.arrow(arrow).target)
+        self.img[root][arrow] = tid
+        return self.find(tid)
+
+    def step_assert(self, eid: int, arrow: str, target: int) -> None:
+        root = self.find(eid)
+        existing = self.img[root].get(arrow)
+        if existing is None:
+            self.img[root][arrow] = target
+        else:
+            self.queue.append((existing, target))
+
+    def walk_create(self, eid: int, arrows: tuple[str, ...]) -> int:
+        for name in arrows:
+            eid = self.step_create(eid, name)
+        return eid
+
+    # -- chase phases ---------------------------------------------------------
+
+    def seed(self) -> None:
+        for c in self.F.source.vertices:
+            vertex = self.F.vertex_image(c)
+            for r in self.I.row_set(c):
+                self.seeds[(c, r)] = self.new_term((c, r, ()), vertex)
+
+    def assert_naturality(self) -> None:
+        for arrow in self.F.source.arrows:
+            image = self.F.arrow_image(arrow.name)
+            column = self.I.column(arrow.name)
+            for r in self.I.row_set(arrow.source):
+                start = self.seeds[(arrow.source, r)]
+                end = self.seeds[(arrow.target, column[r])]
+                if not image.arrows:
+                    self.queue.append((start, end))
+                    continue
+                at = self.walk_create(start, image.arrows[:-1])
+                self.step_assert(at, image.arrows[-1], end)
+
+    def apply_equations(self) -> bool:
+        changed = False
+        for eq in self.D.equivalences:
+            roots = [r for r in list(self.rep) if self.vertex_of[r] == eq.lhs.source]
+            for root in roots:
+                if root not in self.rep:  # merged away mid-loop
+                    continue
+                lhs = self.walk_create(root, eq.lhs.arrows)
+                rhs = self.walk_create(root, eq.rhs.arrows)
+                if self.find(lhs) != self.find(rhs):
+                    self.queue.append((lhs, rhs))
+                    changed = True
+        return changed
+
+    def totalize(self) -> bool:
+        changed = False
+        for root in list(self.rep):
+            if root not in self.rep:
+                continue
+            for arrow in self.D.graph.out_arrows(self.vertex_of[root]):
+                if arrow.name not in self.img[self.find(root)]:
+                    self.step_create(root, arrow.name)
+                    changed = True
+        return changed
+
+    def run(self) -> None:
+        self.seed()
+        self.assert_naturality()
+        self.process_queue()
+        while True:
+            changed = self.apply_equations()
+            changed |= self.process_queue()
+            changed |= self.totalize()
+            changed |= self.process_queue()
+            if self.log is not None:
+                counts: dict[str, int] = {v: 0 for v in self.D.vertices}
+                for root in self.rep:
+                    counts[self.vertex_of[root]] += 1
+                self.log.saturation_rounds.append(counts)
+            if not changed:
+                return
+
+    # -- extraction ------------------------------------------------------------
+
+    def _root_order_key(self, root: int) -> tuple:
+        c, r, arrows = self.terms[self.rep[root]]
+        c_idx = self.F.source.graph.vertex_index(c)
+        r_idx = self.I.positions(c)[r]
+        arrow_order = tuple(self.D.graph.arrow_order(a) for a in arrows)
+        return (bool(arrows), c_idx, r_idx, len(arrows), arrow_order)
+
+    def extract(self) -> "SigmaResult":
+        roots_by_vertex: dict[str, list[int]] = {v: [] for v in self.D.vertices}
+        for root in self.rep:
+            roots_by_vertex[self.vertex_of[root]].append(root)
+        rows: dict[str, tuple[str, ...]] = {}
+        display: dict[int, str] = {}
+        row_term: dict[tuple[str, str], tuple] = {}
+        for v in self.D.vertices:
+            ordered = sorted(roots_by_vertex[v], key=self._root_order_key)
+            names = uniquify([_term_display(self.terms[self.rep[r]]) for r in ordered])
+            rows[v] = tuple(names)
+            for root, name in zip(ordered, names):
+                display[root] = name
+                row_term[(v, name)] = self.terms[self.rep[root]]
+        columns: dict[str, dict[str, str]] = {}
+        for arrow in self.D.arrows:
+            mapping = {}
+            for root in roots_by_vertex[arrow.source]:
+                mapping[display[root]] = display[self.find(self.img[root][arrow.name])]
+            columns[arrow.name] = mapping
+        instance = Instance(self.D, rows, columns)
+        seed_row = {key: display[self.find(tid)] for key, tid in self.seeds.items()}
+        return SigmaResult(instance, seed_row, row_term)
+
+
+def merge_back_sigma_full(
+    translation: Translation,
+    instance: Instance,
+    saturation_bound: int = DEFAULT_SATURATION_BOUND,
+    log: MigrationLog | None = None,
+) -> SigmaResult:
+    """``sigma_full`` on the reference chase, for differential tests."""
+    engine = MergeBackSigmaEngine(translation, instance, saturation_bound, log)
+    engine.run()
+    return engine.extract()
+
+
+# ---------------------------------------------------------------------------
+# RDF export reference: every component quoted where it is printed
+# ---------------------------------------------------------------------------
+
+
+def _uri(base: str, component: str) -> str:
+    return "<" + base.rstrip("/") + "/" + quote(component, safe="/:$-_.~()") + ">"
+
+
+def per_triple_export(store: TripleStore, base: str) -> str:
+    """``rdf.export_triples`` as it was, quoting three components per triple."""
+    lines = [
+        f"{_uri(base, s)} {_uri(base, p)} {_uri(base, o)} ."
+        for s, p, o in store.triples
+    ]
+    return "".join(line + "\n" for line in sorted(lines))
 
 
 # The chase's orders over the tagged terms it once used: ('b', c, r) for the

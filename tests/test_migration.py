@@ -6,6 +6,7 @@ import pytest
 
 from catmigrate import migration
 from catmigrate.errors import (
+    EngineError,
     EnumerationCapError,
     PathBoundInstabilityError,
     SaturationOverflowError,
@@ -51,10 +52,18 @@ from catmigrate.migration import (
 )
 from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema
 
-from .generators import rand_acyclic_schema, rand_instance, rand_translation, shuffled_rows
+from .generators import (
+    company_staff,
+    rand_acyclic_schema,
+    rand_inclusion,
+    rand_instance,
+    rand_translation,
+    shuffled_rows,
+)
 from .oracles import (
     assert_pi_matches,
     assert_sigma_matches,
+    merge_back_sigma_full,
     nested_loop_families,
     tag_term,
     tagged_root_order_key,
@@ -484,6 +493,83 @@ def test_sigma_term_orders_match_the_tagged_keys():
                 assert _sign(new_keys[i], new_keys[j]) == _sign(old_keys[i], old_keys[j])
                 assert _sign(new_roots[i], new_roots[j]) == _sign(old_roots[i], old_roots[j])
 
+
+
+def test_sigma_settles_equations_without_merging_skolems_back(monkeypatch):
+    # sigma must infer every employee's department.  Making both sides of
+    # Mgr.isIn = isIn in full made about three Skolems per employee and
+    # merged nearly all of them back
+    translation, instance = company_staff(random.Random(2024), 200, 8)
+    merges = []
+    union = migration._SigmaEngine.union
+
+    def counting_union(self, a, b):
+        merges.append(union(self, a, b))
+        return merges[-1]
+
+    monkeypatch.setattr(migration._SigmaEngine, "union", counting_union)
+    engine = migration._SigmaEngine(translation, instance, 1000, None)
+    engine.run()
+    out = engine.extract().instance
+    sizes = {v: len(out.row_set(v)) for v in out.schema.vertices}
+    assert sizes == {"Employee": 200, "Department": 8, "String1": 10, "String2": 20, "String3": 8}
+    assert validate_instance(out) == []
+    assert len(engine.terms) < 1.1 * sum(sizes.values())
+    assert sum(merges) <= 2 * 8
+
+
+def _sigma_draw(rng: random.Random, case: int) -> tuple[Translation, Instance, int]:
+    """An acyclic ``rand_translation`` input, a cyclic inclusion, or a small
+    company input with its rows shuffled, in turn, each with a bound that
+    small inputs can overflow."""
+    bound = rng.choice((6, 12, 30, 1000))
+    if case % 3 == 0:
+        target = rand_acyclic_schema(rng, f"A{case}", max_vertices=4, max_arrows=5, max_equations=3)
+        f = rand_translation(rng, target, name_prefix=f"a{case}_")
+        return f, shuffled_rows(rng, rand_instance(rng, f.source, max_rows=4)), bound
+    if case % 3 == 1:
+        return (*rand_inclusion(rng, f"C{case}"), bound)
+    departments = rng.randint(1, 4)
+    employees = rng.randint(departments, 12)
+    return (*company_staff(rng, employees, departments, shuffle=True), bound)
+
+
+def _chase(run, translation, instance, bound):
+    log = MigrationLog()
+    try:
+        return run(translation, instance, bound, log), log, None
+    except EngineError as error:
+        return None, log, error
+
+
+def test_sigma_matches_the_merge_back_chase():
+    # The reference makes both sides of each equation and merges them; it
+    # charges the bound for Skolems it merges back, so it may overflow where
+    # the settling chase does not, but never the other way round.  Row ids
+    # may differ: each is the least term the chase happened to make
+    rng = random.Random(8128)
+    outcomes = {"same": 0, "failed": 0, "only the reference failed": 0}
+    for case in range(2400):
+        f, instance, bound = _sigma_draw(rng, case)
+        got, got_log, got_error = _chase(sigma_full, f, instance, bound)
+        want, want_log, want_error = _chase(merge_back_sigma_full, f, instance, bound)
+        if got_error is not None:
+            assert type(want_error) is type(got_error), (case, got_error, want_error)
+            outcomes["failed"] += 1
+            continue
+        if want_error is not None:
+            outcomes["only the reference failed"] += 1
+            want, want_log, want_error = _chase(merge_back_sigma_full, f, instance, 100_000)
+            assert want_error is None, (case, want_error)
+        else:
+            outcomes["same"] += 1
+        a, b = got.instance, want.instance
+        assert got_log.saturation_rounds == want_log.saturation_rounds, case
+        assert {v: len(a.row_set(v)) for v in a.schema.vertices} == {
+            v: len(b.row_set(v)) for v in b.schema.vertices
+        }, case
+        assert find_isomorphism(a, b) is not None, case
+    assert min(outcomes.values()) >= 50, outcomes
 
 def test_sigma_on_morphism_inclusion_and_merge(F, I):
     # identity maps to identity

@@ -10,6 +10,7 @@ from catmigrate.errors import EnumerationCapError, StructuralError, TypeChangeEr
 from catmigrate.instances import (
     Instance,
     InstanceMorphism,
+    compose_morphisms,
     count_morphisms,
     find_isomorphism,
     identity_morphism,
@@ -246,6 +247,18 @@ def test_delta_hat_refuses_a_typing_that_is_not_natural(p_rows):
     with pytest.raises(StructuralError, match=re.escape(message)):
         typechange_delta(k, t)
 
+
+
+@pytest.mark.parametrize("seed", [44, 45])
+def test_sigma_hat_refuses_a_k_that_is_not_natural(seed):
+    # on these noise-0 draws t is natural and k is not, and composing the
+    # typing with k gives one that is not natural either
+    k, t = rand_pi_hat_input(random.Random(seed))
+    assert validate_typed(t) == []
+    assert validate_morphism(k) != []
+    assert validate_morphism(compose_morphisms(t.typing, k)) != []
+    with pytest.raises(StructuralError, match="^k is not natural: naturality fails for arrow"):
+        typechange_sigma(k, t)
 
 def test_filtering_auxiliary_implied_instance(paper_env):
     # the bridge holding only the sub-$100 salaries induces: Employee rows are
