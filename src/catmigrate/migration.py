@@ -4,9 +4,12 @@ delta composes an instance with a translation (projection/duplication).
 sigma is the left adjoint, computed by a chase: seed every source row, assert
 naturality along translated arrows, invent Skolem elements for missing column
 values, and close under the target schema's equations with a union-find
-congruence.  pi is the right adjoint, computed pointwise as compatible
-families over a bounded comma category.  Both pushforwards are infinite in
-general, so they run under explicit bounds and fail loudly when exceeded.
+congruence.  An equation's two sides are walked to the element before their
+last arrow, and a missing last step is asserted to be the other side's
+element, not invented and merged back; it still counts against the bounds.
+pi is the right adjoint, computed pointwise as compatible families over a
+bounded comma category.  Both pushforwards are infinite in general, so they
+run under explicit bounds and fail loudly when exceeded.
 """
 from __future__ import annotations
 

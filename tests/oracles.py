@@ -7,7 +7,9 @@ the colimit as a quotient of all (seed, path) terms, the limit as filtered
 assignments over all comma objects.  The dependent product's reference is
 ``sectionwise_typechange_pi``, the typed hom-set's the enumerate-and-filter
 ``enumerate_typed_morphisms``, the .cat lexer's the character-by-character
-``_tokenize`` at the end.
+``_tokenize`` at the end.  ``MergeBackSigmaEngine`` is the sigma chase that
+made both sides of every equation and merged them, and ``per_triple_export``
+the RDF export that quoted every component where it printed it.
 """
 from __future__ import annotations
 
