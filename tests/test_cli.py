@@ -282,9 +282,8 @@ def test_migrate_json_report_includes_chase_rounds(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-# pi into Company enumerates Mgr's path classes for minutes before it stops
-# (over 5 minutes on a one-employee instance), so these translations are not
-# run through pi here.
+# pi into Company runs for minutes (it had not finished after 5 minutes on a
+# one-employee instance), so these translations are not run through pi here.
 _NO_PI = {"Infer"}
 
 
