@@ -748,22 +748,44 @@ def _print_schema(decl: SchemaDecl) -> str:
     return "\n".join(lines)
 
 
+class _Formatted(dict):
+    """name -> ``format_name(name)``, each name formatted on its first lookup."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = format_name(name)
+        return text
+
+
 def _print_instance(decl: InstanceDecl) -> str:
+    """One line per row, its cells a column at a time: each arrow's name is
+    formatted once per table and each distinct value once per instance.  A
+    name that cannot be printed is reported in the order of a cell-by-cell
+    printer: the arrow names and values of a row's cells in turn, then the
+    row."""
     instance = decl.instance
     schema = instance.schema
+    columns = instance.columns
+    formatted = _Formatted()
     lines = [f"instance {format_name(decl.name)} on {format_name(decl.schema_name)} {{"]
     for v in schema.vertices:
         lines.append(f"  table {format_name(v)} {{")
+        table = instance.rows[v]
         out_arrows = schema.graph.out_arrows(v)
-        for row in instance.row_set(v):
-            if out_arrows:
-                cells = ", ".join(
-                    f"{format_name(a.name)} = {format_name(instance.column(a.name)[row])}"
-                    for a in out_arrows
-                )
-                lines.append(f"    {format_name(row)} -> ({cells})")
-            else:
-                lines.append(f"    {format_name(row)}")
+        if table and out_arrows:
+            cells: list[tuple[str, dict[str, str]]] = []
+            for a in out_arrows:
+                try:
+                    head = formatted[a.name] + " = "
+                except StructuralError:
+                    for _, earlier in cells:  # the first row's earlier values come first
+                        formatted[earlier[table[0]]]
+                    raise
+                cells.append((head, columns[a.name]))
+            for row in table:
+                text = ", ".join([head + formatted[column[row]] for head, column in cells])
+                lines.append(f"    {formatted[row]} -> ({text})")
+        else:
+            lines.extend([f"    {formatted[row]}" for row in table])
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines)

@@ -31,10 +31,10 @@ class Instance:
     """One ordered row set per vertex and one column per arrow.
 
     The instance is frozen, every table is a tuple, and ``rows`` and
-    ``columns`` are read-only views of copies of the caller's mappings, so
-    the row -> position map of a table, built on its first membership or
-    position query, cannot go stale.  The column dicts themselves are still
-    shared with the caller.
+    ``columns`` are read-only views of copies of the caller's mappings, each
+    column dict copied too, so neither the row -> position map of a table,
+    built on its first membership or position query, nor a loop over a
+    column can go stale under a change the caller makes.
     """
 
     schema: Schema
@@ -48,7 +48,7 @@ class Instance:
         graph = self.schema.graph
         # Copies, so that filling in the empty tables leaves the caller's dicts alone.
         rows = {v: tuple(table) for v, table in self.rows.items()}
-        columns = dict(self.columns)
+        columns = {name: dict(column) for name, column in self.columns.items()}
         for v in self.schema.vertices:
             rows.setdefault(v, ())
         for a in self.schema.arrows:
@@ -105,6 +105,18 @@ def evaluate_path(instance: Instance, path: Path, row: str) -> str:
     return at
 
 
+def path_values(instance: Instance, path: Path, rows) -> list:
+    """``path``'s value at each of ``rows``, composed a column at a time.
+
+    Where a step finds no value, ``evaluate_path`` raises, and the row's
+    value here is None: no column has None as a key, so it stays None.
+    """
+    values = list(rows)
+    for name in path.arrows:
+        values = list(map(instance.column(name).get, values))
+    return values
+
+
 @dataclass(frozen=True)
 class MissingColumnValue:
     arrow: str
@@ -153,20 +165,24 @@ def validate_instance(instance: Instance) -> list:
     for arrow in schema.arrows:
         column = instance.column(arrow.name)
         targets = instance.positions(arrow.target)
-        for row in instance.row_set(arrow.source):
+        table = instance.row_set(arrow.source)
+        if all(map(targets.__contains__, map(column.get, table))):
+            continue
+        for row in table:
             if row not in column:
                 report.append(MissingColumnValue(arrow.name, row))
             elif column[row] not in targets:
                 report.append(DanglingColumnValue(arrow.name, row, column[row]))
     for eq in schema.equivalences:
-        for row in instance.row_set(eq.lhs.source):
-            try:
-                lhs = evaluate_path(instance, eq.lhs, row)
-                rhs = evaluate_path(instance, eq.rhs, row)
-            except UnknownRowError:
-                continue  # already reported structurally
-            if lhs != rhs:
-                report.append(EquationViolation(str(eq), row, lhs, rhs))
+        table = instance.row_set(eq.lhs.source)
+        lhs = path_values(instance, eq.lhs, table)
+        rhs = path_values(instance, eq.rhs, table)
+        if lhs == rhs:
+            continue
+        for row, left, right in zip(table, lhs, rhs):
+            # a side with no value was already reported structurally
+            if left != right and left is not None and right is not None:
+                report.append(EquationViolation(str(eq), row, left, right))
     return report
 
 

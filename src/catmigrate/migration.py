@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 from .errors import (
     EnumerationCapError,
@@ -30,6 +31,7 @@ from .instances import (
     InstanceMorphism,
     assignments,
     evaluate_path,
+    path_values,
     require_natural,
 )
 from .naming import keyed_id, uniquify
@@ -242,7 +244,9 @@ def delta(translation: Translation, instance: Instance) -> Instance:
     """Pull a target-schema instance back to the source schema.
 
     Row sets are reused verbatim; each source arrow's column is the target
-    instance evaluated along the arrow's image path.
+    instance evaluated along the arrow's image path, a column at a time.  A
+    step with no value raises ``UnknownRowError`` at the first row, in table
+    order, that meets one, as ``evaluate_path`` names it.
     """
     require_structural(translation)
     if instance.schema != translation.target:
@@ -251,9 +255,11 @@ def delta(translation: Translation, instance: Instance) -> Instance:
     columns: dict[str, dict[str, str]] = {}
     for arrow in translation.source.arrows:
         image = translation.arrow_image(arrow.name)
-        columns[arrow.name] = {
-            r: evaluate_path(instance, image, r) for r in rows[arrow.source]
-        }
+        table = rows[arrow.source]
+        values = path_values(instance, image, table)
+        if None in values:  # the walk of the first such row raises
+            evaluate_path(instance, image, table[values.index(None)])
+        columns[arrow.name] = dict(zip(table, values))
     return Instance(translation.source, rows, columns)
 
 
@@ -299,6 +305,15 @@ class _SigmaEngine:
         self.D = translation.target
         self.bound = saturation_bound
         self.log = log
+        # source vertex -> source row -> the id of its seed.  ``seed`` makes
+        # the seeds first, in source vertex and table order, so a seed's id
+        # is its row's place in that order.
+        self.seeds: dict[str, dict[str, int]] = {}
+        start = 0
+        for c in translation.source.vertices:
+            table = instance.rows[c]
+            self.seeds[c] = dict(zip(table, range(start, start + len(table))))
+            start += len(table)
         self.terms: list[tuple] = []
         self.vertex_of: list[str] = []
         self.parent: list[int] = []
@@ -306,8 +321,14 @@ class _SigmaEngine:
         self.rep: dict[int, int] = {}
         self.img: dict[int, dict[str, int]] = {}
         self.queue: deque[tuple[int, int]] = deque()
-        self.per_vertex: dict[str, int] = {v: 0 for v in self.D.vertices}
-        self.seeds: dict[tuple[str, str], int] = {}
+        self.per_vertex: dict[str, int] = dict.fromkeys(self.D.vertices, 0)  # charges
+        # roots per vertex: +1 as a term is made, -1 as a union merges two
+        self.classes: dict[str, int] = dict.fromkeys(self.D.vertices, 0)
+        # The term count when totalize, and when each equation's pass in
+        # apply_equations, last took its roots: a pass visits only roots made
+        # since (see those two passes).
+        self.totalized = 0
+        self.settled = [0] * len(self.D.equivalences)
 
     # -- union-find ---------------------------------------------------------
 
@@ -326,6 +347,7 @@ class _SigmaEngine:
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
+        self.classes[self.vertex_of[ra]] -= 1
         if _term_sort_key(self.terms[self.rep[rb]]) < _term_sort_key(self.terms[self.rep[ra]]):
             self.rep[ra] = self.rep[rb]
         del self.rep[rb]
@@ -376,6 +398,7 @@ class _SigmaEngine:
         self.size.append(1)
         self.rep[tid] = tid
         self.img[tid] = {}
+        self.classes[vertex] += 1
         return tid
 
     def new_term(self, term: tuple, vertex: str) -> int:
@@ -395,14 +418,6 @@ class _SigmaEngine:
         tid = self.new_term(self.step_term(root, arrow), self.D.graph.arrow(arrow).target)
         self.img[root][arrow] = tid
         return tid
-
-    def step_assert(self, eid: int, arrow: str, target: int) -> None:
-        root = self.find(eid)
-        existing = self.img[root].get(arrow)
-        if existing is None:
-            self.img[root][arrow] = target
-        else:
-            self.queue.append((existing, target))
 
     def walk_create(self, eid: int, arrows: tuple[str, ...]) -> int:
         for name in arrows:
@@ -453,32 +468,77 @@ class _SigmaEngine:
     # -- chase phases ---------------------------------------------------------
 
     def seed(self) -> None:
-        for c in self.F.source.vertices:
+        """Make every source row's seed, each table's at once, with the ids
+        of ``self.seeds``: the chase starts here.  A table's seeds are
+        charged together, and past the bound the charge of the first seed
+        past it raises."""
+        for c, seeds in self.seeds.items():
+            n = len(seeds)
+            if not n:
+                continue
             vertex = self.F.vertex_image(c)
-            for r in self.I.row_set(c):
-                self.seeds[(c, r)] = self.new_term((c, r, ()), vertex)
+            past = self.bound - self.per_vertex[vertex]  # the first row past the bound
+            if past < n:
+                self.per_vertex[vertex] = self.bound
+                self.charge((c, self.I.row_set(c)[past], ()), vertex)
+            self.per_vertex[vertex] += n
+            self.classes[vertex] += n
+            self.terms.extend(zip(repeat(c), seeds, repeat(())))
+            self.vertex_of.extend([vertex] * n)
+        ids = range(len(self.terms))
+        self.parent.extend(ids)
+        self.size.extend([1] * len(ids))
+        self.rep.update(zip(ids, ids))
+        self.img.update({tid: {} for tid in ids})
 
     def assert_naturality(self) -> None:
+        """Assert each source column along its image path, one column at a
+        time: the walk along the image's first arrows from each row's seed
+        gets its value's seed as the image's last step.  No union runs here,
+        so every element is a root."""
+        img = self.img
         for arrow in self.F.source.arrows:
-            image = self.F.arrow_image(arrow.name)
-            column = self.I.column(arrow.name)
-            for r in self.I.row_set(arrow.source):
-                start = self.seeds[(arrow.source, r)]
-                end = self.seeds[(arrow.target, column[r])]
-                if not image.arrows:
-                    self.queue.append((start, end))
-                    continue
-                at = self.walk_create(start, image.arrows[:-1])
-                self.step_assert(at, image.arrows[-1], end)
+            image = self.F.arrow_image(arrow.name).arrows
+            values = map(self.I.columns[arrow.name].__getitem__, self.I.row_set(arrow.source))
+            ends = map(self.seeds[arrow.target].__getitem__, values)
+            pairs = zip(self.seeds[arrow.source].values(), ends)
+            if not image:
+                self.queue.extend(pairs)
+                continue
+            walk, last = image[:-1], image[-1]
+            for start, end in pairs:
+                at = self.walk_create(start, walk) if walk else start
+                existing = img[at].get(last)
+                if existing is None:
+                    img[at][last] = end
+                else:
+                    self.queue.append((existing, end))
+
+    # A pass of apply_equations or totalize visits the roots in id order, and
+    # the queue is emptied before the next pass.  Unions only merge classes,
+    # and a merged class keeps every image of both, so what a pass did for a
+    # class holds for every class that grows out of it.  So a class that
+    # holds an element older than the pass's last run needs nothing from it:
+    # totalize made it total, and apply_equations settled the equation at it.
+    # A visit would walk images that exist and find both sides equal, making,
+    # charging and changing nothing.  Each pass visits only the roots made
+    # since it last ran, and does all that a visit of every root would.
+
+    def roots_since(self, since: int) -> list[int]:
+        """The roots made at or after term ``since``, in id order."""
+        parent = self.parent
+        return [tid for tid in range(since, len(parent)) if parent[tid] == tid]
 
     def apply_equations(self) -> bool:
         changed = False
-        for eq in self.D.equivalences:
+        vertex_of = self.vertex_of
+        for k, eq in enumerate(self.D.equivalences):
             lhs, rhs = eq.lhs.arrows, eq.rhs.arrows
             f = lhs[-1] if lhs else None
             g = rhs[-1] if rhs else None
-            roots = [r for r in self.rep if self.vertex_of[r] == eq.lhs.source]
-            for root in roots:
+            since, self.settled[k] = self.settled[k], len(self.terms)
+            v = eq.lhs.source
+            for root in [r for r in self.roots_since(since) if vertex_of[r] == v]:
                 a = self.walk_create(root, lhs[:-1])
                 b = self.walk_create(root, rhs[:-1])
                 changed |= self.settle(a, f, b, g)
@@ -486,11 +546,13 @@ class _SigmaEngine:
 
     def totalize(self) -> bool:
         changed = False
-        for root in list(self.rep):  # rep holds only roots; no union runs here
+        out_arrows = self.D.graph.out_arrows
+        since, self.totalized = self.totalized, len(self.terms)
+        for root in self.roots_since(since):  # no union runs here
             img = self.img[root]
-            for arrow in self.D.graph.out_arrows(self.vertex_of[root]):
+            for arrow in out_arrows(self.vertex_of[root]):
                 if arrow.name not in img:
-                    self.step_create(root, arrow.name)
+                    img[arrow.name] = self.new_term(self.step_term(root, arrow.name), arrow.target)
                     changed = True
         return changed
 
@@ -504,58 +566,60 @@ class _SigmaEngine:
             changed |= self.totalize()
             changed |= self.process_queue()
             if self.log is not None:
-                counts: dict[str, int] = {v: 0 for v in self.D.vertices}
-                for root in self.rep:
-                    counts[self.vertex_of[root]] += 1
-                self.log.saturation_rounds.append(counts)
+                self.log.saturation_rounds.append(dict(self.classes))
             if not changed:
                 return
 
     # -- extraction ------------------------------------------------------------
 
     def _root_order_key(self, root: int) -> tuple:
-        """Seeds in source table order, then Skolem elements by their seed's
-        place, path length and arrow order."""
+        """Seeds in source vertex and table order, then Skolem elements by
+        their seed's place, path length and arrow order.  A seed's id is its
+        place (see ``self.seeds``)."""
         c, r, arrows = self.terms[self.rep[root]]
-        positions = self.I._positions
-        at = (positions[c] if c in positions else self.I.positions(c))[r]
+        seed = self.seeds[c][r]
         if not arrows:
-            return (False, self.F.source.graph._vertex_order[c], at)
-        order = self.D.graph._arrow_order
-        return (
-            True,
-            self.F.source.graph._vertex_order[c],
-            at,
-            len(arrows),
-            tuple([order[a] for a in arrows]),
-        )
+            return (False, seed)
+        return (True, seed, len(arrows), tuple(map(self.D.graph._arrow_order.__getitem__, arrows)))
 
     def extract(self) -> "SigmaResult":
-        terms, rep, find, img = self.terms, self.rep, self.find, self.img
+        """Each class is a row, named by its representative's term and
+        placed by ``_root_order_key``; each element's row is read off one
+        list, once every element points at its root."""
+        terms, rep, img, parent = self.terms, self.rep, self.img, self.parent
+        for tid in range(len(parent)):  # after this, parent[tid] is tid's root
+            if parent[parent[tid]] != parent[tid]:
+                parent[tid] = self.find(tid)
         roots_by_vertex: dict[str, list[int]] = {v: [] for v in self.D.vertices}
         for root in rep:
             roots_by_vertex[self.vertex_of[root]].append(root)
         rows: dict[str, tuple[str, ...]] = {}
-        display: dict[int, str] = {}
+        row_of: list = [None] * len(terms)  # root -> its row
         row_term: dict[tuple[str, str], tuple] = {}
-        for v in self.D.vertices:
-            ordered = sorted(roots_by_vertex[v], key=self._root_order_key)
-            names = [_term_display(terms[rep[root]]) for root in ordered]
+        for v, roots in roots_by_vertex.items():
+            if not roots:
+                rows[v] = ()
+                continue
+            ordered = sorted(roots, key=self._root_order_key)
+            reps = list(map(terms.__getitem__, map(rep.__getitem__, ordered)))
+            names = list(map(_term_display, reps))
             if len(set(names)) < len(names):
                 names = uniquify(names)
             rows[v] = tuple(names)
-            for root, name in zip(ordered, names):
-                display[root] = name
-                row_term[(v, name)] = terms[rep[root]]
+            for root, term, name in zip(ordered, reps, names):
+                row_of[root] = name
+                row_term[v, name] = term
+        row_of = list(map(row_of.__getitem__, parent))  # element -> its row
         columns: dict[str, dict[str, str]] = {}
         for arrow in self.D.arrows:
             name = arrow.name
             columns[name] = {
-                display[root]: display[find(img[root][name])]
-                for root in roots_by_vertex[arrow.source]
+                row_of[root]: row_of[img[root][name]] for root in roots_by_vertex[arrow.source]
             }
         instance = Instance(self.D, rows, columns)
-        seed_row = {key: display[find(tid)] for key, tid in self.seeds.items()}
+        seed_row = {
+            (c, r): row_of[tid] for c, ids in self.seeds.items() for r, tid in ids.items()
+        }
         return SigmaResult(instance, seed_row, row_term)
 
 

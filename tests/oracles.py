@@ -9,7 +9,10 @@ assignments over all comma objects.  The dependent product's reference is
 ``enumerate_typed_morphisms``, the .cat lexer's the character-by-character
 ``_tokenize`` at the end.  ``MergeBackSigmaEngine`` is the sigma chase that
 made both sides of every equation and merged them, and ``per_triple_export``
-the RDF export that quoted every component where it printed it.
+the RDF export that quoted every component where it printed it.  The bulk
+layers that now move a column at a time keep their cell-by-cell forms here:
+``cell_by_cell_print_instance``, ``row_by_row_delta`` and
+``row_by_row_validate_instance``.
 """
 from __future__ import annotations
 
@@ -18,18 +21,24 @@ from collections import deque
 from dataclasses import dataclass
 from urllib.parse import quote
 
+from catmigrate.dsl import InstanceDecl, format_name
 from catmigrate.errors import (
     EnumerationCapError,
     ParseError,
     SaturationOverflowError,
     SchemaMismatchError,
     TypeChangeError,
+    UnknownRowError,
 )
 from catmigrate.instances import (
+    DanglingColumnValue,
+    EquationViolation,
     Instance,
     InstanceMorphism,
+    MissingColumnValue,
     compose_morphisms,
     enumerate_morphisms,
+    evaluate_path,
 )
 from catmigrate.migration import (
     DEFAULT_SATURATION_BOUND,
@@ -39,6 +48,7 @@ from catmigrate.migration import (
     Translation,
     _term_display,
     _term_sort_key,
+    require_structural,
 )
 from catmigrate.naming import tuple_id, uniquify
 from catmigrate.rdf import TripleStore
@@ -1034,3 +1044,82 @@ def _tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# bulk layers: a cell or a row at a time
+# ---------------------------------------------------------------------------
+
+# ``dsl._print_instance``, ``migration.delta`` and ``instances.validate_instance``
+# as they were before they moved a column at a time.  Verbatim apart from
+# their names; the references for those three's text, rows, columns, reports
+# and errors.
+
+
+def cell_by_cell_print_instance(decl: InstanceDecl) -> str:
+    instance = decl.instance
+    schema = instance.schema
+    lines = [f"instance {format_name(decl.name)} on {format_name(decl.schema_name)} {{"]
+    for v in schema.vertices:
+        lines.append(f"  table {format_name(v)} {{")
+        out_arrows = schema.graph.out_arrows(v)
+        for row in instance.row_set(v):
+            if out_arrows:
+                cells = ", ".join(
+                    f"{format_name(a.name)} = {format_name(instance.column(a.name)[row])}"
+                    for a in out_arrows
+                )
+                lines.append(f"    {format_name(row)} -> ({cells})")
+            else:
+                lines.append(f"    {format_name(row)}")
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def row_by_row_delta(translation: Translation, instance: Instance) -> Instance:
+    """Pull a target-schema instance back to the source schema.
+
+    Row sets are reused verbatim; each source arrow's column is the target
+    instance evaluated along the arrow's image path.
+    """
+    require_structural(translation)
+    if instance.schema != translation.target:
+        raise SchemaMismatchError("delta: instance is not on the translation's target")
+    rows = {c: instance.row_set(translation.vertex_image(c)) for c in translation.source.vertices}
+    columns: dict[str, dict[str, str]] = {}
+    for arrow in translation.source.arrows:
+        image = translation.arrow_image(arrow.name)
+        columns[arrow.name] = {
+            r: evaluate_path(instance, image, r) for r in rows[arrow.source]
+        }
+    return Instance(translation.source, rows, columns)
+
+
+def row_by_row_validate_instance(instance: Instance) -> list:
+    """Report every violated instance invariant; an empty report means valid.
+
+    Structural problems (missing or dangling column values) are reported per
+    (arrow, row); equation problems per (equation, witness row) with both
+    evaluated sides.
+    """
+    report = []
+    schema = instance.schema
+    for arrow in schema.arrows:
+        column = instance.column(arrow.name)
+        targets = instance.positions(arrow.target)
+        for row in instance.row_set(arrow.source):
+            if row not in column:
+                report.append(MissingColumnValue(arrow.name, row))
+            elif column[row] not in targets:
+                report.append(DanglingColumnValue(arrow.name, row, column[row]))
+    for eq in schema.equivalences:
+        for row in instance.row_set(eq.lhs.source):
+            try:
+                lhs = evaluate_path(instance, eq.lhs, row)
+                rhs = evaluate_path(instance, eq.rhs, row)
+            except UnknownRowError:
+                continue  # already reported structurally
+            if lhs != rhs:
+                report.append(EquationViolation(str(eq), row, lhs, rhs))
+    return report

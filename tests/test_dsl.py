@@ -13,7 +13,7 @@ from catmigrate.instances import Instance
 
 from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
 from .generators import rand_acyclic_schema, rand_instance
-from .oracles import _tokenize
+from .oracles import _tokenize, cell_by_cell_print_instance
 
 
 def test_employee_schema_transcription_shape():
@@ -209,6 +209,95 @@ def test_a_name_holding_a_newline_is_not_printed(name):
     doc = dsl.Document([dsl.SchemaDecl("S", schema), dsl.InstanceDecl("I", "S", instance)])
     with pytest.raises(StructuralError, match=re.escape(repr(name))):
         dsl.print_document(doc)
+
+
+# Names the printer must quote or escape, or can print bare, for the
+# differential tests below
+_AWKWARD = [
+    "ok", "r-1", "$v", "_", "table", "id", "on", "nodes", 'say "hi"', "back\\slash",
+    'mix\\"', "a->b", "->", "-", "#note", "a # b", "cr\r", "", " ", "a.b", "x = y",
+    "(p)", "naïve", "日本語", "Ωmega", "e\u0301",
+]
+
+
+def _awkward_names(rng: random.Random, n: int, newline: float = 0.0) -> list[str]:
+    """n distinct awkward names; each holds a newline with the given chance."""
+    names: list[str] = []
+    while len(names) < n:
+        name = rng.choice(_AWKWARD) + rng.choice(["", "", str(rng.randrange(50))])
+        if rng.random() < newline:
+            cut = rng.randrange(len(name) + 1)
+            name = name[:cut] + "\n" + name[cut:]
+        if name not in names:
+            names.append(name)
+    return names
+
+
+def _awkward_instance_decl(rng: random.Random, newline: float = 0.0, gap: bool = False):
+    """An instance declaration whose names, vertex, arrow and row names
+    included, are drawn from ``_AWKWARD``; with ``gap``, one cell may be
+    missing."""
+    from catmigrate.schemas import Arrow, Graph, Schema
+
+    vertices = _awkward_names(rng, rng.randint(1, 4), newline / 4)
+    arrow_names = _awkward_names(rng, rng.randint(0, 5), newline / 4)
+    arrows = tuple(Arrow(a, rng.choice(vertices), rng.choice(vertices)) for a in arrow_names)
+    schema = Schema("S", Graph(tuple(vertices), arrows))
+    rows = {v: tuple(_awkward_names(rng, rng.randint(1, 5), newline / 8)) for v in vertices}
+    columns = {
+        a.name: {r: rng.choice(rows[a.target]) for r in rows[a.source]} for a in arrows
+    }
+    if gap and arrows:
+        column = columns[rng.choice(arrows).name]
+        column.pop(rng.choice(list(column)))
+    decl_name, schema_name = _awkward_names(rng, 2)
+    return dsl.InstanceDecl(decl_name, schema_name, Instance(schema, rows, columns))
+
+
+def _printed(print_instance, decl):
+    try:
+        return print_instance(decl)
+    except (StructuralError, KeyError) as error:
+        return type(error), str(error)
+
+
+def test_printer_matches_the_reference_on_every_golden_instance(paper_env, golden_paths):
+    env: dict = {}
+    decls = 0
+    for path in golden_paths.values():
+        doc = dsl.parse_document(open(path, encoding="utf-8").read(), env)
+        env.update(dsl.document_env(doc))
+        for decl in doc.declarations:
+            if isinstance(decl, dsl.InstanceDecl):
+                assert dsl._print_instance(decl) == cell_by_cell_print_instance(decl)
+                decls += 1
+    assert decls >= 10
+
+
+def test_printer_matches_the_reference_on_awkward_names():
+    rng = random.Random(1207)
+    for _ in range(300):
+        decl = _awkward_instance_decl(rng)
+        text = cell_by_cell_print_instance(decl)
+        assert dsl._print_instance(decl) == text
+        doc = dsl.Document([decl])
+        env = {("schema", decl.schema_name): decl.instance.schema}
+        assert dsl.parse_document(dsl.print_document(doc), env) == doc
+
+
+def test_printer_fails_as_the_reference_does():
+    # Names holding a newline (in a row id, a column value or an arrow name,
+    # often several in one instance) and missing cells: the same error, so
+    # the first name or cell that cannot be printed is the one reported
+    rng = random.Random(3301)
+    raised = {StructuralError: 0, KeyError: 0}
+    for case in range(600):
+        decl = _awkward_instance_decl(rng, newline=0.3, gap=case % 4 == 0)
+        want = _printed(cell_by_cell_print_instance, decl)
+        assert _printed(dsl._print_instance, decl) == want, case
+        if isinstance(want, tuple):
+            raised[want[0]] += 1
+    assert min(raised.values()) >= 30, raised
 
 
 def test_parse_never_raises_unpositioned_errors():

@@ -30,13 +30,14 @@ from catmigrate.instances import (
 from catmigrate.schemas import Arrow, Graph, Path, Schema
 
 from .generators import (
+    damaged,
     rand_acyclic_schema,
     rand_cover,
     rand_cyclic_schema,
     rand_instance,
     shuffled_rows,
 )
-from .oracles import nested_loop_pairs, slot_search_morphisms
+from .oracles import nested_loop_pairs, row_by_row_validate_instance, slot_search_morphisms
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,20 @@ def test_caller_list_change_leaves_rows_alone():
     assert evaluate_path(instance, Path("A", ("f",)), "a") == "x"
 
 
+def test_caller_column_change_leaves_columns_alone():
+    # a column dict is copied, so the instance's row maps and column loops
+    # see the columns it was built with
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    column = {"a": "x", "b": "x"}
+    instance = Instance(schema, {"A": ("a", "b"), "B": ("x", "y")}, {"f": column})
+    column["a"] = "y"
+    column["c"] = "x"
+    del column["b"]
+    assert instance.column("f") == {"a": "x", "b": "x"}
+    assert evaluate_path(instance, Path("A", ("f",)), "b") == "x"
+    assert validate_instance(instance) == []
+
+
 def test_rows_and_columns_are_read_only():
     schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
     instance = Instance(schema, {"A": ("a",), "B": ("x",)}, {"f": {"a": "x"}})
@@ -133,6 +148,23 @@ def test_dangling_value_reported():
     bad = Instance(schema, {"A": ("a",), "B": ("b",)}, {"f": {"a": "zzz"}})
     report = validate_instance(bad)
     assert any(item.describe().startswith("column 'f'") for item in report)
+
+
+def test_validation_matches_the_row_by_row_reference():
+    # missing, dangling and moved cells, several to an instance, on schemas
+    # with equations: the same report, item for item, in order
+    rng = random.Random(5323)
+    kinds: dict[str, int] = {}
+    for case in range(500):
+        schema = rand_acyclic_schema(rng, f"V{case}", max_vertices=4, max_arrows=6, max_equations=3)
+        instance = rand_instance(rng, schema, max_rows=4)
+        if case % 4:
+            instance = damaged(rng, instance, cells=rng.randint(1, 4))
+        want = row_by_row_validate_instance(instance)
+        assert validate_instance(instance) == want, case
+        for item in want:
+            kinds[type(item).__name__] = kinds.get(type(item).__name__, 0) + 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 40, kinds
 
 
 def test_identity_and_composition(staff):

@@ -11,6 +11,7 @@ from catmigrate.errors import (
     PathBoundInstabilityError,
     SaturationOverflowError,
     SchemaMismatchError,
+    UnknownRowError,
 )
 from catmigrate.instances import (
     Instance,
@@ -54,6 +55,7 @@ from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema
 
 from .generators import (
     company_staff,
+    damaged,
     rand_acyclic_schema,
     rand_inclusion,
     rand_instance,
@@ -65,6 +67,7 @@ from .oracles import (
     assert_sigma_matches,
     merge_back_sigma_full,
     nested_loop_families,
+    row_by_row_delta,
     tag_term,
     tagged_root_order_key,
     tagged_term_sort_key,
@@ -221,6 +224,43 @@ def test_delta_on_morphism(F, J):
     assert validate_morphism(pulled) == []
     assert set(pulled.component("T1")) == {"XF667", "XF891"}
     assert set(pulled.component("T2")) == {"XF667", "XF891"}
+
+
+def _translation_with_a_path(rng: random.Random, name: str) -> Translation:
+    """A ``rand_translation`` that sends some arrow to a path of one or more
+    arrows, so that delta evaluates columns."""
+    while True:
+        target = rand_acyclic_schema(rng, name, max_vertices=4, max_arrows=6, max_equations=2)
+        f = rand_translation(rng, target, name_prefix=f"{name}_", max_arrows=6)
+        if any(image.arrows for image in f.arrow_map.values()):
+            return f
+
+
+def _delta_outcome(run, translation, instance):
+    """The pulled-back rows and columns, each column's cells in order, or
+    the error's type and arguments."""
+    try:
+        out = run(translation, instance)
+    except EngineError as error:
+        return type(error), error.args, getattr(error, "vertex", None), getattr(error, "row", None)
+    return out.schema, dict(out.rows), {name: list(col.items()) for name, col in out.columns.items()}
+
+
+def test_delta_matches_the_row_by_row_reference():
+    # valid instances, and instances with missing, dangling or moved cells:
+    # a missing cell, or a dangling value met before a path's last step,
+    # raises UnknownRowError at the first row that meets it
+    rng = random.Random(6151)
+    outcomes = {"same instance": 0, "same error": 0}
+    for case in range(450):
+        f = _translation_with_a_path(rng, f"D{case}")
+        instance = rand_instance(rng, f.target, max_rows=4)
+        if case % 3:
+            instance = damaged(rng, instance, cells=rng.randint(1, 8))
+        want = _delta_outcome(row_by_row_delta, f, instance)
+        assert _delta_outcome(delta, f, instance) == want, case
+        outcomes["same error" if want[0] is UnknownRowError else "same instance"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # -- pi ---------------------------------------------------------------------------
@@ -453,6 +493,19 @@ def test_sigma_nontermination_names_the_vertex():
     assert "Skolem paths past 16" in str(err.value)
 
 
+def test_sigma_charges_every_seed_against_the_bound():
+    # two source tables seed one target table, which holds 5 elements
+    source = Schema("Two", Graph(("A", "B"), ()))
+    target = Schema("One", Graph(("X", "Y"), ()))
+    f = Translation(source, target, {"A": "X", "B": "X"}, {})
+    instance = Instance(source, {"A": ("a1", "a2"), "B": ("b1", "b2", "b3")}, {})
+    assert sigma(f, instance, saturation_bound=5).row_set("X") == ("a1", "a2", "b1", "b2", "b3")
+    for bound in (0, 1, 2, 4):
+        with pytest.raises(SaturationOverflowError, match=f"exceeded {bound} elements") as err:
+            sigma(f, instance, saturation_bound=bound)
+        assert err.value.vertex == "X"
+
+
 def _sign(a, b) -> int:
     return (a > b) - (a < b)
 
@@ -529,6 +582,78 @@ def test_sigma_settles_equations_without_merging_skolems_back(monkeypatch):
             sigma(translation, instance, saturation_bound=charged - 1)
 
 
+class _ReadCounting(dict):
+    """The chase's images, noting which element's images each read asks for."""
+
+    def __init__(self, reads: list):
+        super().__init__()
+        self.reads = reads
+
+    def __getitem__(self, tid):
+        self.reads.append(tid)
+        return super().__getitem__(tid)
+
+
+def _chase_round_work(monkeypatch, translation, instance):
+    """Per round of the chase: the term count when it began, the elements
+    its walks start from, its step_create calls, and the elements whose
+    images it reads; and the round log."""
+    rounds: list[dict] = []
+    engine_class = migration._SigmaEngine
+    apply_equations = engine_class.apply_equations
+    walk_create = engine_class.walk_create
+    step_create = engine_class.step_create
+
+    def counted_apply(self):
+        rounds.append({"made": len(self.terms), "walks": [], "steps": 0, "reads": []})
+        self.img.reads = rounds[-1]["reads"]
+        return apply_equations(self)
+
+    def counted_walk(self, eid, arrows):
+        if rounds:
+            rounds[-1]["walks"].append((eid, len(arrows)))
+        return walk_create(self, eid, arrows)
+
+    def counted_step(self, eid, arrow):
+        if rounds:
+            rounds[-1]["steps"] += 1
+        return step_create(self, eid, arrow)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_class, "apply_equations", counted_apply)
+        patch.setattr(engine_class, "walk_create", counted_walk)
+        patch.setattr(engine_class, "step_create", counted_step)
+        log = MigrationLog()
+        engine = engine_class(translation, instance, 100_000, log)
+        engine.img = _ReadCounting([])
+        engine.run()
+    return rounds, log.saturation_rounds
+
+
+def test_sigma_round_revisits_only_new_elements(monkeypatch, F, I):
+    # A pass that ran over a class leaves it total and its equations
+    # settled, so the last round, which changes nothing, starts walks from
+    # and reads the images of only elements made since the round before.
+    # Rescanning every root, the last round read 35 images on the two-fact
+    # input, and walked from all 200 employees on the company's
+    company = {"Employee": 200, "Department": 8, "String1": 10, "String2": 20, "String3": 8}
+    facts = {"T": 7, "SSN": 9, "First": 6, "Last": 5, "Salary": 8}
+    cases = {
+        "company": (*company_staff(random.Random(2024), 200, 8), [company] * 2, 2 * 200, 0),
+        # the last round reads the images of the 7 Skolems the first made
+        "two facts": (F, I, [facts] * 2, 0, 7),
+    }
+    for name, (translation, instance, want_log, first_walks, want_reads) in cases.items():
+        rounds, log = _chase_round_work(monkeypatch, translation, instance)
+        assert log == want_log, name
+        assert len(rounds[0]["walks"]) >= first_walks, name
+        before, last = rounds[-2], rounds[-1]
+        assert all(eid >= before["made"] for eid, _ in last["walks"]), name
+        assert all(tid >= before["made"] for tid in last["reads"]), name
+        assert len(last["reads"]) == want_reads, name
+        assert last["steps"] <= sum(steps for _, steps in last["walks"]), name
+
+
 def test_sigma_asserted_step_still_names_its_class():
     # x2 manages itself and x1, so x2.d is made first; x1's d step is then
     # asserted into x2.d's class, and its term x1.d sorts first and names it
@@ -569,11 +694,37 @@ def _chase(run, translation, instance, bound):
         return None, log, error
 
 
-def test_sigma_matches_the_merge_back_chase():
+class _RescannedRounds(list):
+    """A chase's round log that checks each round's counts, kept as running
+    totals, against a rescan of the chase's roots."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine = engine
+
+    def append(self, counts):
+        engine = self.engine
+        rescan = {v: 0 for v in engine.D.vertices}
+        for root in engine.rep:
+            rescan[engine.vertex_of[root]] += 1
+        assert list(counts.items()) == list(rescan.items())
+        super().append(counts)
+
+
+def test_sigma_matches_the_merge_back_chase(monkeypatch):
     # The reference makes both sides of each equation and merges them; it
     # charges the bound for Skolems it merges back, so it may overflow where
     # the settling chase does not, but never the other way round.  Row ids
     # may differ: each is the least term the chase happened to make
+    run = migration._SigmaEngine.run
+    rescanned = []
+
+    def run_with_rescans(self):
+        self.log.saturation_rounds = _RescannedRounds(self)
+        rescanned.append(self.log.saturation_rounds)
+        run(self)
+
+    monkeypatch.setattr(migration._SigmaEngine, "run", run_with_rescans)
     rng = random.Random(8128)
     outcomes = {"same": 0, "failed": 0, "only the reference failed": 0}
     other_ids = 0
@@ -599,6 +750,8 @@ def test_sigma_matches_the_merge_back_chase():
         assert find_isomorphism(a, b) is not None, case
         other_ids += a.rows != b.rows or dict(a.columns) != dict(b.columns)
     assert min(outcomes.values()) >= 50, outcomes
+    # every draw's round log, 3 525 rounds, was checked against a rescan
+    assert len(rescanned) == 2400 and sum(map(len, rescanned)) > 3000
     # 2 of the 1 796 draws that succeed print other row ids
     assert other_ids <= 0.01 * (outcomes["same"] + outcomes["only the reference failed"])
 
