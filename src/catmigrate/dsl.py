@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError, StructuralError
-from .instances import Instance, InstanceMorphism
+from .instances import Instance, InstanceMorphism, MissingColumnValue
 from .migration import Translation
 from .schemas import Arrow, Graph, Path, PathEquivalence, Schema, path_target
 from .typed import TypedInstance
@@ -761,7 +761,8 @@ def _print_instance(decl: InstanceDecl) -> str:
     formatted once per table and each distinct value once per instance.  A
     name that cannot be printed is reported in the order of a cell-by-cell
     printer: the arrow names and values of a row's cells in turn, then the
-    row."""
+    row.  A missing cell raises ``StructuralError`` naming its arrow and the
+    first row, in table order, that lacks one."""
     instance = decl.instance
     schema = instance.schema
     columns = instance.columns
@@ -773,17 +774,26 @@ def _print_instance(decl: InstanceDecl) -> str:
         out_arrows = schema.graph.out_arrows(v)
         if table and out_arrows:
             cells: list[tuple[str, dict[str, str]]] = []
-            for a in out_arrows:
-                try:
-                    head = formatted[a.name] + " = "
-                except StructuralError:
-                    for _, earlier in cells:  # the first row's earlier values come first
-                        formatted[earlier[table[0]]]
-                    raise
-                cells.append((head, columns[a.name]))
-            for row in table:
-                text = ", ".join([head + formatted[column[row]] for head, column in cells])
-                lines.append(f"    {formatted[row]} -> ({text})")
+            try:
+                for a in out_arrows:
+                    try:
+                        head = formatted[a.name] + " = "
+                    except StructuralError:
+                        for _, earlier in cells:  # the first row's earlier values come first
+                            formatted[earlier[table[0]]]
+                        raise
+                    cells.append((head, columns[a.name]))
+                for row in table:
+                    text = ", ".join([head + formatted[column[row]] for head, column in cells])
+                    lines.append(f"    {formatted[row]} -> ({text})")
+            except KeyError:  # a missing cell, the first in the cell-by-cell order
+                row, a = next(
+                    (row, a)
+                    for row in table
+                    for a, (_, column) in zip(out_arrows, cells)
+                    if row not in column
+                )
+                raise StructuralError(MissingColumnValue(a.name, row).describe()) from None
         else:
             lines.extend([f"    {formatted[row]}" for row in table])
         lines.append("  }")

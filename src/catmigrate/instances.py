@@ -23,7 +23,9 @@ from .errors import (
     UnknownRowError,
 )
 from .naming import pair_id
-from .schemas import Path, Schema, path_target
+from .schemas import Arrow, Path, Schema, path_target
+
+DEFAULT_ISOMORPHISM_WORK_CAP = 2_000_000  # rows tried by find_isomorphism, fixed
 
 
 @dataclass(frozen=True)
@@ -163,16 +165,10 @@ def validate_instance(instance: Instance) -> list:
     report = []
     schema = instance.schema
     for arrow in schema.arrows:
-        column = instance.column(arrow.name)
         targets = instance.positions(arrow.target)
         table = instance.row_set(arrow.source)
-        if all(map(targets.__contains__, map(column.get, table))):
-            continue
-        for row in table:
-            if row not in column:
-                report.append(MissingColumnValue(arrow.name, row))
-            elif column[row] not in targets:
-                report.append(DanglingColumnValue(arrow.name, row, column[row]))
+        if not all(map(targets.__contains__, map(instance.column(arrow.name).get, table))):
+            report.extend(column_faults(instance, arrow))
     for eq in schema.equivalences:
         table = instance.row_set(eq.lhs.source)
         lhs = path_values(instance, eq.lhs, table)
@@ -184,6 +180,18 @@ def validate_instance(instance: Instance) -> list:
             if left != right and left is not None and right is not None:
                 report.append(EquationViolation(str(eq), row, left, right))
     return report
+
+
+def column_faults(instance: Instance, arrow: Arrow):
+    """Yield the missing and dangling values of ``arrow``'s column, in table
+    order."""
+    column = instance.column(arrow.name)
+    targets = instance.positions(arrow.target)
+    for row in instance.row_set(arrow.source):
+        if row not in column:
+            yield MissingColumnValue(arrow.name, row)
+        elif column[row] not in targets:
+            yield DanglingColumnValue(arrow.name, row, column[row])
 
 
 @dataclass
@@ -558,15 +566,14 @@ def _morphism(
     return InstanceMorphism(source, target, components)
 
 
-def enumerate_morphisms(source: Instance, target: Instance, cap: int | None = None):
+def enumerate_morphisms(source: Instance, target: Instance):
     """Yield every natural transformation source -> target, lexicographic
-    over the source rows (vertex, then row order) by target row position."""
+    over the source rows (vertex, then row order) by target row position.
+    Each is found as it is asked for, so a caller that wants a few stops."""
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
     comps, constraints = _element_diagram(source)
-    for produced, values in enumerate(assignments(target, comps, constraints), 1):
-        if cap is not None and produced > cap:
-            raise EnumerationCapError(f"morphism enumeration exceeded cap {cap}")
+    for values in assignments(target, comps, constraints):
         yield _morphism(source, target, comps, values)
 
 
@@ -591,14 +598,14 @@ def count_morphisms(source: Instance, target: Instance, cap: int = 5_000_000) ->
     return total
 
 
-def find_isomorphism(
-    source: Instance, target: Instance, work_cap: int = 2_000_000
-) -> InstanceMorphism | None:
+def find_isomorphism(source: Instance, target: Instance) -> InstanceMorphism | None:
     """Search for an isomorphism source -> target; None if none exists.
 
     Adds per-vertex injectivity to the morphism search; with equal row counts
     per vertex, an injective natural transformation whose inverse is checked
-    natural is an isomorphism.  Intended for desk-scale golden comparisons.
+    natural is an isomorphism.  Intended for desk-scale golden comparisons:
+    trying more than ``DEFAULT_ISOMORPHISM_WORK_CAP`` rows raises
+    ``EnumerationCapError``.
     """
     if source.schema != target.schema:
         raise SchemaMismatchError("isomorphism search needs a shared schema")
@@ -606,9 +613,8 @@ def find_isomorphism(
         if len(source.row_set(v)) != len(target.row_set(v)):
             return None
     comps, constraints = _element_diagram(source)
-    found = next(
-        assignments(target, comps, constraints, injective=True, work_cap=work_cap), None
-    )
+    work_cap = DEFAULT_ISOMORPHISM_WORK_CAP
+    found = next(assignments(target, comps, constraints, injective=True, work_cap=work_cap), None)
     if found is None:
         return None
     iso = _morphism(source, target, comps, found)

@@ -30,6 +30,7 @@ from .instances import (
     Instance,
     InstanceMorphism,
     assignments,
+    column_faults,
     evaluate_path,
     path_values,
     require_natural,
@@ -46,18 +47,18 @@ from .schemas import (
 )
 
 DEFAULT_SATURATION_BOUND = 1000
-DEFAULT_SKOLEM_PATH_CAP = 16
 DEFAULT_PATH_BOUND = 16
-DEFAULT_ELEMENT_CAP = 1000
-DEFAULT_FAMILY_CAP = 200_000
+# Fixed caps, read where they are checked; passing one raises.
+DEFAULT_SKOLEM_PATH_CAP = 16  # arrows in a Skolem term's path
+DEFAULT_ELEMENT_CAP = 1000  # path classes in one comma category
+DEFAULT_FAMILY_CAP = 200_000  # pi rows at one vertex
 
 
 @dataclass
 class MigrationLog:
-    """Optional run log: bound settings, unverified-equivalence incidents,
-    and per-round element counts from the chase."""
+    """Optional run log of sigma and pi: pi's unverified-equivalence
+    incidents, and the chase's element counts per vertex after each round."""
 
-    bounds: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     saturation_rounds: list[dict[str, int]] = field(default_factory=list)
 
@@ -218,9 +219,7 @@ class TranslationEquality(Enum):
     NOT_PROVED = "not-proved-within-budget"
 
 
-def translations_equal(
-    f: Translation, g: Translation, budget: int = DEFAULT_REWRITE_BUDGET
-) -> TranslationEquality:
+def translations_equal(f: Translation, g: Translation) -> TranslationEquality:
     """Equality of translations up to target path equivalence on arrow images."""
     if f.source != g.source or f.target != g.target:
         raise SchemaMismatchError("translations compared across different schemas")
@@ -229,7 +228,7 @@ def translations_equal(
             return TranslationEquality.DIFFERENT
     unproved = False
     for a in f.source.arrows:
-        verdict = paths_equivalent(f.target, f.arrow_image(a.name), g.arrow_image(a.name), budget)
+        verdict = paths_equivalent(f.target, f.arrow_image(a.name), g.arrow_image(a.name))
         if verdict is not Equivalence.EQUIVALENT:
             unproved = True
     return TranslationEquality.NOT_PROVED if unproved else TranslationEquality.EQUAL
@@ -495,24 +494,30 @@ class _SigmaEngine:
         """Assert each source column along its image path, one column at a
         time: the walk along the image's first arrows from each row's seed
         gets its value's seed as the image's last step.  No union runs here,
-        so every element is a root."""
+        so every element is a root.  A missing or dangling value raises
+        ``StructuralError`` naming the arrow and the first such row."""
         img = self.img
         for arrow in self.F.source.arrows:
             image = self.F.arrow_image(arrow.name).arrows
             values = map(self.I.columns[arrow.name].__getitem__, self.I.row_set(arrow.source))
             ends = map(self.seeds[arrow.target].__getitem__, values)
             pairs = zip(self.seeds[arrow.source].values(), ends)
-            if not image:
-                self.queue.extend(pairs)
-                continue
-            walk, last = image[:-1], image[-1]
-            for start, end in pairs:
-                at = self.walk_create(start, walk) if walk else start
-                existing = img[at].get(last)
-                if existing is None:
-                    img[at][last] = end
-                else:
-                    self.queue.append((existing, end))
+            try:
+                if not image:
+                    self.queue.extend(pairs)
+                    continue
+                walk, last = image[:-1], image[-1]
+                for start, end in pairs:
+                    at = self.walk_create(start, walk) if walk else start
+                    existing = img[at].get(last)
+                    if existing is None:
+                        img[at][last] = end
+                    else:
+                        self.queue.append((existing, end))
+            except KeyError:
+                for fault in column_faults(self.I, arrow):
+                    raise StructuralError(fault.describe()) from None
+                raise
 
     # A pass of apply_equations or totalize visits the roots in id order, and
     # the queue is emptied before the next pass.  Unions only merge classes,
@@ -639,9 +644,6 @@ def sigma_full(
     require_structural(translation)
     if instance.schema != translation.source:
         raise SchemaMismatchError("sigma: instance is not on the translation's source")
-    if log is not None:
-        log.bounds.setdefault("saturation_bound", saturation_bound)
-        log.bounds.setdefault("skolem_path_cap", DEFAULT_SKOLEM_PATH_CAP)
     engine = _SigmaEngine(translation, instance, saturation_bound, log)
     engine.run()
     return engine.extract()
@@ -656,15 +658,11 @@ def sigma(
     return sigma_full(translation, instance, saturation_bound, log=log).instance
 
 
-def sigma_on_morphism(
-    translation: Translation,
-    m: InstanceMorphism,
-    saturation_bound: int = DEFAULT_SATURATION_BOUND,
-) -> InstanceMorphism:
+def sigma_on_morphism(translation: Translation, m: InstanceMorphism) -> InstanceMorphism:
     """Induced map on chase classes: a class named by (seed, path) goes to the
     class reached by walking the same path from the image seed."""
-    src = sigma_full(translation, m.source, saturation_bound)
-    tgt = sigma_full(translation, m.target, saturation_bound)
+    src = sigma_full(translation, m.source)
+    tgt = sigma_full(translation, m.target)
     components: dict[str, dict[str, str]] = {v: {} for v in translation.target.vertices}
     for d in translation.target.vertices:
         for row in src.instance.row_set(d):
@@ -698,11 +696,7 @@ class PiResult:
 
 
 def _comma_classes(
-    schema: Schema,
-    start: str,
-    path_bound: int,
-    budget: int,
-    element_cap: int,
+    schema: Schema, start: str, path_bound: int, budget: int
 ) -> tuple[list[Path], bool]:
     """Equivalence classes of paths out of ``start``, one representative each,
     and whether the search ran out of new classes within ``path_bound``.
@@ -726,10 +720,10 @@ def _comma_classes(
                 if _match_class(schema, classes, candidate, budget) is None:
                     classes.append(candidate)
                     next_frontier.append(len(classes) - 1)
-                    if len(classes) > element_cap:
+                    if len(classes) > DEFAULT_ELEMENT_CAP:
                         raise PathBoundInstabilityError(
                             f"comma category at vertex {start!r} exceeded "
-                            f"{element_cap} path classes",
+                            f"{DEFAULT_ELEMENT_CAP} path classes",
                             vertex=start,
                         )
         frontier = next_frontier
@@ -754,13 +748,11 @@ def _families_at(
     vertex: str,
     path_bound: int,
     budget: int,
-    element_cap: int,
-    family_cap: int,
     log: MigrationLog | None,
 ) -> _VertexFamilies:
     D = translation.target
     C = translation.source
-    classes, exhausted = _comma_classes(D, vertex, path_bound, budget, element_cap)
+    classes, exhausted = _comma_classes(D, vertex, path_bound, budget)
     class_target = [path_target(D.graph, rep) for rep in classes]
     comps: list[tuple[str, int]] = []
     for c in C.vertices:
@@ -790,7 +782,7 @@ def _families_at(
                 (comp_index[(arrow.source, i)], comp_index[(arrow.target, j)], arrow.name)
             )
 
-    families = _compatible_families(instance, comps, constraints, family_cap, vertex)
+    families = _compatible_families(instance, comps, constraints, vertex)
     rows = dict(zip(families, _family_row_ids(comps, families, classes)))
     return _VertexFamilies(classes, comps, rows, exhausted)
 
@@ -799,7 +791,6 @@ def _compatible_families(
     instance: Instance,
     comps: list[tuple[str, int]],
     constraints: list[tuple[int, int, str]],
-    family_cap: int,
     vertex: str,
 ) -> list[tuple[str, ...]]:
     """Every choice of one row per component that satisfies every constraint
@@ -808,9 +799,9 @@ def _compatible_families(
     families: list[tuple[str, ...]] = []
     for values in assignments(instance, comps, constraints):
         families.append(values)
-        if len(families) > family_cap:
+        if len(families) > DEFAULT_FAMILY_CAP:
             raise EnumerationCapError(
-                f"pi produced more than {family_cap} rows at vertex {vertex!r}",
+                f"pi produced more than {DEFAULT_FAMILY_CAP} rows at vertex {vertex!r}",
                 vertex=vertex,
             )
     return families
@@ -856,23 +847,13 @@ def pi_full(
     instance: Instance,
     path_bound: int = DEFAULT_PATH_BOUND,
     budget: int = DEFAULT_REWRITE_BUDGET,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    family_cap: int = DEFAULT_FAMILY_CAP,
     log: MigrationLog | None = None,
 ) -> PiResult:
     require_structural(translation)
     if instance.schema != translation.source:
         raise SchemaMismatchError("pi: instance is not on the translation's source")
-    if log is not None:
-        log.bounds.setdefault("path_bound", path_bound)
-        log.bounds.setdefault("rewrite_budget", budget)
     D = translation.target
-    data = {
-        d: _families_at(
-            translation, instance, d, path_bound, budget, element_cap, family_cap, log
-        )
-        for d in D.vertices
-    }
+    data = {d: _families_at(translation, instance, d, path_bound, budget, log) for d in D.vertices}
     # Mandatory stability check: one more unit of path bound must not change
     # any row count, otherwise the comma category was not exhausted.  Where
     # the class search ran out of new classes within the bound, the classes,
@@ -882,9 +863,7 @@ def pi_full(
     # when every vertex is probed.
     unsettled = [d for d in D.vertices if not data[d].exhausted]
     probe = {
-        d: _families_at(
-            translation, instance, d, path_bound + 1, budget, element_cap, family_cap, None
-        )
+        d: _families_at(translation, instance, d, path_bound + 1, budget, None)
         for d in unsettled
     }
     for d in unsettled:
@@ -935,24 +914,15 @@ def pi(
     instance: Instance,
     path_bound: int = DEFAULT_PATH_BOUND,
     budget: int = DEFAULT_REWRITE_BUDGET,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    family_cap: int = DEFAULT_FAMILY_CAP,
     log: MigrationLog | None = None,
 ) -> Instance:
-    return pi_full(
-        translation, instance, path_bound, budget, element_cap, family_cap, log
-    ).instance
+    return pi_full(translation, instance, path_bound, budget, log).instance
 
 
-def pi_on_morphism(
-    translation: Translation,
-    m: InstanceMorphism,
-    path_bound: int = DEFAULT_PATH_BOUND,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-) -> InstanceMorphism:
+def pi_on_morphism(translation: Translation, m: InstanceMorphism) -> InstanceMorphism:
     """Induced map on compatible families: post-compose every component."""
-    src = pi_full(translation, m.source, path_bound, budget)
-    tgt = pi_full(translation, m.target, path_bound, budget)
+    src = pi_full(translation, m.source)
+    tgt = pi_full(translation, m.target)
     components: dict[str, dict[str, str]] = {}
     for d in translation.target.vertices:
         sdata, tdata = src.data[d], tgt.data[d]
@@ -984,13 +954,9 @@ class AdjunctionWitnesses:
     counit_pi: InstanceMorphism  # delta(pi(I)) -> I
 
 
-def sigma_unit(
-    translation: Translation,
-    instance: Instance,
-    saturation_bound: int = DEFAULT_SATURATION_BOUND,
-) -> InstanceMorphism:
+def sigma_unit(translation: Translation, instance: Instance) -> InstanceMorphism:
     """eta_I: each source row goes to the chase class of its seed."""
-    result = sigma_full(translation, instance, saturation_bound)
+    result = sigma_full(translation, instance)
     pulled = delta(translation, result.instance)
     components = {
         c: {r: result.seed_row[(c, r)] for r in instance.row_set(c)}
@@ -1001,14 +967,10 @@ def sigma_unit(
     )
 
 
-def sigma_counit(
-    translation: Translation,
-    instance: Instance,
-    saturation_bound: int = DEFAULT_SATURATION_BOUND,
-) -> InstanceMorphism:
+def sigma_counit(translation: Translation, instance: Instance) -> InstanceMorphism:
     """epsilon_J: a chase class named (seed, path) evaluates its path in J."""
     pulled = delta(translation, instance)
-    result = sigma_full(translation, pulled, saturation_bound)
+    result = sigma_full(translation, pulled)
     components: dict[str, dict[str, str]] = {v: {} for v in translation.target.vertices}
     for d in translation.target.vertices:
         for row in result.instance.row_set(d):
@@ -1021,15 +983,10 @@ def sigma_counit(
     )
 
 
-def pi_unit(
-    translation: Translation,
-    instance: Instance,
-    path_bound: int = DEFAULT_PATH_BOUND,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-) -> InstanceMorphism:
+def pi_unit(translation: Translation, instance: Instance) -> InstanceMorphism:
     """eta'_J: a row becomes the family of all its path evaluations."""
     pulled = delta(translation, instance)
-    result = pi_full(translation, pulled, path_bound, budget)
+    result = pi_full(translation, pulled)
     components: dict[str, dict[str, str]] = {}
     for d in translation.target.vertices:
         data = result.data[d]
@@ -1051,14 +1008,9 @@ def pi_unit(
     )
 
 
-def pi_counit(
-    translation: Translation,
-    instance: Instance,
-    path_bound: int = DEFAULT_PATH_BOUND,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-) -> InstanceMorphism:
+def pi_counit(translation: Translation, instance: Instance) -> InstanceMorphism:
     """epsilon'_I: project a compatible family at its trivial-path component."""
-    result = pi_full(translation, instance, path_bound, budget)
+    result = pi_full(translation, instance)
     pulled = delta(translation, result.instance)
     components: dict[str, dict[str, str]] = {}
     for c in translation.source.vertices:
@@ -1083,16 +1035,13 @@ def adjunction_unit_counit(
     translation: Translation,
     instance_on_source: Instance,
     instance_on_target: Instance,
-    saturation_bound: int = DEFAULT_SATURATION_BOUND,
-    path_bound: int = DEFAULT_PATH_BOUND,
-    budget: int = DEFAULT_REWRITE_BUDGET,
 ) -> AdjunctionWitnesses:
     """The four canonical morphisms witnessing sigma -| delta -| pi."""
     return AdjunctionWitnesses(
-        unit_sigma=sigma_unit(translation, instance_on_source, saturation_bound),
-        counit_sigma=sigma_counit(translation, instance_on_target, saturation_bound),
-        unit_pi=pi_unit(translation, instance_on_target, path_bound, budget),
-        counit_pi=pi_counit(translation, instance_on_source, path_bound, budget),
+        unit_sigma=sigma_unit(translation, instance_on_source),
+        counit_sigma=sigma_counit(translation, instance_on_target),
+        unit_pi=pi_unit(translation, instance_on_target),
+        counit_pi=pi_counit(translation, instance_on_source),
     )
 
 
@@ -1122,7 +1071,7 @@ class MigrationPipeline:
     steps: tuple[PipelineStep, ...] = ()
 
 
-def run_pipeline(pipeline: MigrationPipeline, start, log: MigrationLog | None = None):
+def run_pipeline(pipeline: MigrationPipeline, start):
     """Evaluate the steps left to right; each step's input must line up."""
     from . import typed as typed_module  # local import: typed builds on migration
 
@@ -1141,11 +1090,11 @@ def run_pipeline(pipeline: MigrationPipeline, start, log: MigrationLog | None = 
             elif step.kind is StepKind.SIGMA:
                 if value.schema != F.source:
                     raise PipelineError(f"step {i}: sigma input is not on the source schema")
-                value = sigma(F, value, log=log)
+                value = sigma(F, value)
             else:
                 if value.schema != F.source:
                     raise PipelineError(f"step {i}: pi input is not on the source schema")
-                value = pi(F, value, log=log)
+                value = pi(F, value)
             continue
         if step.type_morphism is None:
             raise PipelineError(f"step {i}: {step.kind.value} needs a typing morphism")

@@ -29,15 +29,9 @@ from .instances import (
     unpaired_images,
     validate_morphism,
 )
-from .migration import (
-    DEFAULT_ELEMENT_CAP,
-    DEFAULT_PATH_BOUND,
-    MigrationLog,
-    Translation,
-    pi,
-)
+from .migration import Translation, pi
 from .naming import encode_component, pair_id
-from .schemas import DEFAULT_REWRITE_BUDGET, Arrow, Graph, Schema
+from .schemas import Arrow, Graph, Schema
 
 
 @dataclass
@@ -72,21 +66,8 @@ class TypingAuxiliary:
             raise SchemaMismatchError("typing auxiliary attachment does not start at the bridge")
 
 
-def implied_typing_instance(
-    aux: TypingAuxiliary,
-    path_bound: int = DEFAULT_PATH_BOUND,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-    log: MigrationLog | None = None,
-) -> Instance:
-    return pi(
-        aux.attachment,
-        aux.values,
-        path_bound=path_bound,
-        budget=budget,
-        element_cap=element_cap,
-        log=log,
-    )
+def implied_typing_instance(aux: TypingAuxiliary) -> Instance:
+    return pi(aux.attachment, aux.values)
 
 
 def validate_typed(t: TypedInstance) -> list:

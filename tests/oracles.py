@@ -21,12 +21,14 @@ from collections import deque
 from dataclasses import dataclass
 from urllib.parse import quote
 
+from catmigrate import migration
 from catmigrate.dsl import InstanceDecl, format_name
 from catmigrate.errors import (
     EnumerationCapError,
     ParseError,
     SaturationOverflowError,
     SchemaMismatchError,
+    StructuralError,
     TypeChangeError,
     UnknownRowError,
 )
@@ -612,13 +614,14 @@ def nested_loop_families(
     instance: Instance,
     comps: list[tuple[str, int]],
     constraints: list[tuple[int, int, str]],
-    family_cap: int,
     vertex: str,
 ) -> list[tuple[str, ...]]:
     """pi's compatible families at one vertex by the plain nested loop: every
     row of every component in index order, each constraint checked once both
     its ends are assigned.  A drop-in for ``migration._compatible_families``
-    that fixes the order the engine's join must reproduce."""
+    that fixes the order the engine's join must reproduce, under the same
+    ``migration.DEFAULT_FAMILY_CAP``, read when it is called."""
+    family_cap = migration.DEFAULT_FAMILY_CAP
     check_at: dict[int, list[tuple[int, int, str]]] = {}
     for con in constraints:
         check_at.setdefault(max(con[0], con[1]), []).append(con)
@@ -753,7 +756,7 @@ class _SlotSearch:
         return True
 
 
-def slot_search_morphisms(source: Instance, target: Instance, cap: int | None = None):
+def slot_search_morphisms(source: Instance, target: Instance):
     """Every natural transformation source -> target by plain slot-by-slot
     backtracking: each source row in turn tries every target row of its
     vertex.  A drop-in for ``instances.enumerate_morphisms`` that fixes the
@@ -764,17 +767,12 @@ def slot_search_morphisms(source: Instance, target: Instance, cap: int | None = 
         raise SchemaMismatchError("morphism search needs a shared schema")
     search = _SlotSearch(source, target, list(source.schema.vertices))
     slots = search.slots
-    produced = 0
 
     def recurse(i: int):
-        nonlocal produced
         if i == len(slots):
             components: dict[str, dict[str, str]] = {v: {} for v in source.schema.vertices}
             for (v, r), val in search.assignment.items():
                 components[v][r] = val
-            produced += 1
-            if cap is not None and produced > cap:
-                raise EnumerationCapError(f"morphism enumeration exceeded cap {cap}")
             yield InstanceMorphism(source, target, components)
             return
         slot = slots[i]
@@ -793,7 +791,7 @@ def slot_search_morphisms(source: Instance, target: Instance, cap: int | None = 
 # ---------------------------------------------------------------------------
 
 
-def enumerate_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int | None = None):
+def enumerate_typed_morphisms(t: TypedInstance, u: TypedInstance):
     """All slice morphisms t -> u: instance morphisms commuting with the typings.
 
     The engine's former typed hom-set: every untyped morphism, kept when its
@@ -801,7 +799,7 @@ def enumerate_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int | Non
     ``typed.count_typed_morphisms`` must agree with on natural typings."""
     if t.typing_instance != u.typing_instance:
         raise SchemaMismatchError("typed morphisms need a shared typing instance")
-    for m in enumerate_morphisms(t.instance, u.instance, cap):
+    for m in enumerate_morphisms(t.instance, u.instance):
         composite = compose_morphisms(m, u.typing)
         if all(
             composite.component(v) == t.typing.component(v)
@@ -1052,8 +1050,16 @@ def _tokenize(text: str) -> list[Token]:
 
 # ``dsl._print_instance``, ``migration.delta`` and ``instances.validate_instance``
 # as they were before they moved a column at a time.  Verbatim apart from
-# their names; the references for those three's text, rows, columns, reports
-# and errors.
+# their names and the printer's missing cell, which now raises the
+# ``StructuralError`` naming the arrow and the row, not a bare ``KeyError``;
+# the references for those three's text, rows, columns, reports and errors.
+
+
+def _cell(instance: Instance, arrow: str, row: str) -> str:
+    column = instance.column(arrow)
+    if row not in column:
+        raise StructuralError(MissingColumnValue(arrow, row).describe())
+    return column[row]
 
 
 def cell_by_cell_print_instance(decl: InstanceDecl) -> str:
@@ -1066,7 +1072,7 @@ def cell_by_cell_print_instance(decl: InstanceDecl) -> str:
         for row in instance.row_set(v):
             if out_arrows:
                 cells = ", ".join(
-                    f"{format_name(a.name)} = {format_name(instance.column(a.name)[row])}"
+                    f"{format_name(a.name)} = {format_name(_cell(instance, a.name, row))}"
                     for a in out_arrows
                 )
                 lines.append(f"    {format_name(row)} -> ({cells})")

@@ -439,13 +439,11 @@ def test_count_morphisms_cap_on_a_searched_component():
         count_morphisms(source, target, cap=30)
 
 
-def test_enumerate_morphisms_cap_yields_then_raises():
+def test_enumerate_morphisms_yields_in_order_as_asked():
     every = list(enumerate_morphisms(_bare_table(2), _bare_table(3)))
     assert len(every) == 9
-    search = enumerate_morphisms(_bare_table(2), _bare_table(3), cap=4)
+    search = enumerate_morphisms(_bare_table(2), _bare_table(3))
     assert [_components(next(search)) for _ in range(4)] == [_components(m) for m in every[:4]]
-    with pytest.raises(EnumerationCapError):
-        next(search)
 
 
 def test_find_isomorphism_prunes_collapsed_column_within_work_cap():
@@ -461,11 +459,12 @@ def test_find_isomorphism_prunes_collapsed_column_within_work_cap():
     assert iso is not None and validate_morphism(iso) == []
 
 
-def test_find_isomorphism_work_cap_raises():
+def test_find_isomorphism_work_cap_raises(monkeypatch):
     schema = _two_table_schema()
     left = _instance(schema, ["a1", "a2"], ["b1", "b2"], {"a1": "b1", "a2": "b2"})
+    monkeypatch.setattr(instances, "DEFAULT_ISOMORPHISM_WORK_CAP", 1)
     with pytest.raises(EnumerationCapError):
-        find_isomorphism(left, left, work_cap=1)
+        find_isomorphism(left, left)
 
 
 def test_evaluate_respects_composition():

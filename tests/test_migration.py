@@ -11,6 +11,7 @@ from catmigrate.errors import (
     PathBoundInstabilityError,
     SaturationOverflowError,
     SchemaMismatchError,
+    StructuralError,
     UnknownRowError,
 )
 from catmigrate.instances import (
@@ -310,11 +311,11 @@ def test_pi_on_morphism_identity_and_merge(F, I):
     assert morphisms_equal(image, identity_morphism(pi(F, I)))
 
 
-def _reference_pi(monkeypatch, translation, instance, **bounds):
+def _reference_pi(monkeypatch, translation, instance):
     """pi_full with the join swapped for the plain nested loop."""
     with monkeypatch.context() as patch:
         patch.setattr(migration, "_compatible_families", nested_loop_families)
-        return pi_full(translation, instance, **bounds)
+        return pi_full(translation, instance)
 
 
 def _reversed_source(f: Translation) -> Translation:
@@ -362,10 +363,11 @@ def test_pi_join_skips_column_values_outside_their_table(monkeypatch):
 
 
 def test_pi_join_family_cap_raises_as_nested_loop(monkeypatch, F, I):
+    monkeypatch.setattr(migration, "DEFAULT_FAMILY_CAP", 1)
     with pytest.raises(EnumerationCapError) as got:
-        pi_full(F, I, family_cap=1)
+        pi_full(F, I)
     with pytest.raises(EnumerationCapError) as want:
-        _reference_pi(monkeypatch, F, I, family_cap=1)
+        _reference_pi(monkeypatch, F, I)
     assert str(got.value) == str(want.value)
     assert got.value.vertex == want.value.vertex
 
@@ -411,7 +413,7 @@ def test_pi_probes_a_chain_as_long_as_the_bound(monkeypatch):
         assert sorted(d for d, b in calls if b == bound) == list(chain.vertices)
 
 
-def test_pi_runs_every_probe_before_comparing_counts():
+def test_pi_runs_every_probe_before_comparing_counts(monkeypatch):
     # W1's row count grows with the bound; W2's probe overflows the class cap.
     # The cap error of the later vertex wins, as when every vertex is probed.
     loops = Schema(
@@ -424,8 +426,9 @@ def test_pi_runs_every_probe_before_comparing_counts():
     point = Schema("Pt2", Graph(("P", "Q"), ()))
     f = Translation(point, loops, {"P": "W1", "Q": "W2"}, {})
     instance = Instance(point, {"P": ("x", "y")}, {})
+    monkeypatch.setattr(migration, "DEFAULT_ELEMENT_CAP", 10)
     with pytest.raises(PathBoundInstabilityError) as err:
-        pi(f, instance, path_bound=2, element_cap=10)
+        pi(f, instance, path_bound=2)
     assert err.value.vertex == "W2"
     assert "path classes" in str(err.value)
 
@@ -491,6 +494,38 @@ def test_sigma_nontermination_names_the_vertex():
         sigma(f, instance, saturation_bound=40)
     assert err.value.vertex == "W"
     assert "Skolem paths past 16" in str(err.value)
+
+
+def test_sigma_names_the_arrow_and_first_row_of_a_bad_column():
+    # f's image is the identity, one arrow or a path of two; each bad column
+    # fails at its first missing or dangling value in table order
+    source = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    chain = Schema(
+        "Chain", Graph(("X", "M", "Y"), (Arrow("g", "X", "M"), Arrow("h", "M", "Y")))
+    )
+    point = Schema("Pt", Graph(("P",), ()))
+    translations = (
+        Translation(source, point, {"A": "P", "B": "P"}, {"f": Path("P", ())}),
+        identity_translation(source),
+        Translation(source, chain, {"A": "X", "B": "Y"}, {"f": Path("X", ("g", "h"))}),
+    )
+    cases = (
+        ({"a1": "b1", "a3": "b1"}, "row 'a2' has no value for column 'f'"),
+        (
+            {"a1": "b1", "a2": "zz"},
+            "column 'f' sends row 'a2' to 'zz', which is not a row of the target table",
+        ),
+        (
+            {"a1": "b1", "a2": "b1", "a3": "yy"},
+            "column 'f' sends row 'a3' to 'yy', which is not a row of the target table",
+        ),
+    )
+    for translation in translations:
+        for column, message in cases:
+            instance = Instance(source, {"A": ("a1", "a2", "a3"), "B": ("b1",)}, {"f": column})
+            with pytest.raises(StructuralError) as err:
+                sigma(translation, instance)
+            assert str(err.value) == message
 
 
 def test_sigma_charges_every_seed_against_the_bound():
@@ -948,7 +983,6 @@ def test_pipeline_with_typed_steps(paper_env):
 def test_sigma_log_records_round_counts(F, I):
     log = MigrationLog()
     sigma(F, I, log=log)
-    assert log.bounds["saturation_bound"] == 1000
     assert log.saturation_rounds, "no per-round element counts recorded"
     final = log.saturation_rounds[-1]
     assert final["T"] == 7

@@ -1,0 +1,106 @@
+"""The values a caller can set, pinned: every defaulted parameter of a
+function or method of catmigrate whose name does not start with ``_``, and
+every flag of each CLI verb, with its default.
+
+A bound that no caller sets is a module constant, read where it is checked,
+not a parameter.  A knob added, removed or given a new default shows up here
+as a diff to the lists below, to be accepted on purpose.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+from pathlib import Path
+
+import catmigrate
+from catmigrate.cli import _build_parser
+
+DEFAULTED_PARAMETERS = [
+    "cli.main(argv=None)",
+    "dsl._Parser.fail(at=None)",
+    "dsl._Parser.fail(expected=())",
+    "dsl.parse_document(env=None)",
+    "instances.require_natural(what='morphism')",
+    "instances.assignments(injective=False)",
+    "instances.assignments(work_cap=None)",
+    "instances.count_morphisms(cap=5000000)",
+    "migration.check_translation(budget=DEFAULT_REWRITE_BUDGET)",
+    "migration.sigma_full(saturation_bound=DEFAULT_SATURATION_BOUND)",
+    "migration.sigma_full(log=None)",
+    "migration.sigma(saturation_bound=DEFAULT_SATURATION_BOUND)",
+    "migration.sigma(log=None)",
+    "migration.pi_full(path_bound=DEFAULT_PATH_BOUND)",
+    "migration.pi_full(budget=DEFAULT_REWRITE_BUDGET)",
+    "migration.pi_full(log=None)",
+    "migration.pi(path_bound=DEFAULT_PATH_BOUND)",
+    "migration.pi(budget=DEFAULT_REWRITE_BUDGET)",
+    "migration.pi(log=None)",
+    "schemas.paths_equivalent(budget=DEFAULT_REWRITE_BUDGET)",
+    "schemas.paths_equivalent(length_cap=DEFAULT_PATH_LENGTH_CAP)",
+    "typed.count_typed_morphisms(cap=5000000)",
+]
+
+CLI_FLAGS = [
+    "validate --json=False",
+    "validate --stable=False",
+    "validate --rewrite-budget=64",
+    "migrate --out=None",
+    "migrate --name=None",
+    "migrate --json=False",
+    "migrate --stable=False",
+    "migrate --rewrite-budget=64",
+    "migrate --path-bound=16",
+    "migrate --saturation-bound=1000",
+    "check-adjunction --cap=2000000",
+    "check-adjunction --corrupt-sigma=False",
+    "check-adjunction --json=False",
+    "check-adjunction --stable=False",
+    "check-adjunction --rewrite-budget=64",
+    "check-adjunction --path-bound=16",
+    "check-adjunction --saturation-bound=1000",
+    "export-rdf --base=None",
+    "export-rdf --out=None",
+    "render --format='ascii-table'",
+    "render --table=None",
+    "render --out=None",
+]
+
+
+def _defaulted(node: ast.AST, prefix: str):
+    """``prefix.name(parameter=default)`` for every defaulted parameter of a
+    def under ``node`` whose name does not start with ``_``, in source order."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = f"{prefix}.{child.name}"
+            if not child.name.startswith("_"):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults) :]
+                pairs = list(zip(defaulted, args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                for arg, default in pairs:
+                    yield f"{name}({arg.arg}={ast.unparse(default)})"
+            yield from _defaulted(child, name)
+        elif isinstance(child, ast.ClassDef):
+            yield from _defaulted(child, f"{prefix}.{child.name}")
+        else:
+            yield from _defaulted(child, prefix)
+
+
+def test_defaulted_parameters_are_pinned():
+    found = []
+    for path in sorted(Path(catmigrate.__file__).parent.glob("*.py")):
+        found.extend(_defaulted(ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert found == DEFAULTED_PARAMETERS
+
+
+def test_cli_flags_are_pinned():
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = [
+        f"{verb} {action.option_strings[-1]}={action.default!r}"
+        for verb, sub in verbs.choices.items()
+        for action in sub._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+    assert found == CLI_FLAGS
