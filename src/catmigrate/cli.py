@@ -192,7 +192,9 @@ def _schema_name_of(docs, schema) -> str:
 def _corrupt(instance: Instance) -> Instance:
     """Deterministically break the instance for the mutation-test mode:
     flatten the first multi-valued column to a constant, or failing that
-    drop a row."""
+    drop the last row, in vertex order, that no column value points to, so
+    that the result is still an instance.  With no such row, the instance
+    comes back unchanged."""
     rows = {v: tuple(r) for v, r in instance.rows.items()}
     columns = {a: dict(col) for a, col in instance.columns.items()}
     for arrow in instance.schema.arrows:
@@ -201,12 +203,14 @@ def _corrupt(instance: Instance) -> Instance:
             first = col[instance.row_set(arrow.source)[0]]
             columns[arrow.name] = {r: first for r in col}
             return Instance(instance.schema, rows, columns)
+    arrows = instance.schema.arrows
+    pointed = {(a.target, value) for a in arrows for value in columns[a.name].values()}
     for v in instance.schema.vertices:
-        if rows[v]:
-            dropped = rows[v][-1]
-            rows[v] = rows[v][:-1]
+        dropped = next((r for r in reversed(rows[v]) if (v, r) not in pointed), None)
+        if dropped is not None:
+            rows[v] = tuple(r for r in rows[v] if r != dropped)
             for a in instance.schema.graph.out_arrows(v):
-                columns[a.name].pop(dropped, None)
+                del columns[a.name][dropped]
             return Instance(instance.schema, rows, columns)
     return instance
 

@@ -3,9 +3,9 @@
 One document holds named declarations (schemas, instances, translations,
 morphisms, typed instances) with no forward references; earlier files on a
 command line act as an environment for later ones.  Parsing performs
-structural validation (name resolution, endpoints, column totality) but not
-semantic validation (equation satisfaction, naturality) — that is the job of
-the validate operations.
+structural validation (name resolution, endpoints, column totality and
+closure) but not semantic validation (equation satisfaction, naturality) —
+that is the job of the validate operations.
 
 Identifiers are ``[A-Za-z0-9_$-]+``, but ``->`` ends one (``a-->b`` is
 ``a-``, ``->``, ``b``); anything else (dots, spaces, reserved words) must be
@@ -16,10 +16,11 @@ tab is one column.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import ParseError, StructuralError
-from .instances import Instance, InstanceMorphism, MissingColumnValue
+from .instances import Instance, InstanceMorphism
 from .migration import Translation
 from .schemas import Arrow, Graph, Path, PathEquivalence, Schema, path_target
 from .typed import TypedInstance
@@ -447,11 +448,11 @@ class _Parser:
 
         self.expect_punct("}")
 
-        for arrow in schema.arrows:
-            if not tables[arrow.target].keys() >= set(columns[arrow.name].values()):
-                self.fail_dangling(graph, tables, body)
-
-        instance = Instance(schema, {v: tuple(rows) for v, rows in tables.items()}, columns)
+        try:
+            instance = Instance(schema, {v: tuple(rows) for v, rows in tables.items()}, columns)
+        except StructuralError:  # every row has its cells, so a value dangles
+            self.fail_dangling(graph, tables, body)
+            raise
         self.declare("instance", name, instance, name_at)
         return InstanceDecl(name, schema_name, instance)
 
@@ -761,8 +762,7 @@ def _print_instance(decl: InstanceDecl) -> str:
     formatted once per table and each distinct value once per instance.  A
     name that cannot be printed is reported in the order of a cell-by-cell
     printer: the arrow names and values of a row's cells in turn, then the
-    row.  A missing cell raises ``StructuralError`` naming its arrow and the
-    first row, in table order, that lacks one."""
+    row."""
     instance = decl.instance
     schema = instance.schema
     columns = instance.columns
@@ -773,27 +773,18 @@ def _print_instance(decl: InstanceDecl) -> str:
         table = instance.rows[v]
         out_arrows = schema.graph.out_arrows(v)
         if table and out_arrows:
-            cells: list[tuple[str, dict[str, str]]] = []
-            try:
-                for a in out_arrows:
-                    try:
-                        head = formatted[a.name] + " = "
-                    except StructuralError:
-                        for _, earlier in cells:  # the first row's earlier values come first
-                            formatted[earlier[table[0]]]
-                        raise
-                    cells.append((head, columns[a.name]))
-                for row in table:
-                    text = ", ".join([head + formatted[column[row]] for head, column in cells])
-                    lines.append(f"    {formatted[row]} -> ({text})")
-            except KeyError:  # a missing cell, the first in the cell-by-cell order
-                row, a = next(
-                    (row, a)
-                    for row in table
-                    for a, (_, column) in zip(out_arrows, cells)
-                    if row not in column
-                )
-                raise StructuralError(MissingColumnValue(a.name, row).describe()) from None
+            cells: list[tuple[str, Mapping[str, str]]] = []
+            for a in out_arrows:
+                try:
+                    head = formatted[a.name] + " = "
+                except StructuralError:
+                    for _, earlier in cells:  # the first row's earlier values come first
+                        formatted[earlier[table[0]]]
+                    raise
+                cells.append((head, columns[a.name]))
+            for row in table:
+                text = ", ".join([head + formatted[column[row]] for head, column in cells])
+                lines.append(f"    {formatted[row]} -> ({text})")
         else:
             lines.extend([f"    {formatted[row]}" for row in table])
         lines.append("  }")

@@ -1,14 +1,16 @@
 """Instances (set-valued functors on a schema) and their morphisms.
 
 An instance holds one ordered row set per vertex and one total column function
-per arrow.  Operations here are the semantic core the rest of the engine leans
-on: path evaluation, validation against the declared equations, fiber
-products, and the one indexed join, ``assignments``, that finds every
-assignment of rows to a finite diagram respecting its columns.  pi's
-compatible families are such assignments, and so are morphisms of instances:
-enumeration and isomorphism search run the join on the source instance's
-diagram of elements, and counting, which the adjunction checks use, runs it
-on each connected component of that diagram and multiplies the counts.
+per arrow, each into its target table; ``Instance`` refuses any other, so no
+operation here or downstream meets a missing or dangling cell.  Operations
+here are the semantic core the rest of the engine leans on: path evaluation,
+validation against the declared equations, fiber products, and the one
+indexed join, ``assignments``, that finds every assignment of rows to a
+finite diagram respecting its columns.  pi's compatible families are such
+assignments, and so are morphisms of instances: enumeration and isomorphism
+search run the join on the source instance's diagram of elements, and
+counting, which the adjunction checks use, runs it on each connected
+component of that diagram and multiplies the counts.
 """
 from __future__ import annotations
 
@@ -32,16 +34,19 @@ DEFAULT_ISOMORPHISM_WORK_CAP = 2_000_000  # rows tried by find_isomorphism, fixe
 class Instance:
     """One ordered row set per vertex and one column per arrow.
 
-    The instance is frozen, every table is a tuple, and ``rows`` and
-    ``columns`` are read-only views of copies of the caller's mappings, each
-    column dict copied too, so neither the row -> position map of a table,
-    built on its first membership or position query, nor a loop over a
-    column can go stale under a change the caller makes.
+    Every column is checked once, here: it must send each row of its source
+    table to a row of its target table.  The first missing or dangling cell,
+    by arrow and then by row, raises ``StructuralError``.  The instance is
+    frozen, every table is a tuple, and ``rows``, ``columns`` and each column
+    are read-only views of copies of the caller's mappings, so neither that
+    check, nor the row -> position map of a table, built on its first
+    membership or position query, nor a loop over a column can go stale
+    under a change the caller makes.
     """
 
     schema: Schema
     rows: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    columns: Mapping[str, dict[str, str]] = field(default_factory=dict)
+    columns: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
     _positions: dict[str, dict[str, int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -67,7 +72,15 @@ class Instance:
         for name in columns:
             graph.arrow(name)
         object.__setattr__(self, "rows", MappingProxyType(rows))
-        object.__setattr__(self, "columns", MappingProxyType(columns))
+        object.__setattr__(
+            self,
+            "columns",
+            MappingProxyType({name: MappingProxyType(c) for name, c in columns.items()}),
+        )
+        for arrow in self.schema.arrows:
+            values = set(map(columns[arrow.name].get, rows[arrow.source]))
+            if not self.positions(arrow.target).keys() >= values:  # a missing cell gives None
+                raise StructuralError(next(column_faults(self, arrow)).describe())
 
     __hash__ = None  # instances compare by their tables, which are not hashable
 
@@ -84,9 +97,9 @@ class Instance:
             self._positions[vertex] = index
         return index
 
-    def column(self, arrow: str) -> dict[str, str]:
+    def column(self, arrow: str) -> Mapping[str, str]:
         self.schema.graph.arrow(arrow)
-        return self.columns.get(arrow, {})
+        return self.columns[arrow]
 
     def total_rows(self) -> int:
         return sum(len(r) for r in self.rows.values())
@@ -97,25 +110,16 @@ def evaluate_path(instance: Instance, path: Path, row: str) -> str:
     path_target(instance.schema.graph, path)
     if row not in instance.positions(path.source):
         raise UnknownRowError(path.source, row)
-    at = row
     for name in path.arrows:
-        column = instance.column(name)
-        if at not in column:
-            arrow = instance.schema.graph.arrow(name)
-            raise UnknownRowError(arrow.source, at)
-        at = column[at]
-    return at
+        row = instance.column(name)[row]
+    return row
 
 
 def path_values(instance: Instance, path: Path, rows) -> list:
-    """``path``'s value at each of ``rows``, composed a column at a time.
-
-    Where a step finds no value, ``evaluate_path`` raises, and the row's
-    value here is None: no column has None as a key, so it stays None.
-    """
+    """``path``'s value at each of ``rows``, composed a column at a time."""
     values = list(rows)
     for name in path.arrows:
-        values = list(map(instance.column(name).get, values))
+        values = list(map(instance.column(name).__getitem__, values))
     return values
 
 
@@ -156,36 +160,29 @@ class EquationViolation:
 
 
 def validate_instance(instance: Instance) -> list:
-    """Report every violated instance invariant; an empty report means valid.
+    """Report every violated equation, per (equation, witness row) with both
+    evaluated sides; an empty report means valid.
 
-    Structural problems (missing or dangling column values) are reported per
-    (arrow, row); equation problems per (equation, witness row) with both
-    evaluated sides.
+    Every column is total and closed, as ``Instance`` checked when it was
+    built, so the equations are all there is left to check.
     """
     report = []
-    schema = instance.schema
-    for arrow in schema.arrows:
-        targets = instance.positions(arrow.target)
-        table = instance.row_set(arrow.source)
-        if not all(map(targets.__contains__, map(instance.column(arrow.name).get, table))):
-            report.extend(column_faults(instance, arrow))
-    for eq in schema.equivalences:
+    for eq in instance.schema.equivalences:
         table = instance.row_set(eq.lhs.source)
         lhs = path_values(instance, eq.lhs, table)
         rhs = path_values(instance, eq.rhs, table)
         if lhs == rhs:
             continue
         for row, left, right in zip(table, lhs, rhs):
-            # a side with no value was already reported structurally
-            if left != right and left is not None and right is not None:
+            if left != right:
                 report.append(EquationViolation(str(eq), row, left, right))
     return report
 
 
 def column_faults(instance: Instance, arrow: Arrow):
     """Yield the missing and dangling values of ``arrow``'s column, in table
-    order."""
-    column = instance.column(arrow.name)
+    order; ``Instance`` raises on the first."""
+    column = instance.columns[arrow.name]
     targets = instance.positions(arrow.target)
     for row in instance.row_set(arrow.source):
         if row not in column:
@@ -266,7 +263,7 @@ def validate_morphism(m: InstanceMorphism) -> list:
         comp_s = m.component(arrow.source)
         comp_t = m.component(arrow.target)
         for row in m.source.row_set(arrow.source):
-            if row not in comp_s or row not in src_col:
+            if row not in comp_s:
                 continue
             acted = src_col[row]
             if acted not in comp_t or comp_s[row] not in tgt_col:
@@ -430,27 +427,23 @@ def assignments(
         filled = [k, *(j for j, *_ in lookups)] if injective else ()
         for row in pool:
             values[k] = row
-            for j, i, column, rows in lookups:
-                value = column.get(values[i])
-                if value not in rows:
+            for j, i, column in lookups:
+                values[j] = column[values[i]]
+            for i, j, column in checks:
+                if column[values[i]] != values[j]:
                     break
-                values[j] = value
             else:
-                for i, j, column in checks:
-                    if column.get(values[i]) != values[j]:
-                        break
+                if used is not None:
+                    claimed = {(comps[c][0], values[c]) for c in filled}
+                    if len(claimed) < len(filled) or not used.isdisjoint(claimed):
+                        continue
+                    used.update(claimed)
+                if s == last:
+                    yield tuple(values)
                 else:
-                    if used is not None:
-                        claimed = {(comps[c][0], values[c]) for c in filled}
-                        if len(claimed) < len(filled) or not used.isdisjoint(claimed):
-                            continue
-                        used.update(claimed)
-                    if s == last:
-                        yield tuple(values)
-                    else:
-                        yield from extend(s + 1)
-                    if used is not None:
-                        used.difference_update(claimed)
+                    yield from extend(s + 1)
+                if used is not None:
+                    used.difference_update(claimed)
 
     yield from extend(0)
 
@@ -465,11 +458,11 @@ def _join_plan(
     Each step branches on the lowest-index unassigned component: it is drawn
     from a column's preimage index when a constraint ties it to an assigned
     component, and enumerated otherwise.  Then every component a constraint
-    reaches from an assigned one is looked up in that column (and must be a
-    row of its table), and every other constraint is checked once both its
-    ends are assigned.  A looked-up component is a function of the components
-    assigned before it, so it never tells two assignments apart; the
-    branches, taken in index order, keep the nested loop's order.
+    reaches from an assigned one is looked up in that column, and every
+    other constraint is checked once both its ends are assigned.  A
+    looked-up component is a function of the components assigned before it,
+    so it never tells two assignments apart; the branches, taken in index
+    order, keep the nested loop's order.
 
     A step is ``(branch, driver, pool, lookups, checks)``: ``pool`` holds the
     branch's rows, or with a ``driver`` component its preimage index keyed by
@@ -496,7 +489,7 @@ def _join_plan(
                 column = target.column(name)
                 pool = preimages[vertex, name] = {}
                 for row in target.row_set(vertex):
-                    pool.setdefault(column.get(row), []).append(row)
+                    pool.setdefault(column[row], []).append(row)
         assigned[k] = True
         filled = [k]
         lookups = []
@@ -505,7 +498,7 @@ def _join_plan(
                 if not assigned[j]:
                     planned[n] = assigned[j] = True
                     filled.append(j)
-                    lookups.append((j, c, target.column(name), target.positions(comps[j][0])))
+                    lookups.append((j, c, target.column(name)))
         # A constraint out of a component assigned at an earlier step had its
         # other end assigned then too, so what is left to check starts here.
         checks = [
@@ -528,9 +521,7 @@ def _element_diagram(source: Instance) -> tuple[list[tuple[str, str]], list[tupl
     for arrow in source.schema.arrows:
         column = source.column(arrow.name)
         for r in source.row_set(arrow.source):
-            j = slot.get((arrow.target, column.get(r)))
-            if j is not None:
-                constraints.append((slot[arrow.source, r], j, arrow.name))
+            constraints.append((slot[arrow.source, r], slot[arrow.target, column[r]], arrow.name))
     return comps, constraints
 
 

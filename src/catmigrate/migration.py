@@ -8,7 +8,8 @@ congruence.  An equation's two sides are walked to the element before their
 last arrow, and a missing last step is asserted to be the other side's
 element, not invented and merged back; it still counts against the bounds.
 pi is the right adjoint, computed pointwise as compatible families over a
-bounded comma category.  Both pushforwards are infinite in general, so they
+bounded comma category, and its result is checked against the target
+schema's equations.  Both pushforwards are infinite in general, so they
 run under explicit bounds and fail loudly when exceeded.
 """
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .instances import (
     Instance,
     InstanceMorphism,
     assignments,
-    column_faults,
     evaluate_path,
     path_values,
     require_natural,
+    validate_instance,
 )
 from .naming import keyed_id, uniquify
 from .schemas import (
@@ -243,9 +244,7 @@ def delta(translation: Translation, instance: Instance) -> Instance:
     """Pull a target-schema instance back to the source schema.
 
     Row sets are reused verbatim; each source arrow's column is the target
-    instance evaluated along the arrow's image path, a column at a time.  A
-    step with no value raises ``UnknownRowError`` at the first row, in table
-    order, that meets one, as ``evaluate_path`` names it.
+    instance evaluated along the arrow's image path, a column at a time.
     """
     require_structural(translation)
     if instance.schema != translation.target:
@@ -255,10 +254,7 @@ def delta(translation: Translation, instance: Instance) -> Instance:
     for arrow in translation.source.arrows:
         image = translation.arrow_image(arrow.name)
         table = rows[arrow.source]
-        values = path_values(instance, image, table)
-        if None in values:  # the walk of the first such row raises
-            evaluate_path(instance, image, table[values.index(None)])
-        columns[arrow.name] = dict(zip(table, values))
+        columns[arrow.name] = dict(zip(table, path_values(instance, image, table)))
     return Instance(translation.source, rows, columns)
 
 
@@ -494,30 +490,24 @@ class _SigmaEngine:
         """Assert each source column along its image path, one column at a
         time: the walk along the image's first arrows from each row's seed
         gets its value's seed as the image's last step.  No union runs here,
-        so every element is a root.  A missing or dangling value raises
-        ``StructuralError`` naming the arrow and the first such row."""
+        so every element is a root."""
         img = self.img
         for arrow in self.F.source.arrows:
             image = self.F.arrow_image(arrow.name).arrows
             values = map(self.I.columns[arrow.name].__getitem__, self.I.row_set(arrow.source))
             ends = map(self.seeds[arrow.target].__getitem__, values)
             pairs = zip(self.seeds[arrow.source].values(), ends)
-            try:
-                if not image:
-                    self.queue.extend(pairs)
-                    continue
-                walk, last = image[:-1], image[-1]
-                for start, end in pairs:
-                    at = self.walk_create(start, walk) if walk else start
-                    existing = img[at].get(last)
-                    if existing is None:
-                        img[at][last] = end
-                    else:
-                        self.queue.append((existing, end))
-            except KeyError:
-                for fault in column_faults(self.I, arrow):
-                    raise StructuralError(fault.describe()) from None
-                raise
+            if not image:
+                self.queue.extend(pairs)
+                continue
+            walk, last = image[:-1], image[-1]
+            for start, end in pairs:
+                at = self.walk_create(start, walk) if walk else start
+                existing = img[at].get(last)
+                if existing is None:
+                    img[at][last] = end
+                else:
+                    self.queue.append((existing, end))
 
     # A pass of apply_equations or totalize visits the roots in id order, and
     # the queue is emptied before the next pass.  Unions only merge classes,
@@ -906,7 +896,19 @@ def pi_full(
                 )
             mapping[rid] = out
         columns[arrow.name] = mapping
-    return PiResult(Instance(D, rows, columns), data)
+    result = Instance(D, rows, columns)
+    # A true path class that the rewrite search could not join is split in
+    # two, and the families over both halves then break an equation of D.
+    report = validate_instance(result)
+    if report:
+        first = report[0]
+        vertex = next(eq.lhs.source for eq in D.equivalences if str(eq) == first.equation)
+        raise PathBoundInstabilityError(
+            f"pi result at vertex {vertex!r}: {first.describe()}; a path class "
+            "there rests on an unfinished rewrite search, so raise the rewrite budget",
+            vertex=vertex,
+        )
+    return PiResult(result, data)
 
 
 def pi(

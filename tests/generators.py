@@ -251,17 +251,24 @@ def shuffled_rows(rng: random.Random, instance: Instance) -> Instance:
     return Instance(instance.schema, rows, instance.columns)
 
 
-def damaged(rng: random.Random, instance: Instance, cells: int = 1) -> Instance:
-    """A copy of ``instance`` with up to ``cells`` cells changed: each is
-    dropped, sent to a value that is no row, or sent to another row of its
-    target table (which may break an equation)."""
+def damaged(
+    rng: random.Random,
+    instance: Instance,
+    cells: int = 1,
+    kinds: tuple[str, ...] = ("missing", "dangling", "other"),
+) -> tuple[dict, dict]:
+    """The rows and columns of ``instance``, with up to ``cells`` cells
+    changed, each in one of ``kinds``: dropped ("missing"), sent to a value
+    that is no row ("dangling"), or sent to another row of its target table
+    ("other", which may break an equation).  Raw, because ``Instance``
+    refuses the first two."""
     columns = {name: dict(column) for name, column in instance.columns.items()}
     arrows = [a for a in instance.schema.arrows if columns[a.name]]
     for _ in range(cells if arrows else 0):
         arrow = rng.choice(arrows)
         column = columns[arrow.name]
         row = rng.choice(list(column))
-        kind = rng.choice(("missing", "dangling", "other"))
+        kind = rng.choice(kinds)
         if kind == "missing":
             del column[row]
             arrows = [a for a in arrows if columns[a.name]]
@@ -271,7 +278,7 @@ def damaged(rng: random.Random, instance: Instance, cells: int = 1) -> Instance:
             column[row] = "nowhere"
         else:
             column[row] = rng.choice(instance.row_set(arrow.target))
-    return Instance(instance.schema, instance.rows, columns)
+    return dict(instance.rows), columns
 
 
 def repair_instance(instance: Instance) -> Instance:

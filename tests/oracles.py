@@ -28,9 +28,7 @@ from catmigrate.errors import (
     ParseError,
     SaturationOverflowError,
     SchemaMismatchError,
-    StructuralError,
     TypeChangeError,
-    UnknownRowError,
 )
 from catmigrate.instances import (
     DanglingColumnValue,
@@ -1049,17 +1047,12 @@ def _tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 # ``dsl._print_instance``, ``migration.delta`` and ``instances.validate_instance``
-# as they were before they moved a column at a time.  Verbatim apart from
-# their names and the printer's missing cell, which now raises the
-# ``StructuralError`` naming the arrow and the row, not a bare ``KeyError``;
-# the references for those three's text, rows, columns, reports and errors.
-
-
-def _cell(instance: Instance, arrow: str, row: str) -> str:
-    column = instance.column(arrow)
-    if row not in column:
-        raise StructuralError(MissingColumnValue(arrow, row).describe())
-    return column[row]
+# as they were before they moved a column at a time, the references for
+# those three's text, rows, columns and reports.  An ``Instance`` now refuses
+# a missing or dangling cell when it is built, so the printer has no missing
+# cell to report, and the validation reference takes raw rows and columns:
+# it reports their missing and dangling cells, by arrow and then by row, in
+# the order the constructor meets them.
 
 
 def cell_by_cell_print_instance(decl: InstanceDecl) -> str:
@@ -1072,7 +1065,7 @@ def cell_by_cell_print_instance(decl: InstanceDecl) -> str:
         for row in instance.row_set(v):
             if out_arrows:
                 cells = ", ".join(
-                    f"{format_name(a.name)} = {format_name(_cell(instance, a.name, row))}"
+                    f"{format_name(a.name)} = {format_name(instance.column(a.name)[row])}"
                     for a in out_arrows
                 )
                 lines.append(f"    {format_name(row)} -> ({cells})")
@@ -1102,29 +1095,37 @@ def row_by_row_delta(translation: Translation, instance: Instance) -> Instance:
     return Instance(translation.source, rows, columns)
 
 
-def row_by_row_validate_instance(instance: Instance) -> list:
-    """Report every violated instance invariant; an empty report means valid.
+def row_by_row_validate_instance(schema: Schema, rows: dict, columns: dict) -> list:
+    """Report every violated instance invariant of raw rows and columns; an
+    empty report means valid.
 
     Structural problems (missing or dangling column values) are reported per
     (arrow, row); equation problems per (equation, witness row) with both
-    evaluated sides.
+    evaluated sides, skipping a row where either side has no value.
     """
     report = []
-    schema = instance.schema
     for arrow in schema.arrows:
-        column = instance.column(arrow.name)
-        targets = instance.positions(arrow.target)
-        for row in instance.row_set(arrow.source):
+        column = columns.get(arrow.name, {})
+        targets = set(rows.get(arrow.target, ()))
+        for row in rows.get(arrow.source, ()):
             if row not in column:
                 report.append(MissingColumnValue(arrow.name, row))
             elif column[row] not in targets:
                 report.append(DanglingColumnValue(arrow.name, row, column[row]))
+
+    def walk(path: Path, row: str):
+        for name in path.arrows:
+            column = columns.get(name, {})
+            if row not in column:
+                return None
+            row = column[row]
+        return row
+
     for eq in schema.equivalences:
-        for row in instance.row_set(eq.lhs.source):
-            try:
-                lhs = evaluate_path(instance, eq.lhs, row)
-                rhs = evaluate_path(instance, eq.rhs, row)
-            except UnknownRowError:
+        for row in rows.get(eq.lhs.source, ()):
+            lhs = walk(eq.lhs, row)
+            rhs = walk(eq.rhs, row)
+            if lhs is None or rhs is None:
                 continue  # already reported structurally
             if lhs != rhs:
                 report.append(EquationViolation(str(eq), row, lhs, rhs))

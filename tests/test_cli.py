@@ -180,6 +180,28 @@ def test_check_adjunction_corrupted_sigma_exits_one(capsys):
     assert "MISMATCH" in out
 
 
+def test_corrupted_sigma_drops_only_a_row_no_column_value_points_to(tmp_path, capsys):
+    # sigma along the identity has one column value, so the corruption drops
+    # a row: a1, which nothing points to, and not b1, which f(a1) points to
+    from catmigrate.cli import _corrupt
+    from catmigrate.instances import validate_instance
+
+    doc = """
+schema D { nodes B, A; arrows f : A -> B; }
+translation Id : D -> D { nodes B -> B, A -> A; arrows f -> f; }
+instance I on D { table B { b1 } table A { a1 -> (f = b1) } }
+"""
+    path = tmp_path / "corrupt.cat"
+    path.write_text(doc)
+    code, out, _ = run(capsys, "check-adjunction", "Id", "I", "I", str(path), "--corrupt-sigma")
+    assert code == 0
+    assert "sigma adjunction: equal" in out
+    instance = dsl.parse_document(doc).instance("I")
+    corrupted = _corrupt(instance)
+    assert dict(corrupted.rows) == {"B": ("b1",), "A": ()}
+    assert validate_instance(corrupted) == []
+
+
 def test_export_rdf_sixteen_sorted_lines(tmp_path, capsys):
     out_file = tmp_path / "triples.nt"
     code, _, _ = run(

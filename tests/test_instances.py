@@ -136,6 +136,18 @@ def test_rows_and_columns_are_read_only():
     assert instance.row_set("A") == ("a",)
 
 
+def test_columns_are_read_only_views():
+    # a frozen instance's column cannot be changed after its check
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    instance = Instance(schema, {"A": ("a",), "B": ("x",)}, {"f": {"a": "x"}})
+    with pytest.raises(TypeError):
+        instance.column("f")["a"] = "zzz"
+    with pytest.raises(TypeError):
+        instance.columns["f"]["a"] = "zzz"
+    assert instance.column("f") == {"a": "x"}
+    assert validate_instance(instance) == []
+
+
 def test_duplicate_row_rejected():
     schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
     with pytest.raises(StructuralError, match="duplicate row 'a' in table 'A'"):
@@ -145,23 +157,38 @@ def test_duplicate_row_rejected():
 def test_dangling_value_reported():
     graph = Graph(("A", "B"), (Arrow("f", "A", "B"),))
     schema = Schema("S", graph)
-    bad = Instance(schema, {"A": ("a",), "B": ("b",)}, {"f": {"a": "zzz"}})
-    report = validate_instance(bad)
-    assert any(item.describe().startswith("column 'f'") for item in report)
+    with pytest.raises(StructuralError) as err:
+        Instance(schema, {"A": ("a",), "B": ("b",)}, {"f": {"a": "zzz"}})
+    assert str(err.value) == (
+        "column 'f' sends row 'a' to 'zzz', which is not a row of the target table"
+    )
 
 
 def test_validation_matches_the_row_by_row_reference():
     # missing, dangling and moved cells, several to an instance, on schemas
-    # with equations: the same report, item for item, in order
+    # with equations: the constructor refuses the reference's first missing
+    # or dangling cell with its text, and validation of what it accepts gives
+    # the reference's report, item for item, in order.  Half the cases only
+    # move cells, as only those reach validation
     rng = random.Random(5323)
     kinds: dict[str, int] = {}
-    for case in range(500):
+    for case in range(2000):
         schema = rand_acyclic_schema(rng, f"V{case}", max_vertices=4, max_arrows=6, max_equations=3)
         instance = rand_instance(rng, schema, max_rows=4)
-        if case % 4:
-            instance = damaged(rng, instance, cells=rng.randint(1, 4))
-        want = row_by_row_validate_instance(instance)
-        assert validate_instance(instance) == want, case
+        rows, columns = dict(instance.rows), dict(instance.columns)
+        if case % 4 == 3:
+            rows, columns = damaged(rng, instance, cells=rng.randint(1, 4))
+        elif case % 4:
+            rows, columns = damaged(rng, instance, cells=rng.randint(1, 4), kinds=("other",))
+        want = row_by_row_validate_instance(schema, rows, columns)
+        structural = [item for item in want if not isinstance(item, EquationViolation)]
+        if structural:
+            with pytest.raises(StructuralError) as err:
+                Instance(schema, rows, columns)
+            assert str(err.value) == structural[0].describe(), case
+            want = structural[:1]
+        else:
+            assert validate_instance(Instance(schema, rows, columns)) == want, case
         for item in want:
             kinds[type(item).__name__] = kinds.get(type(item).__name__, 0) + 1
     assert len(kinds) == 3 and min(kinds.values()) >= 40, kinds

@@ -12,9 +12,9 @@ from catmigrate.errors import (
     SaturationOverflowError,
     SchemaMismatchError,
     StructuralError,
-    UnknownRowError,
 )
 from catmigrate.instances import (
+    EquationViolation,
     Instance,
     InstanceMorphism,
     compose_morphisms,
@@ -69,6 +69,7 @@ from .oracles import (
     merge_back_sigma_full,
     nested_loop_families,
     row_by_row_delta,
+    row_by_row_validate_instance,
     tag_term,
     tagged_root_order_key,
     tagged_term_sort_key,
@@ -249,18 +250,31 @@ def _delta_outcome(run, translation, instance):
 
 def test_delta_matches_the_row_by_row_reference():
     # valid instances, and instances with missing, dangling or moved cells:
-    # a missing cell, or a dangling value met before a path's last step,
-    # raises UnknownRowError at the first row that meets it
+    # the constructor refuses the first missing or dangling cell, by arrow
+    # and then by row, with the reference validation's text, so delta only
+    # meets total, closed columns, and there it matches the reference
     rng = random.Random(6151)
-    outcomes = {"same instance": 0, "same error": 0}
+    outcomes = {"same instance": 0, "refused when built": 0}
     for case in range(450):
         f = _translation_with_a_path(rng, f"D{case}")
         instance = rand_instance(rng, f.target, max_rows=4)
         if case % 3:
-            instance = damaged(rng, instance, cells=rng.randint(1, 8))
+            rows, columns = damaged(rng, instance, cells=rng.randint(1, 8))
+            faults = [
+                item
+                for item in row_by_row_validate_instance(f.target, rows, columns)
+                if not isinstance(item, EquationViolation)
+            ]
+            if faults:
+                with pytest.raises(StructuralError) as err:
+                    Instance(f.target, rows, columns)
+                assert str(err.value) == faults[0].describe(), case
+                outcomes["refused when built"] += 1
+                continue
+            instance = Instance(f.target, rows, columns)
         want = _delta_outcome(row_by_row_delta, f, instance)
         assert _delta_outcome(delta, f, instance) == want, case
-        outcomes["same error" if want[0] is UnknownRowError else "same instance"] += 1
+        outcomes["same instance"] += 1
     assert min(outcomes.values()) >= 50, outcomes
 
 
@@ -349,17 +363,28 @@ def test_pi_join_keeps_nested_loop_order(monkeypatch):
             )
 
 
-def test_pi_join_skips_column_values_outside_their_table(monkeypatch):
-    # an unvalidated instance whose column points past its target table
-    schema = Schema("Dangle", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
-    instance = Instance(
-        schema, {"A": ("a1", "a2"), "B": ("b",)}, {"f": {"a1": "zzz", "a2": "b"}}
+def test_pi_refuses_a_result_that_breaks_an_equation():
+    # a ~ c takes two rewrites, so at budget 1 the class search splits one
+    # true class at v in two, and the families over both halves break
+    # v : b = c; the result is checked against the equations and refused
+    S = Schema(
+        "ABC",
+        Graph(("v", "w"), (Arrow("a", "v", "w"), Arrow("b", "v", "w"), Arrow("c", "v", "w"))),
+        (
+            PathEquivalence(Path("v", ("a",)), Path("v", ("b",))),
+            PathEquivalence(Path("v", ("b",)), Path("v", ("c",))),
+        ),
     )
-    identity = identity_translation(schema)
-    got = pi_full(identity, instance)
-    want = _reference_pi(monkeypatch, identity, instance)
-    assert list(got.data["A"].rows.items()) == list(want.data["A"].rows.items())
-    assert list(got.data["A"].rows) == [("a2", "b")]
+    W = Schema("Wonly", Graph(("w",), ()))
+    f = Translation(W, S, {"w": "w"}, {})
+    instance = Instance(W, {"w": ("w1", "w2")}, {})
+    with pytest.raises(PathBoundInstabilityError) as err:
+        pi(f, instance, budget=1)
+    assert err.value.vertex == "v"
+    assert "equation v : b = c fails" in str(err.value)
+    joined = pi(f, instance, budget=2)
+    assert len(joined.row_set("v")) == 2
+    assert validate_instance(joined) == []
 
 
 def test_pi_join_family_cap_raises_as_nested_loop(monkeypatch, F, I):
@@ -497,18 +522,10 @@ def test_sigma_nontermination_names_the_vertex():
 
 
 def test_sigma_names_the_arrow_and_first_row_of_a_bad_column():
-    # f's image is the identity, one arrow or a path of two; each bad column
-    # fails at its first missing or dangling value in table order
+    # a bad column never reaches sigma: the instance is refused when it is
+    # built, at its first missing or dangling value in table order, with the
+    # text that names the arrow and the row
     source = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
-    chain = Schema(
-        "Chain", Graph(("X", "M", "Y"), (Arrow("g", "X", "M"), Arrow("h", "M", "Y")))
-    )
-    point = Schema("Pt", Graph(("P",), ()))
-    translations = (
-        Translation(source, point, {"A": "P", "B": "P"}, {"f": Path("P", ())}),
-        identity_translation(source),
-        Translation(source, chain, {"A": "X", "B": "Y"}, {"f": Path("X", ("g", "h"))}),
-    )
     cases = (
         ({"a1": "b1", "a3": "b1"}, "row 'a2' has no value for column 'f'"),
         (
@@ -520,12 +537,10 @@ def test_sigma_names_the_arrow_and_first_row_of_a_bad_column():
             "column 'f' sends row 'a3' to 'yy', which is not a row of the target table",
         ),
     )
-    for translation in translations:
-        for column, message in cases:
-            instance = Instance(source, {"A": ("a1", "a2", "a3"), "B": ("b1",)}, {"f": column})
-            with pytest.raises(StructuralError) as err:
-                sigma(translation, instance)
-            assert str(err.value) == message
+    for column, message in cases:
+        with pytest.raises(StructuralError) as err:
+            Instance(source, {"A": ("a1", "a2", "a3"), "B": ("b1",)}, {"f": column})
+        assert str(err.value) == message
 
 
 def test_sigma_charges_every_seed_against_the_bound():
