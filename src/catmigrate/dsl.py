@@ -319,7 +319,7 @@ class _Parser:
         for name, name_at in arrows:
             try:
                 arrow = graph.arrow(name)
-            except Exception:
+            except StructuralError:
                 self.fail(f"unknown arrow {name!r}", name_at)
             if arrow.source != at:
                 self.fail(
@@ -574,7 +574,7 @@ class _Parser:
                 a, a_at = self.name("a source arrow")
                 try:
                     arrow = source.graph.arrow(a)
-                except Exception:
+                except StructuralError:
                     self.fail(f"schema {source_name!r} has no arrow {a!r}", a_at)
                 if a in arrow_map:
                     self.fail(f"arrow {a!r} mapped twice", a_at)
@@ -607,20 +607,17 @@ class _Parser:
 
         self.expect_punct("}")
 
-        for v in source.vertices:
-            if v not in vertex_map:
-                self.fail(f"translation does not map vertex {v!r}", name_at)
-        for a in source.arrows:
-            if a.name not in arrow_map:
-                self.fail(f"translation does not map arrow {a.name!r}", name_at)
-
-        translation = Translation(source, target, vertex_map, arrow_map)
+        try:
+            translation = Translation(source, target, vertex_map, arrow_map)
+        except StructuralError as exc:  # every mapping was checked, so one is missing
+            self.fail(str(exc), name_at)
         self.declare("translation", name, translation, name_at)
         return TranslationDecl(name, source_name, target_name, translation)
 
-    def component_blocks(
-        self, schema: Schema, source: Instance, target: Instance, owner: int
-    ) -> dict[str, dict[str, str]]:
+    def component_blocks(self, source: Instance, target: Instance, owner: int) -> InstanceMorphism:
+        """Read the component blocks of a morphism from ``source`` to
+        ``target``; a row left unmapped is reported at token ``owner``."""
+        schema = source.schema
         components: dict[str, dict[str, str]] = {v: {} for v in schema.vertices}
         seen_blocks: set[str] = set()
         while self.peek() != "}":
@@ -645,11 +642,10 @@ class _Parser:
                     self.fail(f"{value!r} is not a row of the target at {vertex!r}", value_at)
                 components[vertex][row] = value
             self.expect_punct("}")
-        for v in schema.vertices:
-            for row in source.row_set(v):
-                if row not in components[v]:
-                    self.fail(f"no component value for row {row!r} at vertex {v!r}", owner)
-        return components
+        try:
+            return InstanceMorphism(source, target, components)
+        except StructuralError as exc:  # every value was checked, so a row is unmapped
+            self.fail(str(exc), owner)
 
     def morphism_decl(self) -> MorphismDecl:
         self.expect_keyword("morphism")
@@ -663,9 +659,8 @@ class _Parser:
         if source.schema != target.schema:
             self.fail("morphism endpoints live on different schemas", name_at)
         self.expect_punct("{")
-        components = self.component_blocks(source.schema, source, target, name_at)
+        morphism = self.component_blocks(source, target, name_at)
         self.expect_punct("}")
-        morphism = InstanceMorphism(source, target, components)
         self.declare("morphism", name, morphism, name_at)
         return MorphismDecl(name, source_name, target_name, morphism)
 
@@ -685,10 +680,10 @@ class _Parser:
             self.fail("instance and typing instance live on different schemas", typing_at)
         self.expect_keyword("components")
         self.expect_punct("{")
-        components = self.component_blocks(instance.schema, instance, typing_instance, name_at)
+        typing = self.component_blocks(instance, typing_instance, name_at)
         self.expect_punct("}")
         self.expect_punct("}")
-        typed = TypedInstance(InstanceMorphism(instance, typing_instance, components))
+        typed = TypedInstance(typing)
         self.declare("typedinstance", name, typed, name_at)
         return TypedInstanceDecl(name, instance_name, typing_name, typed)
 

@@ -35,8 +35,9 @@ class Instance:
     """One ordered row set per vertex and one column per arrow.
 
     Every column is checked once, here: it must send each row of its source
-    table to a row of its target table.  The first missing or dangling cell,
-    by arrow and then by row, raises ``StructuralError``.  The instance is
+    table to a row of its target table, and nothing else.  The first
+    missing or dangling cell, by arrow and then by row, or else a key that
+    is not a source row, raises ``StructuralError``.  The instance is
     frozen, every table is a tuple, and ``rows``, ``columns`` and each column
     are read-only views of copies of the caller's mappings, so neither that
     check, nor the row -> position map of a table, built on its first
@@ -78,9 +79,17 @@ class Instance:
             MappingProxyType({name: MappingProxyType(c) for name, c in columns.items()}),
         )
         for arrow in self.schema.arrows:
-            values = set(map(columns[arrow.name].get, rows[arrow.source]))
+            column, table = columns[arrow.name], rows[arrow.source]
+            values = set(map(column.get, table))
             if not self.positions(arrow.target).keys() >= values:  # a missing cell gives None
                 raise StructuralError(next(column_faults(self, arrow)).describe())
+            if len(column) != len(table):  # every row is a key, so a surplus key is a stray
+                sources = self.positions(arrow.source)
+                stray = next(key for key in column if key not in sources)
+                raise StructuralError(
+                    f"column {arrow.name!r} has a value for {stray!r}, "
+                    "which is not a row of its source table"
+                )
 
     __hash__ = None  # instances compare by their tables, which are not hashable
 
@@ -191,42 +200,63 @@ def column_faults(instance: Instance, arrow: Arrow):
             yield DanglingColumnValue(arrow.name, row, column[row])
 
 
-@dataclass
+@dataclass(frozen=True)
 class InstanceMorphism:
+    """One component per vertex, from the source's table into the target's.
+
+    Every component is checked once, here: both instances must share a
+    schema, or ``SchemaMismatchError`` is raised, and each component must
+    send each row of its source table to a row of its target table, and
+    nothing else.  The first missing or dangling value, by vertex and then
+    by row, or else a key that is not a source row, raises
+    ``StructuralError``.  A vertex left out gets an empty component.
+    ``components`` and each component are read-only views of copies of the
+    caller's mappings.  Naturality is ``validate_morphism``'s business.
+    """
+
     source: Instance
     target: Instance
-    components: dict[str, dict[str, str]] = field(default_factory=dict)
+    components: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
 
-    def component(self, vertex: str) -> dict[str, str]:
-        return self.components.get(vertex, {})
+    def __post_init__(self):
+        schema = self.source.schema
+        if schema != self.target.schema:
+            raise SchemaMismatchError("morphism endpoints live on different schemas")
+        components = {v: dict(comp) for v, comp in self.components.items()}
+        for v in components:
+            if not schema.graph.has_vertex(v):
+                raise StructuralError(f"component for unknown vertex {v!r}")
+        for v in schema.vertices:
+            comp, table = components.setdefault(v, {}), self.source.rows[v]
+            targets = self.target.positions(v)
+            if not targets.keys() >= set(map(comp.get, table)):  # a missing value gives None
+                row = next(row for row in table if comp.get(row) not in targets)
+                if row not in comp:
+                    raise StructuralError(f"no component value for row {row!r} at vertex {v!r}")
+                raise StructuralError(
+                    f"component at {v!r} sends {row!r} to {comp[row]!r}, "
+                    "which is not a target row"
+                )
+            if len(comp) != len(table):  # every row is a key, so a surplus key is a stray
+                sources = self.source.positions(v)
+                stray = next(row for row in comp if row not in sources)
+                raise StructuralError(f"component at {v!r} maps {stray!r}, which is not a source row")
+        object.__setattr__(
+            self,
+            "components",
+            MappingProxyType({v: MappingProxyType(comp) for v, comp in components.items()}),
+        )
+
+    __hash__ = None  # morphisms compare by their components, which are not hashable
+
+    def component(self, vertex: str) -> Mapping[str, str]:
+        return self.components[vertex]
 
     def apply(self, vertex: str, row: str) -> str:
         try:
             return self.components[vertex][row]
         except KeyError:
             raise UnknownRowError(vertex, row) from None
-
-
-@dataclass(frozen=True)
-class MissingComponentValue:
-    vertex: str
-    row: str
-
-    def describe(self) -> str:
-        return f"no component value for row {self.row!r} at vertex {self.vertex!r}"
-
-
-@dataclass(frozen=True)
-class DanglingComponentValue:
-    vertex: str
-    row: str
-    value: str
-
-    def describe(self) -> str:
-        return (
-            f"component at {self.vertex!r} sends {self.row!r} to {self.value!r}, "
-            "which is not a target row"
-        )
 
 
 @dataclass(frozen=True)
@@ -244,31 +274,20 @@ class NaturalityViolation:
 
 
 def validate_morphism(m: InstanceMorphism) -> list:
-    """Report totality, membership, and naturality violations of a morphism."""
+    """Report every naturality violation, per (arrow, witness row) with both
+    ways round the square; an empty report means natural.
+
+    Every component is total and lands in the target, as ``InstanceMorphism``
+    checked when it was built, so naturality is all there is left to check.
+    """
     report = []
-    if m.source.schema != m.target.schema:
-        raise SchemaMismatchError("morphism endpoints live on different schemas")
-    schema = m.source.schema
-    for v in schema.vertices:
-        comp = m.component(v)
-        targets = m.target.positions(v)
-        for row in m.source.row_set(v):
-            if row not in comp:
-                report.append(MissingComponentValue(v, row))
-            elif comp[row] not in targets:
-                report.append(DanglingComponentValue(v, row, comp[row]))
-    for arrow in schema.arrows:
+    for arrow in m.source.schema.arrows:
         src_col = m.source.column(arrow.name)
         tgt_col = m.target.column(arrow.name)
         comp_s = m.component(arrow.source)
         comp_t = m.component(arrow.target)
         for row in m.source.row_set(arrow.source):
-            if row not in comp_s:
-                continue
-            acted = src_col[row]
-            if acted not in comp_t or comp_s[row] not in tgt_col:
-                continue
-            via_target = comp_t[acted]
+            via_target = comp_t[src_col[row]]
             via_source = tgt_col[comp_s[row]]
             if via_target != via_source:
                 report.append(NaturalityViolation(arrow.name, row, via_target, via_source))

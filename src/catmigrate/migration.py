@@ -15,9 +15,11 @@ run under explicit bounds and fail loudly when exceeded.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from types import MappingProxyType
 
 from .errors import (
     EnumerationCapError,
@@ -67,14 +69,66 @@ class MigrationLog:
         self.warnings.append(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Translation:
-    """A schema morphism: vertices to vertices, arrows to target paths."""
+    """A schema morphism: vertices to vertices, arrows to target paths.
+
+    It is checked once, here, to be a graph morphism: every source vertex and
+    arrow is mapped, every vertex image is a target vertex, every arrow image
+    is a target path from the image of the arrow's source to the image of
+    its target, and no key lies outside the source.  The first fault, by
+    vertex and then by arrow, raises ``StructuralError``.  ``vertex_map``
+    and ``arrow_map`` are read-only views of copies of the caller's
+    mappings, so the check cannot go stale.  Whether the source's equations
+    hold in the target is ``check_translation``'s business.
+    """
 
     source: Schema
     target: Schema
-    vertex_map: dict[str, str]
-    arrow_map: dict[str, Path]
+    vertex_map: Mapping[str, str]
+    arrow_map: Mapping[str, Path]
+
+    def __post_init__(self):
+        vertex_map = dict(self.vertex_map)
+        arrow_map = dict(self.arrow_map)
+        object.__setattr__(self, "vertex_map", MappingProxyType(vertex_map))
+        object.__setattr__(self, "arrow_map", MappingProxyType(arrow_map))
+        src, tgt = self.source.graph, self.target.graph
+        for v in src.vertices:
+            if v not in vertex_map:
+                raise StructuralError(f"translation does not map vertex {v!r}")
+            if not tgt.has_vertex(vertex_map[v]):
+                raise StructuralError(
+                    f"vertex {v!r} image {vertex_map[v]!r} is not a target vertex"
+                )
+        for a in src.arrows:
+            path = arrow_map.get(a.name)
+            if path is None:
+                raise StructuralError(f"translation does not map arrow {a.name!r}")
+            try:
+                end = path_target(tgt, path)
+            except StructuralError as exc:
+                raise StructuralError(f"arrow {a.name!r} image breaks endpoints: {exc}") from None
+            if path.source != vertex_map[a.source]:
+                raise StructuralError(
+                    f"arrow {a.name!r} image breaks endpoints: "
+                    f"image starts at {path.source!r}, expected {vertex_map[a.source]!r}"
+                )
+            if end != vertex_map[a.target]:
+                raise StructuralError(
+                    f"arrow {a.name!r} image breaks endpoints: "
+                    f"image ends at {end!r}, expected {vertex_map[a.target]!r}"
+                )
+        # Every source vertex and arrow is a key, so a surplus key is a stray.
+        if len(vertex_map) != len(src.vertices):
+            stray = next(v for v in vertex_map if not src.has_vertex(v))
+            raise StructuralError(f"translation maps {stray!r}, which is not a source vertex")
+        if len(arrow_map) != len(src.arrows):
+            names = {a.name for a in src.arrows}
+            stray = next(a for a in arrow_map if a not in names)
+            raise StructuralError(f"translation maps {stray!r}, which is not a source arrow")
+
+    __hash__ = None  # translations compare by their maps, which are not hashable
 
     def vertex_image(self, vertex: str) -> str:
         try:
@@ -117,24 +171,6 @@ def compose_translations(first: Translation, then: Translation) -> Translation:
 
 
 @dataclass(frozen=True)
-class MissingMapping:
-    kind: str  # "vertex" | "arrow"
-    name: str
-
-    def describe(self) -> str:
-        return f"translation does not map {self.kind} {self.name!r}"
-
-
-@dataclass(frozen=True)
-class EndpointViolation:
-    arrow: str
-    detail: str
-
-    def describe(self) -> str:
-        return f"arrow {self.arrow!r} image breaks endpoints: {self.detail}"
-
-
-@dataclass(frozen=True)
 class UnverifiedEquivalence:
     equation: str
     lhs_image: str
@@ -148,63 +184,14 @@ class UnverifiedEquivalence:
         )
 
 
-def structural_violations(translation: Translation) -> list:
-    """Violations of the endpoint condition (totality plus source/target match)."""
-    report = []
-    src, tgt = translation.source, translation.target
-    for v in src.vertices:
-        image = translation.vertex_map.get(v)
-        if image is None:
-            report.append(MissingMapping("vertex", v))
-        elif not tgt.graph.has_vertex(image):
-            report.append(
-                EndpointViolation(v, f"vertex image {image!r} is not a target vertex")
-            )
-    for a in src.arrows:
-        path = translation.arrow_map.get(a.name)
-        if path is None:
-            report.append(MissingMapping("arrow", a.name))
-            continue
-        try:
-            actual_target = path_target(tgt.graph, path)
-        except StructuralError as exc:
-            report.append(EndpointViolation(a.name, str(exc)))
-            continue
-        expected_source = translation.vertex_map.get(a.source)
-        expected_target = translation.vertex_map.get(a.target)
-        if expected_source is not None and path.source != expected_source:
-            report.append(
-                EndpointViolation(
-                    a.name,
-                    f"image starts at {path.source!r}, expected {expected_source!r}",
-                )
-            )
-        if expected_target is not None and actual_target != expected_target:
-            report.append(
-                EndpointViolation(
-                    a.name,
-                    f"image ends at {actual_target!r}, expected {expected_target!r}",
-                )
-            )
-    return report
-
-
-def require_structural(translation: Translation) -> Translation:
-    report = structural_violations(translation)
-    if report:
-        raise StructuralError("; ".join(item.describe() for item in report[:3]))
-    return translation
-
-
 def check_translation(
     translation: Translation, budget: int = DEFAULT_REWRITE_BUDGET
 ) -> list:
-    """Full validation report: endpoint violations plus, for every declared
-    source equation, either nothing (image proved equivalent) or an
-    Unverified item.  The engine never claims a disproof of condition (b)."""
-    report = structural_violations(translation)
-    if report:
-        return report
+    """One ``UnverifiedEquivalence`` for each declared source equation whose
+    image the target's equations do not prove within ``budget``; an empty
+    report means valid.  ``Translation`` checked the endpoints when it was
+    built.  The engine never claims a disproof of condition (b)."""
+    report = []
     for eq in translation.source.equivalences:
         lhs = translation.translate_path(eq.lhs)
         rhs = translation.translate_path(eq.rhs)
@@ -246,7 +233,6 @@ def delta(translation: Translation, instance: Instance) -> Instance:
     Row sets are reused verbatim; each source arrow's column is the target
     instance evaluated along the arrow's image path, a column at a time.
     """
-    require_structural(translation)
     if instance.schema != translation.target:
         raise SchemaMismatchError("delta: instance is not on the translation's target")
     rows = {c: instance.row_set(translation.vertex_image(c)) for c in translation.source.vertices}
@@ -631,7 +617,6 @@ def sigma_full(
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
     log: MigrationLog | None = None,
 ) -> SigmaResult:
-    require_structural(translation)
     if instance.schema != translation.source:
         raise SchemaMismatchError("sigma: instance is not on the translation's source")
     engine = _SigmaEngine(translation, instance, saturation_bound, log)
@@ -839,7 +824,6 @@ def pi_full(
     budget: int = DEFAULT_REWRITE_BUDGET,
     log: MigrationLog | None = None,
 ) -> PiResult:
-    require_structural(translation)
     if instance.schema != translation.source:
         raise SchemaMismatchError("pi: instance is not on the translation's source")
     D = translation.target
@@ -1074,45 +1058,32 @@ class MigrationPipeline:
 
 
 def run_pipeline(pipeline: MigrationPipeline, start):
-    """Evaluate the steps left to right; each step's input must line up."""
+    """Evaluate the steps left to right; a step whose input does not line up
+    raises ``PipelineError`` naming it."""
     from . import typed as typed_module  # local import: typed builds on migration
 
+    plain = {StepKind.DELTA: delta, StepKind.SIGMA: sigma, StepKind.PI: pi}
+    retype = {
+        StepKind.SIGMA_HAT: typed_module.typechange_sigma,
+        StepKind.DELTA_HAT: typed_module.typechange_delta,
+        StepKind.PI_HAT: typed_module.typechange_pi,
+    }
     value = start
     for i, step in enumerate(pipeline.steps):
-        if step.kind in (StepKind.DELTA, StepKind.SIGMA, StepKind.PI):
+        if step.kind in plain:
             if not isinstance(value, Instance):
                 raise PipelineError(f"step {i}: {step.kind.value} needs a plain instance")
             if step.translation is None:
                 raise PipelineError(f"step {i}: {step.kind.value} needs a translation")
-            F = step.translation
-            if step.kind is StepKind.DELTA:
-                if value.schema != F.target:
-                    raise PipelineError(f"step {i}: delta input is not on the target schema")
-                value = delta(F, value)
-            elif step.kind is StepKind.SIGMA:
-                if value.schema != F.source:
-                    raise PipelineError(f"step {i}: sigma input is not on the source schema")
-                value = sigma(F, value)
-            else:
-                if value.schema != F.source:
-                    raise PipelineError(f"step {i}: pi input is not on the source schema")
-                value = pi(F, value)
-            continue
-        if step.type_morphism is None:
-            raise PipelineError(f"step {i}: {step.kind.value} needs a typing morphism")
-        if not isinstance(value, typed_module.TypedInstance):
-            raise PipelineError(f"step {i}: {step.kind.value} needs a typed instance")
-        k = step.type_morphism
-        if step.kind is StepKind.SIGMA_HAT:
-            if value.typing.target != k.source:
-                raise PipelineError(f"step {i}: sigma-hat typing does not match k's source")
-            value = typed_module.typechange_sigma(k, value)
-        elif step.kind is StepKind.DELTA_HAT:
-            if value.typing.target != k.target:
-                raise PipelineError(f"step {i}: delta-hat typing does not match k's target")
-            value = typed_module.typechange_delta(k, value)
+            run, by = plain[step.kind], step.translation
         else:
-            if value.typing.target != k.source:
-                raise PipelineError(f"step {i}: pi-hat typing does not match k's source")
-            value = typed_module.typechange_pi(k, value)
+            if step.type_morphism is None:
+                raise PipelineError(f"step {i}: {step.kind.value} needs a typing morphism")
+            if not isinstance(value, typed_module.TypedInstance):
+                raise PipelineError(f"step {i}: {step.kind.value} needs a typed instance")
+            run, by = retype[step.kind], step.type_morphism
+        try:
+            value = run(by, value)
+        except SchemaMismatchError as exc:
+            raise PipelineError(f"step {i}: {exc}") from exc
     return value

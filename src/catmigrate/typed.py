@@ -34,9 +34,10 @@ from .naming import encode_component, pair_id
 from .schemas import Arrow, Graph, Schema
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypedInstance:
-    """An instance with a typing morphism into a typing instance."""
+    """An instance with a typing morphism into a typing instance; the
+    morphism checked, when it was built, that every row is typed."""
 
     typing: InstanceMorphism
 

@@ -48,7 +48,6 @@ from catmigrate.migration import (
     Translation,
     _term_display,
     _term_sort_key,
-    require_structural,
 )
 from catmigrate.naming import tuple_id, uniquify
 from catmigrate.rdf import TripleStore
@@ -1082,7 +1081,6 @@ def row_by_row_delta(translation: Translation, instance: Instance) -> Instance:
     Row sets are reused verbatim; each source arrow's column is the target
     instance evaluated along the arrow's image path.
     """
-    require_structural(translation)
     if instance.schema != translation.target:
         raise SchemaMismatchError("delta: instance is not on the translation's target")
     rows = {c: instance.row_set(translation.vertex_image(c)) for c in translation.source.vertices}

@@ -512,6 +512,45 @@ def test_instance_row_diagnostics_are_pinned(text, message, line, column):
     assert (err.message, err.line, err.column) == (message, line, column)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        (
+            "schema S { nodes A, B; }\nschema T { nodes X; }\n"
+            "translation F : S -> T { nodes A -> X; }",
+            "translation does not map vertex 'B'",
+            3,
+            13,
+        ),
+        (
+            "schema S { nodes A; arrows f : A -> A; }\n"
+            "translation F : S -> S { nodes A -> A; }",
+            "translation does not map arrow 'f'",
+            2,
+            13,
+        ),
+        (
+            "schema S { nodes A; }\ninstance I on S { table A { a b } }\n"
+            "morphism m : I -> I { A { a -> a } }",
+            "no component value for row 'b' at vertex 'A'",
+            3,
+            10,
+        ),
+        (
+            "schema S { nodes A; }\ninstance I on S { table A { a b } }\n"
+            "typedinstance t { instance I; typing I; components { A { b -> a } } }",
+            "no component value for row 'a' at vertex 'A'",
+            3,
+            15,
+        ),
+    ],
+)
+def test_unmapped_names_are_reported_at_the_declaration(text, message, line, column):
+    # the constructor's error, positioned at the declaration's name
+    err = _error(text)
+    assert (err.message, err.line, err.column) == (message, line, column)
+
+
 def test_end_of_input_after_a_trailing_comment_is_reported_at_the_comment():
     # The column does not advance inside a comment, so a file that ends in
     # one without a final newline reports the end of input at its '#'.

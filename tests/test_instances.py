@@ -164,6 +164,12 @@ def test_dangling_value_reported():
     )
 
 
+def test_stray_column_key_rejected():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    with pytest.raises(StructuralError, match="'f' has a value for 'ghost'"):
+        Instance(schema, {"A": ("a",), "B": ("x",)}, {"f": {"a": "x", "ghost": "nowhere"}})
+
+
 def test_validation_matches_the_row_by_row_reference():
     # missing, dangling and moved cells, several to an instance, on schemas
     # with equations: the constructor refuses the reference's first missing
@@ -206,6 +212,36 @@ def test_naturality_violation_detected(staff):
     broken = InstanceMorphism(staff, staff, components)
     report = validate_morphism(broken)
     assert any(item.describe().startswith("naturality fails") for item in report)
+
+
+def test_caller_component_change_leaves_the_morphism_alone(staff):
+    components = {v: {r: r for r in staff.row_set(v)} for v in staff.schema.vertices}
+    m = InstanceMorphism(staff, staff, components)
+    components["Department"]["q10"] = "x02"
+    components["Employee"].clear()
+    del components["Department"]
+    assert m.component("Department")["q10"] == "q10"
+    assert m.component("Employee") == {r: r for r in staff.row_set("Employee")}
+    assert m == identity_morphism(staff)
+    assert validate_morphism(m) == []
+    with pytest.raises(TypeError):
+        m.component("Department")["q10"] = "x02"
+
+
+def test_morphism_faults_rejected_at_construction():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    instance = Instance(schema, {"A": ("a",), "B": ("x",)}, {"f": {"a": "x"}})
+    with pytest.raises(StructuralError, match="no component value for row 'a' at vertex 'A'"):
+        InstanceMorphism(instance, instance, {"B": {"x": "x"}})
+    with pytest.raises(StructuralError, match="sends 'a' to 'zz', which is not a target row"):
+        InstanceMorphism(instance, instance, {"A": {"a": "zz"}, "B": {"x": "x"}})
+    with pytest.raises(StructuralError, match="'ghost', which is not a source row"):
+        InstanceMorphism(instance, instance, {"A": {"a": "a", "ghost": "a"}, "B": {"x": "x"}})
+    with pytest.raises(StructuralError, match="unknown vertex 'Q'"):
+        InstanceMorphism(instance, instance, {"A": {"a": "a"}, "B": {"x": "x"}, "Q": {}})
+    other = Instance(Schema("S2", schema.graph), dict(instance.rows), dict(instance.columns))
+    with pytest.raises(SchemaMismatchError):
+        InstanceMorphism(instance, other, {"A": {"a": "a"}, "B": {"x": "x"}})
 
 
 # -- fiber products ----------------------------------------------------------

@@ -109,14 +109,36 @@ def test_equivalence_translation_is_valid(Feq):
 
 
 def test_endpoint_violation_detected(F):
-    broken = Translation(
-        F.source,
-        F.target,
-        dict(F.vertex_map),
-        {**F.arrow_map, "ssn": Path("SSN", ())},
-    )
-    report = check_translation(broken)
-    assert any("ssn" in item.describe() for item in report)
+    with pytest.raises(StructuralError, match="ssn"):
+        Translation(
+            F.source,
+            F.target,
+            dict(F.vertex_map),
+            {**F.arrow_map, "ssn": Path("SSN", ())},
+        )
+
+
+def test_caller_map_change_leaves_the_translation_alone(F):
+    vertex_map, arrow_map = dict(F.vertex_map), dict(F.arrow_map)
+    G = Translation(F.source, F.target, vertex_map, arrow_map)
+    vertex, arrow = F.source.vertices[0], F.source.arrows[0].name
+    vertex_map[vertex] = "nowhere"
+    arrow_map[arrow] = Path("nowhere", ())
+    vertex_map.clear()
+    assert G.vertex_image(vertex) == F.vertex_image(vertex)
+    assert G.arrow_image(arrow) == F.arrow_image(arrow)
+    assert G == F
+    with pytest.raises(TypeError):
+        G.vertex_map[vertex] = "nowhere"
+
+
+def test_stray_translation_keys_rejected():
+    schema = Schema("S", Graph(("A",), (Arrow("f", "A", "A"),)))
+    arrows = {"f": Path("A", ("f",))}
+    with pytest.raises(StructuralError, match="'Q', which is not a source vertex"):
+        Translation(schema, schema, {"A": "A", "Q": "A"}, arrows)
+    with pytest.raises(StructuralError, match="'zz', which is not a source arrow"):
+        Translation(schema, schema, {"A": "A"}, {**arrows, "zz": Path("A", ())})
 
 
 def test_unverified_equivalence_reported(paper_env):
