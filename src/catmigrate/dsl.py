@@ -10,14 +10,24 @@ that is the job of the validate operations.
 Identifiers are ``[A-Za-z0-9_$-]+``, but ``->`` ends one (``a-->b`` is
 ``a-``, ``->``, ``b``); anything else (dots, spaces, reserved words) must be
 double-quoted.  A string's only escapes are ``\\\\`` and ``\\"``, and it
-does not span lines.  ``#`` starts a line comment.  Positions are 1-based; a
-tab is one column.
+does not span lines.  ``#`` starts a line comment.  Any other character
+outside a string or a comment, a Unicode blank included, is an error.
+Positions are 1-based; a tab is one column.
+
+Bulk data is read with string and list operations that run in C, not a
+token at a time.  The lexer cuts strings and comments out with one regex,
+spaces out the punctuation of the plain text left and splits it with
+``str.split``.  A table body or component block of canonical rows is read
+as whole columns of list slices.  Any other body goes through a loop over
+its tokens, which is also the one place that positions a body's
+diagnostics; offsets are worked out only when a diagnostic is raised.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from .errors import ParseError, StructuralError
 from .instances import Instance, InstanceMorphism
@@ -43,55 +53,101 @@ RESERVED = {
 
 _IDENT_RE = re.compile(r"[A-Za-z0-9_$-]+")
 
-# One match per token.  It skips the blanks and comments before the token
-# and captures the token's raw text: a string (with its quotes and escapes),
-# an identifier (which stops before ``->``) or punctuation.  At the end of the
-# text the capture is empty.  Text that starts no token (a stray character,
-# or a string that is unterminated or holds a bad escape) is captured with
-# the rest of the text, so it is always the last token.
-_TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
-    r'"[^"\\\n]*(?:\\[\\"][^"\\\n]*)*"'
-    r"|(?:[A-Za-z0-9_$]|-(?!>))[A-Za-z0-9_$]*(?:-(?!>)[A-Za-z0-9_$]*)*"
-    r"|->|[{}():;,.=]"
-    r"|\Z|[\s\S]+)"
-)
+# A string (with its quotes and escapes) or a comment: what the lexer cuts
+# out of the text before it splits the rest.
+_CUT_RE = re.compile(r'("[^"\\\n]*(?:\\[\\"][^"\\\n]*)*"|#[^\n]*)')
+# The characters outside strings and comments that are part of a token or
+# a blank.  Any other (a '"' there starts a string that is unterminated or
+# holds a bad escape), and a '>' not after '-', is a stray.
+_TOKEN_CHARS = b"- \t\r\nABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_${}():;,.=>"
+_STRAY_RE = re.compile("[^" + re.escape(_TOKEN_CHARS.decode()) + "]|(?<!-)>")
+# The blanks and comments before a token.
+_GAP_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
 _ESCAPE_RE = re.compile(r"\\(.)")
-_PUNCT = frozenset(["{", "}", "(", ")", ":", ";", ",", ".", "=", "->"])
+# '->' first: no other punctuation holds '-' or '>'.
+_PUNCT = ("->", "{", "}", "(", ")", ":", ";", ",", ".", "=")
+# Stands for a string in the text that ``str.split`` reads.  NUL is a stray
+# character, so the plain text never holds one of its own.
+_HOLE = "\x00"
 # Raw token texts that are not a bare name: end of input, punctuation, keywords.
-_NOT_NAMES = frozenset({""} | _PUNCT | RESERVED)
-# Every identifier or punctuation token starts with one of these.
-_BARE_STARTS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_$-{}():;,.="
-)
+_NOT_NAMES = frozenset({""} | set(_PUNCT) | RESERVED)
 
 
 def _lex(text: str) -> list[str]:
-    """The raw text of each token; the last, ``""``, is the end of input."""
-    tokens = _TOKEN_RE.findall(text)
-    if len(tokens) > 1 and not tokens[-2]:
-        # trailing blanks match once as themselves, then once more, empty, at the end
-        tokens.pop()
-    if len(tokens) > 1 and tokens[-2][0] not in _BARE_STARTS:
-        _check_last(text, tokens[-2])
+    """The raw text of each token; the last, ``""``, is the end of input.
+
+    Strings and comments are cut out first, by one regex, and only when the
+    text holds a '"' or a '#'.  In the plain text left, each string becomes
+    a hole, the punctuation is spaced out and ``str.split`` makes the tokens;
+    the strings then go back into their holes in order.  So the work done in
+    Python is per string, not per token.  Before the split, ``_has_stray``
+    looks for a stray character, as ``str.split`` would take some of them
+    (``\x0b``, ``\xa0``, ...) for blanks; only then is its place found.
+    """
+    strings: list[str] = []
+    if '"' in text or "#" in text:
+        pieces = _CUT_RE.split(text)
+        if _has_stray(" ".join(pieces[0::2])):
+            _raise_first_stray(text)
+        cuts = pieces[1::2]
+        if "#" in text:
+            strings = [cut for cut in cuts if cut[0] == '"']
+            pieces[1::2] = [f" {_HOLE} " if cut[0] == '"' else " " for cut in cuts]
+        else:
+            strings = cuts
+            pieces[1::2] = [f" {_HOLE} "] * len(cuts)
+        text = "".join(pieces)
+    elif _has_stray(text):
+        _raise_first_stray(text)
+    for punct in _PUNCT:
+        if punct in text:
+            text = text.replace(punct, " " + punct + " ")
+    tokens = text.split()
+    at = -1
+    for string in strings:
+        at = tokens.index(_HOLE, at + 1)
+        tokens[at] = string
+    tokens.append("")
     return tokens
 
 
-def _check_last(text: str, last: str) -> None:
-    """Return if ``last``, the text's last token, is a string; otherwise it is
-    the rest of the text from where no token starts: raise its diagnostic."""
-    at = len(text) - len(last)
-    if last[0] != '"':
-        raise ParseError(f"unexpected character {last[0]!r}", *_position(text, at))
-    i = 1
-    while i < len(last) and last[i] != "\n":
-        if last[i] == '"':
-            # A string that closes before any error would have lexed, so this
-            # is the whole token, not the rest of the text.
-            return
-        if last[i] == "\\":
-            if last[i + 1 : i + 2] not in ("\\", '"'):
-                raise ParseError("bad escape in string", *_position(text, at + i))
+def _has_stray(plain: str) -> bool:
+    """Whether text outside strings and comments holds a stray character:
+    one ``bytes.translate`` that deletes every token character and blank,
+    and a count of the '>' outside '->'."""
+    return (
+        not plain.isascii()
+        or bool(plain.encode().translate(None, _TOKEN_CHARS))
+        or plain.count(">") != plain.count("->")
+    )
+
+
+def _raise_first_stray(text: str) -> NoReturn:
+    """Raise the diagnostic for the first place in ``text``, outside strings
+    and comments, where no token starts."""
+    bounds = [0]
+    for cut in _CUT_RE.finditer(text):
+        bounds += cut.span()
+    bounds.append(len(text))
+    for start, end in zip(bounds[0::2], bounds[1::2]):
+        stray = _STRAY_RE.search(text, start, end)
+        if stray:
+            _raise_stray(text, stray.start())
+    raise AssertionError("the text holds no stray character")
+
+
+def _raise_stray(text: str, at: int) -> NoReturn:
+    """Raise the diagnostic for ``text[at]``, where no token starts: a stray
+    character, or a string that is unterminated or holds a bad escape.  Such
+    a string meets no closing quote first, or the lexer would have cut it
+    out."""
+    if text[at] != '"':
+        raise ParseError(f"unexpected character {text[at]!r}", *_position(text, at))
+    i = at + 1
+    while i < len(text) and text[i] != "\n":
+        if text[i] == "\\":
+            if text[i + 1 : i + 2] not in ("\\", '"'):
+                raise ParseError("bad escape in string", *_position(text, i))
             i += 2
         else:
             i += 1
@@ -101,6 +157,20 @@ def _check_last(text: str, last: str) -> None:
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
     return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+
+
+def _names(raws: list[str]) -> list[str] | None:
+    """The names that raw tokens spell, or None if one is not a name."""
+    if not _NOT_NAMES.isdisjoint(raws):
+        return None
+    joined = "\n".join(raws)
+    if '"' not in joined:
+        return raws
+    if "\\" not in joined:
+        # Without escapes every '"' is a string's delimiter, and no token
+        # holds a newline.
+        return joined.replace('"', "").split("\n")
+    return [_unquote(raw) if raw[0] == '"' else raw for raw in raws]
 
 
 def _describe(raw: str) -> tuple[str, str]:
@@ -113,17 +183,19 @@ def _describe(raw: str) -> tuple[str, str]:
 
 
 def _token_offsets(text: str) -> list[int]:
-    """The offset of each token of ``_lex(text)``; diagnostics only."""
-    matches = list(_TOKEN_RE.finditer(text))
-    if len(matches) > 1 and not matches[-2].group(1):
-        matches.pop()
-    offsets = [m.start(1) for m in matches]
+    """The offset of each token of ``_lex(text)``; diagnostics only.  It
+    steps over the blanks and comments before each token."""
+    offsets = []
+    at = 0
+    tokens = _lex(text)
+    for raw in tokens[:-1]:
+        at = _GAP_RE.match(text, at).end()
+        offsets.append(at)
+        at += len(raw)
     # The column does not advance inside a comment, so a comment that runs to
     # the end of the text puts the end of input at its '#'.
-    tail = matches[-2].end(1) if len(matches) > 1 else 0
-    comment = text.find("#", max(tail, text.rfind("\n", tail) + 1))
-    if comment >= 0:
-        offsets[-1] = comment
+    comment = text.find("#", max(at, text.rfind("\n", at) + 1))
+    offsets.append(comment if comment >= 0 else len(text))
     return offsets
 
 
@@ -234,7 +306,10 @@ class _Parser:
     """Recursive descent over the raw token texts of ``_lex``.
 
     A token is referred to by its index in ``tokens``; only ``fail`` turns an
-    index into a line and column.
+    index into a line and column.  A table body or component block is first
+    offered to its slice read (``table_slices``, ``component_slices``), which
+    takes a body of canonical rows whole or refuses it having read nothing;
+    the token loop reads a refused body and reports its first fault.
     """
 
     def __init__(self, text: str, env: dict[tuple[str, str], object]):
@@ -443,7 +518,8 @@ class _Parser:
             seen_tables.add(vertex)
             self.expect_punct("{")
             out_columns = {a.name: columns[a.name] for a in graph.out_arrows(vertex)}
-            self.table_rows(vertex, tables[vertex], out_columns)
+            if not self.table_slices(tables[vertex], out_columns):
+                self.table_rows(vertex, tables[vertex], out_columns)
             self.expect_punct("}")
 
         self.expect_punct("}")
@@ -456,15 +532,71 @@ class _Parser:
         self.declare("instance", name, instance, name_at)
         return InstanceDecl(name, schema_name, instance)
 
+    def braced_body(self) -> list[str]:
+        """The tokens from the next one up to the next '}', none if no '}'
+        follows."""
+        try:
+            return self.tokens[self.pos : self.tokens.index("}", self.pos)]
+        except ValueError:
+            return []
+
+    def table_slices(
+        self, table: dict[str, None], out_columns: dict[str, dict[str, str]]
+    ) -> bool:
+        """Read a table body of canonical rows into ``table`` and
+        ``out_columns`` a column at a time; return False, having read
+        nothing, for any other body.
+
+        With w columns a canonical row is the 3 + 4w tokens
+        ``row -> (a = v, ..., a = v)``, its cells in the order of the first
+        row's; in a leaf table it is the row id alone.  So each slot of the
+        row is one slice of the body, checked by one list comparison: every
+        row id, every arrow token, every value and every separator.
+        """
+        body = self.braced_body()
+        width = len(out_columns)
+        span = 3 + 4 * width if width else 1
+        n, rest = divmod(len(body), span)
+        if rest or not n:
+            return False
+        rows = _names(body[0::span])
+        if rows is None or len(set(rows)) != n:
+            return False
+        if width and (body[1::span] != ["->"] * n or body[2::span] != ["("] * n):
+            return False
+        cells: dict[str, list[str]] = {}
+        for k in range(width):
+            arrows = _names(body[3 + 4 * k :: span])
+            values = _names(body[5 + 4 * k :: span])
+            separator = ")" if k == width - 1 else ","
+            if (
+                arrows is None
+                or values is None
+                or arrows != arrows[:1] * n
+                or body[4 + 4 * k :: span] != ["="] * n
+                or body[6 + 4 * k :: span] != [separator] * n
+            ):
+                return False
+            cells[arrows[0]] = values
+        if cells.keys() != out_columns.keys():  # a column missing, repeated or unknown
+            return False
+        table.update(dict.fromkeys(rows))
+        for arrow, values in cells.items():
+            out_columns[arrow].update(zip(rows, values))
+        self.pos += len(body)
+        return True
+
     def table_rows(
         self, vertex: str, table: dict[str, None], out_columns: dict[str, dict[str, str]]
     ) -> None:
         """Read rows ``row`` or ``row -> (arrow = value, ...)`` up to the
         table's closing brace into ``table`` and ``out_columns``.
 
-        One loop over the token list, for bulk data.  Where a token is not
-        what the grammar wants, it hands the index to the ``fail_*`` method
-        that ``name`` or ``expect_punct`` would have raised from.
+        One loop over the token list, a token at a time: the general path,
+        for any body ``table_slices`` refuses, and the one that positions
+        every diagnostic of a table body.  Where a token is not what the
+        grammar wants, it hands the index to the ``fail_*`` method that
+        ``name`` or ``expect_punct`` would have raised from.
         """
         tokens = self.tokens
         width = len(out_columns)
@@ -627,25 +759,67 @@ class _Parser:
             if vertex in seen_blocks:
                 self.fail(f"duplicate component block {vertex!r}", vertex_at)
             seen_blocks.add(vertex)
-            source_rows = set(source.row_set(vertex))
-            target_rows = set(target.row_set(vertex))
+            source_rows, target_rows = source.positions(vertex), target.positions(vertex)
             self.expect_punct("{")
-            while self.peek() != "}":
-                row, row_at = self.name("a row id")
-                if row not in source_rows:
-                    self.fail(f"{row!r} is not a row of the source at {vertex!r}", row_at)
-                if row in components[vertex]:
-                    self.fail(f"row {row!r} mapped twice", row_at)
-                self.expect_punct("->")
-                value, value_at = self.name("a row id")
-                if value not in target_rows:
-                    self.fail(f"{value!r} is not a row of the target at {vertex!r}", value_at)
-                components[vertex][row] = value
+            component = components[vertex]
+            if not self.component_slices(component, source_rows, target_rows):
+                self.component_rows(vertex, component, source_rows, target_rows)
             self.expect_punct("}")
         try:
             return InstanceMorphism(source, target, components)
         except StructuralError as exc:  # every value was checked, so a row is unmapped
             self.fail(str(exc), owner)
+
+    def component_rows(
+        self,
+        vertex: str,
+        component: dict[str, str],
+        source_rows: Mapping[str, int],
+        target_rows: Mapping[str, int],
+    ) -> None:
+        """Read rows ``row -> value`` up to the block's closing brace into
+        ``component``, a token at a time: the general path, for any block
+        ``component_slices`` refuses, and the one that positions every
+        diagnostic of a component block."""
+        while self.peek() != "}":
+            row, row_at = self.name("a row id")
+            if row not in source_rows:
+                self.fail(f"{row!r} is not a row of the source at {vertex!r}", row_at)
+            if row in component:
+                self.fail(f"row {row!r} mapped twice", row_at)
+            self.expect_punct("->")
+            value, value_at = self.name("a row id")
+            if value not in target_rows:
+                self.fail(f"{value!r} is not a row of the target at {vertex!r}", value_at)
+            component[row] = value
+
+    def component_slices(
+        self,
+        component: dict[str, str],
+        source_rows: Mapping[str, int],
+        target_rows: Mapping[str, int],
+    ) -> bool:
+        """Read a component block of rows ``row -> value`` into ``component``
+        a column at a time, as three slices of its body; return False, having
+        read nothing, unless every row is a distinct source row mapped to a
+        target row."""
+        body = self.braced_body()
+        n, rest = divmod(len(body), 3)
+        if rest or not n or body[1::3] != ["->"] * n:
+            return False
+        rows, values = _names(body[0::3]), _names(body[2::3])
+        if rows is None or values is None:
+            return False
+        keys = set(rows)
+        if (
+            len(keys) != n
+            or not source_rows.keys() >= keys
+            or not target_rows.keys() >= set(values)
+        ):
+            return False
+        component.update(zip(rows, values))
+        self.pos += len(body)
+        return True
 
     def morphism_decl(self) -> MorphismDecl:
         self.expect_keyword("morphism")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from urllib.parse import quote
 
-from .errors import TripleStoreError
+from .errors import StructuralError, TripleStoreError
 from .instances import Instance
 from .schemas import Schema
 
@@ -38,7 +38,7 @@ def validate_store(store: TripleStore) -> list[str]:
     for subject, predicate, obj in store.triples:
         try:
             arrow = store.schema.graph.arrow(predicate)
-        except Exception:
+        except StructuralError:
             problems.append(f"triple predicate {predicate!r} is not a schema arrow")
             continue
         if subject not in types:

@@ -4,15 +4,16 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catmigrate import dsl
 from catmigrate.errors import ParseError, StructuralError
 from catmigrate.instances import Instance, MissingColumnValue
+from catmigrate.typed import TypedInstance
 
 from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
-from .generators import rand_acyclic_schema, rand_instance
+from .generators import rand_acyclic_schema, rand_cover, rand_instance
 from .oracles import _tokenize, cell_by_cell_print_instance
 
 
@@ -209,6 +210,7 @@ _weird = st.text(min_size=0, max_size=8).filter(
 
 @settings(max_examples=60, deadline=None)
 @given(rows=st.lists(st.one_of(_ident, _weird), min_size=0, max_size=6, unique=True))
+@example(rows=["\x00"])
 def test_round_trip_arbitrary_row_ids(rows):
     from catmigrate.schemas import Graph, Schema
 
@@ -371,7 +373,10 @@ def _lexed_by_oracle(text: str):
         return ("error", err.message, err.line, err.column)
 
 
-_MUTATION_CHARS = '{}():;,.=->"\\#' + " \t\r\nabzAZ09_$@"
+# Blanks to str.split() but stray characters to the lexer, and NUL, a stray
+# character outside a string and a name character inside one.
+_SPLIT_BLANKS = "\x0b\x0c\x1c\x85\xa0\u2028\u3000"
+_MUTATION_CHARS = '{}():;,.=->"\\#' + " \t\r\nabzAZ09_$@" + _SPLIT_BLANKS + "\x00"
 
 
 def _mutate(rng: random.Random, text: str) -> str:
@@ -395,6 +400,14 @@ def test_lexer_matches_the_reference_on_every_golden_file():
 
 # the golden files quote few names, so escapes get a base text of their own
 _QUOTED = 'instance I on S { table A { "a b" -> (f = "c\\"d") "e\\\\f" } }  # "x"\n'
+# quoted Skolem ids among bare names, as printed sigma output has them
+_SKOLEM = (
+    "instance Out on D {\n  table T {\n"
+    '    "T1-001.Salary" -> (SSN = s1, Salary = "T1-001.Salary")\n'
+    '    T2-001 -> (SSN = "T2-001.SSN", Salary = p0)\n  }\n'
+    '  table SSN {\n    s1\n    "T2-001.SSN"\n  }\n'
+    '  table Salary {\n    p0\n    "T1-001.Salary"\n  }\n}\n'
+)
 
 
 def test_lexer_matches_the_reference_on_mutated_golden_files():
@@ -402,6 +415,7 @@ def test_lexer_matches_the_reference_on_mutated_golden_files():
     outcomes = set()
     bases = {name: (GOLDEN_DIR / name).read_text(encoding="utf-8") for name in ALL_GOLDEN_FILES}
     bases["quoted"] = _QUOTED
+    bases["skolem"] = _SKOLEM
     for name, base in bases.items():
         for _ in range(150):
             text = _mutate(rng, base)
@@ -436,6 +450,21 @@ def test_lexer_matches_the_reference_on_mutated_golden_files():
         "a # comment\nb",
         "a # comment at the end",
         '# "not a string\n"string" # and #nested',
+        *(f"a{c}b" for c in _SPLIT_BLANKS + "\x00"),
+        *_SPLIT_BLANKS,
+        "\x00",
+        '"a\x00b"',
+        '"\x00" -> x',
+        'a\x00"b"',
+        '"b" \x00',
+        '"a">b',
+        '"a"->b',
+        '"-">',
+        '-"x">',
+        "a # c\n>b",
+        "a-# c\n>b",
+        "a-# c>",
+        "a\ud800b",
     ],
 )
 def test_lexer_edge_cases_match_the_reference(text):
@@ -445,6 +474,179 @@ def test_lexer_edge_cases_match_the_reference(text):
 def test_arrow_ends_an_identifier():
     assert dsl._lex("a-->b") == ["a-", "->", "b", ""]
     assert dsl._lex("x- - ->") == ["x-", "-", "->", ""]
+
+
+# -- the slice read against the token loop ----------------------------------
+
+
+def _bodies_document(rng: random.Random, case: int) -> str:
+    """A schema, a base instance with no empty table, a cover of it, and the
+    cover as a morphism and as a typed instance, printed; the cover's row ids
+    are quoted."""
+    schema = rand_acyclic_schema(rng, "S", max_arrows=8)
+    rows = {v: tuple(f"r{i}" for i in range(rng.randint(1, 4))) for v in schema.vertices}
+    columns = {
+        a.name: {r: rng.choice(rows[a.target]) for r in rows[a.source]} for a in schema.arrows
+    }
+    cover = rand_cover(rng, Instance(schema, rows, columns), tag=f"c{case}-")
+    return dsl.print_document(
+        dsl.Document(
+            [
+                dsl.SchemaDecl("S", schema),
+                dsl.InstanceDecl("B", "S", cover.target),
+                dsl.InstanceDecl("C", "S", cover.source),
+                dsl.MorphismDecl("m", "C", "B", cover),
+                dsl.TypedInstanceDecl("t", "C", "B", TypedInstance(cover)),
+            ]
+        )
+    )
+
+
+_ROW = re.compile(r"^( +)(\S+) -> \((.+ = .+)\)$")  # a table row with cells
+_COMPONENT = re.compile(r"^( +)(\S+) -> (\S+)$")  # a component block's row
+_LEAF = re.compile(r"^( {4})([^ {}]+)$")  # a row of a leaf table
+_BODY = re.compile(r"^( +)(table )?\S+ \{$")  # a table or a component block
+_RESERVED = sorted(dsl.RESERVED)
+_CELL_EDITS = (
+    "reorder", "quote", "reserved row", "reserved arrow", "reserved value",
+    "missing cell", "extra cell", "repeated cell", "dangling value", "no cells",
+)
+_EDITS = _CELL_EDITS + (
+    "duplicate", "empty body", "missing brace", "unknown source", "unknown target",
+    "map twice", "swapped punctuation", "missing punctuation",
+)
+
+
+def _quote(name: str) -> str:
+    return name if name.startswith('"') else f'"{name}"'
+
+
+def _edit_cells(m: re.Match, rng: random.Random, edit: str) -> str:
+    indent, row, cells = m.group(1), m.group(2), m.group(3).split(", ")
+    i = rng.randrange(len(cells))
+    arrow, value = cells[i].split(" = ")
+    if edit == "reorder":
+        cells.insert(0, cells.pop(i or len(cells) - 1))
+    elif edit == "quote":
+        cells[i] = f"{_quote(arrow)} = {_quote(value)}"
+        row = _quote(row)
+    elif edit == "reserved row":
+        row = rng.choice(_RESERVED)
+    elif edit == "reserved arrow":
+        cells[i] = f"{rng.choice(_RESERVED)} = {value}"
+    elif edit == "reserved value":
+        cells[i] = f"{arrow} = {rng.choice(_RESERVED)}"
+    elif edit == "missing cell":
+        del cells[i]
+    elif edit == "extra cell":
+        cells.insert(i, "zz = r0")
+    elif edit == "repeated cell" and len(cells) > 1 and rng.random() < 0.5:
+        j = (i + 1) % len(cells)  # the row keeps its length: cell j loses its column
+        cells[j] = f"{arrow} = {cells[j].split(' = ')[1]}"
+    elif edit == "repeated cell":
+        cells.insert(i, cells[i])
+    elif edit == "dangling value":
+        cells[i] = f"{arrow} = nowhere"
+    else:  # no cells
+        cells = []
+    return f"{indent}{row} -> ({', '.join(cells)})"
+
+
+def _edit_line(rng: random.Random, edit: str, lines: list[str], i: int) -> bool:
+    """Apply ``edit`` at line ``i`` if that line admits it."""
+    line = lines[i]
+    row, component, leaf = _ROW.match(line), _COMPONENT.match(line), _LEAF.match(line)
+    reserved = rng.choice(_RESERVED)
+    if row and edit in _CELL_EDITS and (edit != "reorder" or ", " in row.group(3)):
+        lines[i] = _edit_cells(row, rng, edit)
+    elif component and edit in ("quote", "reserved row", "reserved value", "unknown source",
+                                "unknown target", "map twice"):
+        indent, source, target = component.groups()
+        lines[i] = indent + {
+            "quote": f"{_quote(source)} -> {_quote(target)}",
+            "reserved row": f"{reserved} -> {target}",
+            "reserved value": f"{source} -> {reserved}",
+            "unknown source": f"ghost -> {target}",
+            "unknown target": f"{source} -> ghost",
+            "map twice": f"{source} -> {target}\n{indent}{source} -> {source}",
+        }[edit]
+    elif leaf and edit in ("quote", "reserved row", "no cells"):
+        indent, name = leaf.groups()
+        lines[i] = indent + {
+            "quote": _quote(name), "reserved row": reserved, "no cells": f"{name} -> ()"
+        }[edit]
+    elif (edit == "swapped punctuation" and row) or (edit == "missing punctuation" and component):
+        # a table row's punctuation token becomes another, so the row keeps
+        # its length; a component row's goes
+        old = rng.choice([p for p in ("->", "(", "=", ",", ")") if p in line])
+        at = rng.choice([at for at in range(len(line)) if line.startswith(old, at)])
+        new = rng.choice([p for p in ("->", "(", "=", ",", ")", ":") if p != old]) if row else ""
+        lines[i] = line[:at] + new + line[at + len(old) :]
+    elif edit == "duplicate" and (row or component or leaf):
+        lines.insert(i + rng.randint(0, 1), line)
+    elif edit == "empty body" and (body := _BODY.match(line)) and "components" not in line:
+        end = lines.index(body.group(1) + "}", i)
+        del lines[i + 1 : end]
+    elif edit == "missing brace" and line.strip() == "}" and line != "}":
+        del lines[i]
+    else:
+        return False
+    return True
+
+
+def _mutate_body(rng: random.Random, text: str) -> tuple[str, str]:
+    """``text`` with one edit to a table body or a component block, and the
+    edit ("" if no line of ``text`` admits one)."""
+    lines = text.split("\n")
+    for edit in rng.sample(_EDITS, len(_EDITS)):
+        for i in rng.sample(range(len(lines)), len(lines)):
+            if _edit_line(rng, edit, lines, i):
+                return "\n".join(lines), edit
+    return text, ""
+
+
+def _outcome(text: str):
+    try:
+        return dsl.parse_document(text)
+    except ParseError as err:
+        return ("error", err.message, err.line, err.column)
+
+
+def test_slice_read_matches_the_token_loop_on_mutated_bodies(monkeypatch):
+    # Each text parses to the same document, or fails with the same message,
+    # line and column, whether or not the slice read may take its bodies.
+    rng = random.Random(4242)
+    texts = []
+    edits = []
+    for case in range(400):
+        text = _bodies_document(rng, case)
+        texts.append(text)
+        for _ in range(rng.randint(1, 2)):
+            text, edit = _mutate_body(rng, text)
+            texts.append(text)
+            edits.append(edit)
+    read: dict[str, list[bool]] = {"table_slices": [], "component_slices": []}
+    for method, results in read.items():
+        original = getattr(dsl._Parser, method)
+
+        def counted(self, *args, original=original, results=results):
+            results.append(original(self, *args))
+            return results[-1]
+
+        monkeypatch.setattr(dsl._Parser, method, counted)
+    by_slices = [_outcome(text) for text in texts]
+    for method in read:
+        monkeypatch.setattr(dsl._Parser, method, lambda self, *args: False)
+    by_tokens = [_outcome(text) for text in texts]
+    for text, got, want in zip(texts, by_slices, by_tokens):
+        assert got == want, text
+    # both readers took part, and the mutations reached many diagnostics
+    for results in read.values():
+        assert sum(results) >= 100 and results.count(False) >= 20
+    errors = {re.sub("'[^']*'", "_", o[1]) for o in by_tokens if isinstance(o, tuple)}
+    assert len(errors) >= 12, errors
+    assert min(map(edits.count, _EDITS)) >= 5
+    assert sum(isinstance(o, dsl.Document) for o in by_tokens) >= len(texts) // 3
 
 
 # -- diagnostics pinned with their exact text and position -------------------

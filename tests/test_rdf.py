@@ -101,6 +101,14 @@ def test_duplicate_predicate_is_reported(staff):
         ungrothendieck(doubled)
 
 
+def test_unknown_predicate_is_reported(staff):
+    store = grothendieck(staff)
+    stray = TripleStore(
+        store.schema, store.nodes, store.triples + (("Employee/101", "ghost", "Employee/102"),)
+    )
+    assert validate_store(stray) == ["triple predicate 'ghost' is not a schema arrow"]
+
+
 def test_schema_equations_commute_in_the_store(staff):
     # chasing Mgr then isIn from any employee node lands where isIn does
     store = grothendieck(staff)
