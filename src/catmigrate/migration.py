@@ -18,7 +18,8 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import (
@@ -583,9 +584,7 @@ class _SigmaEngine:
                 continue
             ordered = sorted(roots, key=self._root_order_key)
             reps = list(map(terms.__getitem__, map(rep.__getitem__, ordered)))
-            names = list(map(_term_display, reps))
-            if len(set(names)) < len(names):
-                names = uniquify(names)
+            names = uniquify(list(map(_term_display, reps)))
             rows[v] = tuple(names)
             for root, term, name in zip(ordered, reps, names):
                 row_of[root] = name
@@ -771,14 +770,12 @@ def _compatible_families(
     """Every choice of one row per component that satisfies every constraint
     ``column(arrow)[row i] == row j``, in nested-loop order (see
     ``instances.assignments``)."""
-    families: list[tuple[str, ...]] = []
-    for values in assignments(instance, comps, constraints):
-        families.append(values)
-        if len(families) > DEFAULT_FAMILY_CAP:
-            raise EnumerationCapError(
-                f"pi produced more than {DEFAULT_FAMILY_CAP} rows at vertex {vertex!r}",
-                vertex=vertex,
-            )
+    families = list(islice(assignments(instance, comps, constraints), DEFAULT_FAMILY_CAP + 1))
+    if len(families) > DEFAULT_FAMILY_CAP:
+        raise EnumerationCapError(
+            f"pi produced more than {DEFAULT_FAMILY_CAP} rows at vertex {vertex!r}",
+            vertex=vertex,
+        )
     return families
 
 
@@ -797,11 +794,13 @@ def _family_row_ids(
     if not comps:
         return uniquify(["()" for _ in families])
     trivial_comps = [k for k, (_, cls) in enumerate(comps) if classes[cls].is_trivial]
-    if trivial_comps:
+    if len(trivial_comps) == 1:
+        ids = list(map(itemgetter(trivial_comps[0]), families))
+        if len(set(ids)) == len(ids):
+            return ids
+    elif trivial_comps:
         restricted = [tuple(fam[k] for k in trivial_comps) for fam in families]
         if len(set(restricted)) == len(families):
-            if len(trivial_comps) == 1:
-                return uniquify([fam[trivial_comps[0]] for fam in families])
             return uniquify(
                 [
                     keyed_id([(comps[k][0], fam[k]) for k in trivial_comps])
@@ -815,6 +814,16 @@ def _family_row_ids(
         ]
         ids.append(keyed_id(pairs))
     return uniquify(ids)
+
+
+def _tuple_getter(indices: list[int]):
+    """A function from a tuple to the tuple of its items at ``indices``."""
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda values: (values[k],)
+    if not indices:
+        return lambda values: ()
+    return itemgetter(*indices)
 
 
 def pi_full(
@@ -869,17 +878,14 @@ def pi_full(
                     vertex=arrow.source,
                 )
             comp_map.append(src_comp_index[(c, idx)])
-        mapping: dict[str, str] = {}
-        for fam, rid in src_data.rows.items():
-            out = tgt_data.rows.get(tuple(fam[k] for k in comp_map))
-            if out is None:
-                raise PathBoundInstabilityError(
-                    f"pi restriction along {arrow.name!r} produced a family not "
-                    f"present at {arrow.target!r}; raise the path bound",
-                    vertex=arrow.target,
-                )
-            mapping[rid] = out
-        columns[arrow.name] = mapping
+        outs = list(map(tgt_data.rows.get, map(_tuple_getter(comp_map), src_data.rows)))
+        if None in outs:
+            raise PathBoundInstabilityError(
+                f"pi restriction along {arrow.name!r} produced a family not "
+                f"present at {arrow.target!r}; raise the path bound",
+                vertex=arrow.target,
+            )
+        columns[arrow.name] = dict(zip(src_data.rows.values(), outs))
     result = Instance(D, rows, columns)
     # A true path class that the rewrite search could not join is split in
     # two, and the families over both halves then break an equation of D.

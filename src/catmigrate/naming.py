@@ -35,9 +35,12 @@ def uniquify(names: list[str]) -> list[str]:
     """Disambiguate duplicate display names in order, appending ``#2``, ``#3``, ...
 
     Injective even when the input already carries ``#n`` suffixes: a proposed
-    name is bumped until it is genuinely unused.
+    name is bumped until it is genuinely unused.  Distinct names come back as
+    they are, in a new list.
     """
     used = set(names)  # reserve literal occurrences so suffixes never shadow them
+    if len(used) == len(names):
+        return list(names)
     taken: set[str] = set()
     counters: dict[str, int] = {}
     out = []

@@ -134,11 +134,15 @@ def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
     a row typed p.  Arrow actions are pointwise and must be well defined,
     otherwise the input is inconsistent and the construction errors.
 
-    A section over q is a mixed-radix number: its digits are the positions
-    of its rows in the pools of q's fiber, last digit fastest, the order in
-    which ``itertools.product`` lists them.  A row's place is its digit
-    times its pool's stride, so an arrow sends a section to the first
-    section over the image of q plus the places of its images.
+    The sections over q form a block: a mixed-radix number per section, its
+    digits the positions of its rows in the pools of q's fiber, last digit
+    fastest, the order in which ``itertools.product`` lists them.  A block's
+    names are built a level (a position of the fiber) at a time.  A row's
+    place is its digit times its pool's stride, so an arrow sends a section
+    to the first section over the image of q plus the places of its images,
+    and the block's targets are built a level at a time too.  Only a block
+    where some section's action is not well defined walks its sections, to
+    raise at the first such section (``_raise_first_fault``).
     """
     if t.typing.target != k.source:
         raise SchemaMismatchError("typechange_pi: typing does not land in k's source")
@@ -161,28 +165,30 @@ def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
 
     rows: dict[str, tuple[str, ...]] = {}
     spans: dict[str, dict[str, tuple[int, int]]] = {}  # vertex -> q -> its sections' positions
-    places: dict[str, dict[tuple[str, str], int]] = {}  # vertex -> (p, row typed p) -> place
+    places: dict[str, dict[str, dict[str, int]]] = {}  # vertex -> p -> row typed p -> place
     typing_comp: dict[str, dict[str, str]] = {}
     for v in schema.vertices:
         names: list[str] = []
         spans[v] = {}
-        places[v] = place = {}
+        places[v] = {}
         typing_comp[v] = {}
         for q in Q.row_set(v):
             ps = fibers[v][q]
             stride = 1
             for p in reversed(ps):
-                for digit, x in enumerate(pools[v][p]):
-                    place[p, x] = digit * stride
+                places[v][p] = {x: digit * stride for digit, x in enumerate(pools[v][p])}
                 stride *= len(pools[v][p])
             if ps:
-                encoded = [[encode_component(x) for x in pools[v][p]] for p in ps]
-                block = ["(" + ",".join(choice) + ")" for choice in itertools.product(*encoded)]
+                block = ["("]
+                for i, p in enumerate(ps):
+                    end = "," if i < len(ps) - 1 else ")"
+                    level = [encode_component(x) + end for x in pools[v][p]]
+                    block = [head + x for head in block for x in level]
             else:
                 block = [f"()@{q}"]
             spans[v][q] = (len(names), len(names) + len(block))
             names += block
-            typing_comp[v].update(dict.fromkeys(block, q))
+            typing_comp[v].update(zip(block, itertools.repeat(q)))
         rows[v] = tuple(names)
 
     columns: dict[str, dict[str, str]] = {}
@@ -191,51 +197,70 @@ def typechange_pi(k: InstanceMorphism, t: TypedInstance) -> TypedInstance:
         col = instance.column(arrow.name)
         p_col = P.column(arrow.name)
         q_col = Q.column(arrow.name)
-        mapping = {}
+        targets: list[int] = []  # per section, its image's position in rows[w]
         for q, (start, stop) in spans[v].items():
             if start == stop:
                 continue
             ps = fibers[v][q]
             q_out = q_col[q]
             p_outs = [p_col[p] for p in ps]
-            covered = set(p_outs) == set(fibers[w][q_out])
-            # per position and digit: the image, and its place if it is typed p_out
-            options = [
-                [(col[x], places[w].get((p_out, col[x]))) for x in pools[v][p]]
-                for p, p_out in zip(ps, p_outs)
-            ]
-            # each position's image must agree with that at the first position of its p_out
+            # per position: the images of its pool's rows, and what each adds
+            # to the target's position; a position whose p_out an earlier one
+            # has must agree with it, and adds 0
+            images = [list(map(col.__getitem__, pools[v][p])) for p in ps]
             first_of = [p_outs.index(p_out) for p_out in p_outs]
             repeats = [(i, j) for i, j in enumerate(first_of) if j < i]
-            firsts = [i for i, j in enumerate(first_of) if j == i]
-            base = spans[w][q_out][0]
-            for name, choice in zip(rows[v][start:stop], itertools.product(*options)):
-                for i, j in repeats:
-                    if choice[i][0] != choice[j][0]:
-                        raise TypeChangeError(
-                            f"pointwise action of {arrow.name!r} on row {name!r} is "
-                            f"ambiguous at type {p_outs[i]!r}"
-                        )
-                if not covered:
-                    raise TypeChangeError(
-                        f"pointwise action of {arrow.name!r} on row {name!r} does not "
-                        f"cover the fiber of {q_out!r}"
-                    )
-                out = base
-                for i in firsts:
-                    image_place = choice[i][1]
-                    if image_place is None:
-                        raise TypeChangeError(
-                            f"action of {arrow.name!r} on row {name!r} does not land in a "
-                            "constructed family; input is inconsistent"
-                        )
-                    out += image_place
-                mapping[name] = rows[w][out]
-        columns[arrow.name] = mapping
+            steps = [
+                list(map(places[w][p_out].get, image)) if j == i else [0] * len(image)
+                for i, (j, p_out, image) in enumerate(zip(first_of, p_outs, images))
+            ]
+            covered = set(p_outs) == set(fibers[w][q_out])
+            if (
+                not covered
+                or any(len(set(images[i]).union(images[j])) > 1 for i, j in repeats)
+                or any(None in step for step in steps)
+            ):
+                _raise_first_fault(
+                    arrow.name, rows[v][start:stop], p_outs, q_out, covered, repeats,
+                    images, steps,
+                )
+            outs = [spans[w][q_out][0]]
+            for step in steps:
+                outs = [out + s for out in outs for s in step]
+            targets += outs
+        # the blocks with sections, in order, are rows[v]
+        out_rows = rows[w]
+        columns[arrow.name] = dict(zip(rows[v], [out_rows[i] for i in targets]))
 
     product = Instance(schema, rows, columns)
     typing = InstanceMorphism(product, Q, typing_comp)
     return TypedInstance(typing)
+
+
+def _raise_first_fault(arrow, names, p_outs, q_out, covered, repeats, images, steps):
+    """Walk a block's sections in order and raise at the first whose action
+    is not well defined.  ``typechange_pi`` calls it only for a block that
+    has such a section: one that does not cover the fiber of ``q_out``, has
+    two images at one type (a position of ``repeats`` and its first), or has
+    an image with no place in a family (a ``None`` step)."""
+    options = [list(zip(image, step)) for image, step in zip(images, steps)]
+    for name, choice in zip(names, itertools.product(*options)):
+        for i, j in repeats:
+            if choice[i][0] != choice[j][0]:
+                raise TypeChangeError(
+                    f"pointwise action of {arrow!r} on row {name!r} is "
+                    f"ambiguous at type {p_outs[i]!r}"
+                )
+        if not covered:
+            raise TypeChangeError(
+                f"pointwise action of {arrow!r} on row {name!r} does not "
+                f"cover the fiber of {q_out!r}"
+            )
+        if any(step is None for _, step in choice):
+            raise TypeChangeError(
+                f"action of {arrow!r} on row {name!r} does not land in a "
+                "constructed family; input is inconsistent"
+            )
 
 
 def _on_elements(t: TypedInstance) -> Instance:

@@ -241,6 +241,90 @@ def rand_pi_hat_input(
     return InstanceMorphism(P, Q, k_comp), TypedInstance(InstanceMorphism(X, P, tau))
 
 
+HOLDINGS = Schema("Holdings", Graph(("L", "M"), (Arrow("f", "L", "M"),)))
+
+
+def rand_holdings_input(
+    rng: random.Random, noise: float = 0.0
+) -> tuple[InstanceMorphism, TypedInstance]:
+    """A grouping k : People -> Groups and items typed over People, for
+    ``typechange_pi``, in the shape of ``golden/satisfaction.cat`` at the
+    sizes of perfbench's pi-join: 1 to 3 groups of 2 to 4 people, each
+    person holding a pool of up to 10 items (none, now and then).
+
+    M holds points: 1 or 2 in Groups, 1 to 3 under each of those in People,
+    and 1 to 3 rows typed each People point in the items.  A group's f is a
+    Groups point, and its people's fs are People points over it, the first
+    few covering that fiber.  So a group's
+    block has as many contributing positions as its fiber has points, and
+    the rest repeat one.  An item goes to a row typed its person's point:
+    the one row chosen for that point in the group when another person of
+    the group shares the point, any such row otherwise.
+
+    With probability ``noise`` a group gets one fault: its people leave a
+    point of the fiber uncovered, an item of a person who shares a point
+    goes to another row (ambiguous), or an item goes to a row typed another
+    point (no place) from a person who shares no point.  The item is its
+    pool's last one half the time, so the first faulty section can come
+    late in the block.  Rows of People and of the items are shuffled half
+    the time.
+    """
+    groups = [f"g{i}" for i in range(rng.randint(1, 3))]
+    q_points = [f"q{i}" for i in range(rng.randint(1, 2))]
+    under = {q: [f"{q}p{i}" for i in range(rng.randint(1, 3))] for q in q_points}
+    points = [p for q in q_points for p in under[q]]
+    m_pool = {p: [f"{p}m{i}" for i in range(rng.randint(1, 3))] for p in points}
+    k_m = {p: q for q in q_points for p in under[q]}
+    g_f = {g: rng.choice(q_points) for g in groups}
+    k_l: dict[str, str] = {}
+    p_f: dict[str, str] = {}
+    tau_l: dict[str, str] = {}
+    x_f: dict[str, str] = {}
+    for g in groups:
+        fiber = under[g_f[g]]
+        fault = rng.choice(("cover", "ambiguous", "land")) if rng.random() < noise else None
+        size = rng.randint(max(2, len(fiber)), 4)
+        covering = rng.sample(fiber, len(fiber))
+        if fault == "cover" and len(fiber) > 1:
+            covering.pop()
+        outs = (covering + [rng.choice(covering) for _ in range(size)])[:size]
+        people = [f"{g}u{i}" for i in range(size)]
+        shared = {p: rng.choice(m_pool[p]) for p in fiber}
+        pools = {}
+        for person, out in zip(people, outs):
+            k_l[person], p_f[person] = g, out
+            pools[person] = [f"{person}x{i}" for i in range(rng.choice((0,) + (1, 2, 3, 5, 8, 10) * 3))]
+            for x in pools[person]:
+                tau_l[x] = person
+                x_f[x] = shared[out] if outs.count(out) > 1 else rng.choice(m_pool[out])
+        # an ambiguous item belongs to a person who shares a point, a stray
+        # one to a person who does not, as a shared point's images must agree
+        held = [
+            person for person, out in zip(people, outs)
+            if pools[person] and (outs.count(out) > 1) == (fault == "ambiguous")
+        ]
+        if fault in ("ambiguous", "land") and held:
+            person = rng.choice(held)
+            x = pools[person][-1] if rng.random() < 0.5 else rng.choice(pools[person])
+            others = [
+                m for p in points for m in m_pool[p]
+                if (p == p_f[person]) == (fault == "ambiguous") and m != x_f[x]
+            ]
+            if others:
+                x_f[x] = rng.choice(others)
+    tau_m = {m: p for p in points for m in m_pool[p]}
+    people = list(k_l)
+    items = list(tau_l)
+    if rng.random() < 0.5:
+        people = rng.sample(people, len(people))
+        items = rng.sample(items, len(items))
+    Q = Instance(HOLDINGS, {"L": groups, "M": q_points}, {"f": g_f})
+    P = Instance(HOLDINGS, {"L": people, "M": points}, {"f": {u: p_f[u] for u in people}})
+    X = Instance(HOLDINGS, {"L": items, "M": list(tau_m)}, {"f": {x: x_f[x] for x in items}})
+    k = InstanceMorphism(P, Q, {"L": k_l, "M": k_m})
+    return k, TypedInstance(InstanceMorphism(X, P, {"L": tau_l, "M": tau_m}))
+
+
 def shuffled_rows(rng: random.Random, instance: Instance) -> Instance:
     """The same instance with each table's rows in a random order, so that
     row position and row id disagree."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import itertools
 import random
 import re
 
@@ -18,6 +20,7 @@ from catmigrate.instances import (
     validate_morphism,
 )
 from catmigrate.migration import pi_full
+from catmigrate.naming import tuple_id
 from catmigrate.schemas import Arrow, Graph, Path, Schema
 from catmigrate.typed import (
     TypedInstance,
@@ -34,6 +37,7 @@ from .generators import (
     rand_acyclic_schema,
     rand_cover,
     rand_cyclic_schema,
+    rand_holdings_input,
     rand_instance,
     rand_pi_hat_input,
 )
@@ -633,6 +637,51 @@ def test_pi_hat_matches_sectionwise_reference():
             assert validate_typed(typechange_pi(k, typed)) == []
     # every outcome is reached often enough to be compared
     assert min(kinds.values()) >= 10, kinds
+
+
+def _holdings_blocks(k, typed) -> list[list[str]]:
+    """The names of the sections over each group, group by group: one row of
+    each of the group's people, in People's order, last person fastest."""
+    people, items = k.source, typed.instance
+    pools = {
+        u: [x for x in items.row_set("L") if typed.typing.apply("L", x) == u]
+        for u in people.row_set("L")
+    }
+    return [
+        list(map(tuple_id, itertools.product(
+            *[pools[u] for u in people.row_set("L") if k.apply("L", u) == g]
+        )))
+        for g in k.target.row_set("L")
+    ]
+
+
+def test_pi_hat_matches_sectionwise_reference_at_pi_join_shape():
+    # groups of 2 to 4 people with pools of up to 10 items, as in pi-join,
+    # where several positions contribute to a block's image and several
+    # repeat one, and a fault can follow clean blocks or come late in its own
+    seen = {"rows": 0, "ambiguous": 0, "cover": 0, "land": 0,
+            "mixed block": 0, "after a clean block": 0, "late section": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        k, typed = rand_holdings_input(rng, noise=rng.choice((0.0, 0.3, 0.6)))
+        expected = _pi_outcome(sectionwise_typechange_pi, k, typed)
+        assert _pi_outcome(typechange_pi, k, typed) == expected, seed
+        blocks = _holdings_blocks(k, typed)
+        if not isinstance(expected, str):
+            seen["rows"] += 1
+            outs = [k.source.column("f")[u] for u in k.source.row_set("L")]
+            for g, block in zip(k.target.row_set("L"), blocks):
+                fiber = [o for u, o in zip(k.source.row_set("L"), outs)
+                         if k.apply("L", u) == g]
+                if block and len(set(fiber)) >= 2 and len(fiber) - len(set(fiber)) >= 2:
+                    seen["mixed block"] += 1
+            continue
+        seen[next(kind for kind in ("ambiguous", "cover", "land") if kind in expected)] += 1
+        name = ast.literal_eval(re.search(r"on row ('.*?') (?:is|does)", expected).group(1))
+        at = next(i for i, block in enumerate(blocks) if name in block)
+        seen["after a clean block"] += any(blocks[:at])
+        seen["late section"] += blocks[at].index(name) > 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_pi_hat_ids_are_distinct_on_adversarial_ids():
