@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import NoReturn
 
 from .errors import ParseError, StructuralError
@@ -34,6 +33,7 @@ from .instances import Instance, InstanceMorphism
 from .migration import Translation
 from .schemas import Arrow, Graph, Path, PathEquivalence, Schema, path_target
 from .typed import TypedInstance
+from .values import Record
 
 RESERVED = {
     "schema",
@@ -209,49 +209,61 @@ def _position(text: str, offset: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SchemaDecl:
-    name: str
-    schema: Schema
+class SchemaDecl(Record):
+    _fields = ("name", "schema")
+
+    def __init__(self, name: str, schema: Schema):
+        self.name = name
+        self.schema = schema
 
 
-@dataclass
-class InstanceDecl:
-    name: str
-    schema_name: str
-    instance: Instance
+class InstanceDecl(Record):
+    _fields = ("name", "schema_name", "instance")
+
+    def __init__(self, name: str, schema_name: str, instance: Instance):
+        self.name = name
+        self.schema_name = schema_name
+        self.instance = instance
 
 
-@dataclass
-class TranslationDecl:
-    name: str
-    source_name: str
-    target_name: str
-    translation: Translation
+class TranslationDecl(Record):
+    _fields = ("name", "source_name", "target_name", "translation")
+
+    def __init__(self, name: str, source_name: str, target_name: str, translation: Translation):
+        self.name = name
+        self.source_name = source_name
+        self.target_name = target_name
+        self.translation = translation
 
 
-@dataclass
-class MorphismDecl:
-    name: str
-    source_name: str
-    target_name: str
-    morphism: InstanceMorphism
+class MorphismDecl(Record):
+    _fields = ("name", "source_name", "target_name", "morphism")
+
+    def __init__(self, name: str, source_name: str, target_name: str, morphism: InstanceMorphism):
+        self.name = name
+        self.source_name = source_name
+        self.target_name = target_name
+        self.morphism = morphism
 
 
-@dataclass
-class TypedInstanceDecl:
-    name: str
-    instance_name: str
-    typing_name: str
-    typed: TypedInstance
+class TypedInstanceDecl(Record):
+    _fields = ("name", "instance_name", "typing_name", "typed")
+
+    def __init__(self, name: str, instance_name: str, typing_name: str, typed: TypedInstance):
+        self.name = name
+        self.instance_name = instance_name
+        self.typing_name = typing_name
+        self.typed = typed
 
 
 Declaration = SchemaDecl | InstanceDecl | TranslationDecl | MorphismDecl | TypedInstanceDecl
 
 
-@dataclass
-class Document:
-    declarations: list[Declaration] = field(default_factory=list)
+class Document(Record):
+    _fields = ("declarations",)
+
+    def __init__(self, declarations: list[Declaration] | None = None):
+        self.declarations = [] if declarations is None else declarations
 
     def schema(self, name: str) -> Schema:
         return self._get("schema", name)

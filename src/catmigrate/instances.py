@@ -15,7 +15,6 @@ component of that diagram and multiplies the counts.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import (
@@ -26,12 +25,13 @@ from .errors import (
 )
 from .naming import pair_id
 from .schemas import Arrow, Path, Schema, path_target
+from .values import Value
 
 DEFAULT_ISOMORPHISM_WORK_CAP = 2_000_000  # rows tried by find_isomorphism, fixed
+_EMPTY: Mapping = MappingProxyType({})  # the default tables, columns and components
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Value):
     """One ordered row set per vertex and one column per arrow.
 
     Every column is checked once, here: it must send each row of its source
@@ -45,21 +45,24 @@ class Instance:
     under a change the caller makes.
     """
 
-    schema: Schema
-    rows: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    columns: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
-    _positions: dict[str, dict[str, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("schema", "rows", "columns")
 
-    def __post_init__(self):
-        graph = self.schema.graph
+    def __init__(
+        self,
+        schema: Schema,
+        rows: Mapping[str, tuple[str, ...]] = _EMPTY,
+        columns: Mapping[str, Mapping[str, str]] = _EMPTY,
+    ):
+        init = object.__setattr__
+        init(self, "schema", schema)
+        init(self, "_positions", {})
+        graph = schema.graph
         # Copies, so that filling in the empty tables leaves the caller's dicts alone.
-        rows = {v: tuple(table) for v, table in self.rows.items()}
-        columns = {name: dict(column) for name, column in self.columns.items()}
-        for v in self.schema.vertices:
+        rows = {v: tuple(table) for v, table in rows.items()}
+        columns = {name: dict(column) for name, column in columns.items()}
+        for v in schema.vertices:
             rows.setdefault(v, ())
-        for a in self.schema.arrows:
+        for a in schema.arrows:
             columns.setdefault(a.name, {})
         for v, table in rows.items():
             if not graph.has_vertex(v):
@@ -72,13 +75,13 @@ class Instance:
                     seen.add(row)
         for name in columns:
             graph.arrow(name)
-        object.__setattr__(self, "rows", MappingProxyType(rows))
-        object.__setattr__(
+        init(self, "rows", MappingProxyType(rows))
+        init(
             self,
             "columns",
             MappingProxyType({name: MappingProxyType(c) for name, c in columns.items()}),
         )
-        for arrow in self.schema.arrows:
+        for arrow in schema.arrows:
             column, table = columns[arrow.name], rows[arrow.source]
             values = set(map(column.get, table))
             if not self.positions(arrow.target).keys() >= values:  # a missing cell gives None
@@ -90,6 +93,11 @@ class Instance:
                     f"column {arrow.name!r} has a value for {stray!r}, "
                     "which is not a row of its source table"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.schema, self.rows, self.columns) == (other.schema, other.rows, other.columns)
+        return NotImplemented
 
     __hash__ = None  # instances compare by their tables, which are not hashable
 
@@ -132,20 +140,24 @@ def path_values(instance: Instance, path: Path, rows) -> list:
     return values
 
 
-@dataclass(frozen=True)
-class MissingColumnValue:
-    arrow: str
-    row: str
+class MissingColumnValue(Value):
+    _fields = ("arrow", "row")
+
+    def __init__(self, arrow: str, row: str):
+        object.__setattr__(self, "arrow", arrow)
+        object.__setattr__(self, "row", row)
 
     def describe(self) -> str:
         return f"row {self.row!r} has no value for column {self.arrow!r}"
 
 
-@dataclass(frozen=True)
-class DanglingColumnValue:
-    arrow: str
-    row: str
-    value: str
+class DanglingColumnValue(Value):
+    _fields = ("arrow", "row", "value")
+
+    def __init__(self, arrow: str, row: str, value: str):
+        object.__setattr__(self, "arrow", arrow)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "value", value)
 
     def describe(self) -> str:
         return (
@@ -154,12 +166,14 @@ class DanglingColumnValue:
         )
 
 
-@dataclass(frozen=True)
-class EquationViolation:
-    equation: str
-    row: str
-    lhs_value: str
-    rhs_value: str
+class EquationViolation(Value):
+    _fields = ("equation", "row", "lhs_value", "rhs_value")
+
+    def __init__(self, equation: str, row: str, lhs_value: str, rhs_value: str):
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "lhs_value", lhs_value)
+        object.__setattr__(self, "rhs_value", rhs_value)
 
     def describe(self) -> str:
         return (
@@ -200,8 +214,7 @@ def column_faults(instance: Instance, arrow: Arrow):
             yield DanglingColumnValue(arrow.name, row, column[row])
 
 
-@dataclass(frozen=True)
-class InstanceMorphism:
+class InstanceMorphism(Value):
     """One component per vertex, from the source's table into the target's.
 
     Every component is checked once, here: both instances must share a
@@ -214,21 +227,26 @@ class InstanceMorphism:
     caller's mappings.  Naturality is ``validate_morphism``'s business.
     """
 
-    source: Instance
-    target: Instance
-    components: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
+    _fields = ("source", "target", "components")
 
-    def __post_init__(self):
-        schema = self.source.schema
-        if schema != self.target.schema:
+    def __init__(
+        self,
+        source: Instance,
+        target: Instance,
+        components: Mapping[str, Mapping[str, str]] = _EMPTY,
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        schema = source.schema
+        if schema != target.schema:
             raise SchemaMismatchError("morphism endpoints live on different schemas")
-        components = {v: dict(comp) for v, comp in self.components.items()}
+        components = {v: dict(comp) for v, comp in components.items()}
         for v in components:
             if not schema.graph.has_vertex(v):
                 raise StructuralError(f"component for unknown vertex {v!r}")
         for v in schema.vertices:
-            comp, table = components.setdefault(v, {}), self.source.rows[v]
-            targets = self.target.positions(v)
+            comp, table = components.setdefault(v, {}), source.rows[v]
+            targets = target.positions(v)
             if not targets.keys() >= set(map(comp.get, table)):  # a missing value gives None
                 row = next(row for row in table if comp.get(row) not in targets)
                 if row not in comp:
@@ -238,7 +256,7 @@ class InstanceMorphism:
                     "which is not a target row"
                 )
             if len(comp) != len(table):  # every row is a key, so a surplus key is a stray
-                sources = self.source.positions(v)
+                sources = source.positions(v)
                 stray = next(row for row in comp if row not in sources)
                 raise StructuralError(f"component at {v!r} maps {stray!r}, which is not a source row")
         object.__setattr__(
@@ -246,6 +264,13 @@ class InstanceMorphism:
             "components",
             MappingProxyType({v: MappingProxyType(comp) for v, comp in components.items()}),
         )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.target, self.components) == (
+                other.source, other.target, other.components
+            )
+        return NotImplemented
 
     __hash__ = None  # morphisms compare by their components, which are not hashable
 
@@ -259,12 +284,14 @@ class InstanceMorphism:
             raise UnknownRowError(vertex, row) from None
 
 
-@dataclass(frozen=True)
-class NaturalityViolation:
-    arrow: str
-    row: str
-    via_target: str
-    via_source: str
+class NaturalityViolation(Value):
+    _fields = ("arrow", "row", "via_target", "via_source")
+
+    def __init__(self, arrow: str, row: str, via_target: str, via_source: str):
+        object.__setattr__(self, "arrow", arrow)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "via_target", via_target)
+        object.__setattr__(self, "via_source", via_source)
 
     def describe(self) -> str:
         return (

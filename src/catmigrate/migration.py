@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice, repeat
 from operator import itemgetter
@@ -49,6 +48,7 @@ from .schemas import (
     paths_equivalent,
     trivial_path,
 )
+from .values import Record, Value
 
 DEFAULT_SATURATION_BOUND = 1000
 DEFAULT_PATH_BOUND = 16
@@ -58,20 +58,25 @@ DEFAULT_ELEMENT_CAP = 1000  # path classes in one comma category
 DEFAULT_FAMILY_CAP = 200_000  # pi rows at one vertex
 
 
-@dataclass
-class MigrationLog:
+class MigrationLog(Record):
     """Optional run log of sigma and pi: pi's unverified-equivalence
     incidents, and the chase's element counts per vertex after each round."""
 
-    warnings: list[str] = field(default_factory=list)
-    saturation_rounds: list[dict[str, int]] = field(default_factory=list)
+    _fields = ("warnings", "saturation_rounds")
+
+    def __init__(
+        self,
+        warnings: list[str] | None = None,
+        saturation_rounds: list[dict[str, int]] | None = None,
+    ):
+        self.warnings = [] if warnings is None else warnings
+        self.saturation_rounds = [] if saturation_rounds is None else saturation_rounds
 
     def warn(self, message: str) -> None:
         self.warnings.append(message)
 
 
-@dataclass(frozen=True)
-class Translation:
+class Translation(Value):
     """A schema morphism: vertices to vertices, arrows to target paths.
 
     It is checked once, here, to be a graph morphism: every source vertex and
@@ -84,17 +89,22 @@ class Translation:
     hold in the target is ``check_translation``'s business.
     """
 
-    source: Schema
-    target: Schema
-    vertex_map: Mapping[str, str]
-    arrow_map: Mapping[str, Path]
+    _fields = ("source", "target", "vertex_map", "arrow_map")
 
-    def __post_init__(self):
-        vertex_map = dict(self.vertex_map)
-        arrow_map = dict(self.arrow_map)
+    def __init__(
+        self,
+        source: Schema,
+        target: Schema,
+        vertex_map: Mapping[str, str],
+        arrow_map: Mapping[str, Path],
+    ):
+        vertex_map = dict(vertex_map)
+        arrow_map = dict(arrow_map)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "vertex_map", MappingProxyType(vertex_map))
         object.__setattr__(self, "arrow_map", MappingProxyType(arrow_map))
-        src, tgt = self.source.graph, self.target.graph
+        src, tgt = source.graph, target.graph
         for v in src.vertices:
             if v not in vertex_map:
                 raise StructuralError(f"translation does not map vertex {v!r}")
@@ -171,12 +181,14 @@ def compose_translations(first: Translation, then: Translation) -> Translation:
     )
 
 
-@dataclass(frozen=True)
-class UnverifiedEquivalence:
-    equation: str
-    lhs_image: str
-    rhs_image: str
-    budget: int
+class UnverifiedEquivalence(Value):
+    _fields = ("equation", "lhs_image", "rhs_image", "budget")
+
+    def __init__(self, equation: str, lhs_image: str, rhs_image: str, budget: int):
+        object.__setattr__(self, "equation", equation)
+        object.__setattr__(self, "lhs_image", lhs_image)
+        object.__setattr__(self, "rhs_image", rhs_image)
+        object.__setattr__(self, "budget", budget)
 
     def describe(self) -> str:
         return (
@@ -577,7 +589,7 @@ class _SigmaEngine:
             roots_by_vertex[self.vertex_of[root]].append(root)
         rows: dict[str, tuple[str, ...]] = {}
         row_of: list = [None] * len(terms)  # root -> its row
-        row_term: dict[tuple[str, str], tuple] = {}
+        named: list[tuple[str, list[str], list[tuple]]] = []  # (vertex, rows, their terms)
         for v, roots in roots_by_vertex.items():
             if not roots:
                 rows[v] = ()
@@ -586,9 +598,9 @@ class _SigmaEngine:
             reps = list(map(terms.__getitem__, map(rep.__getitem__, ordered)))
             names = uniquify(list(map(_term_display, reps)))
             rows[v] = tuple(names)
-            for root, term, name in zip(ordered, reps, names):
+            for root, name in zip(ordered, names):
                 row_of[root] = name
-                row_term[v, name] = term
+            named.append((v, names, reps))
         row_of = list(map(row_of.__getitem__, parent))  # element -> its row
         columns: dict[str, dict[str, str]] = {}
         for arrow in self.D.arrows:
@@ -596,18 +608,49 @@ class _SigmaEngine:
             columns[name] = {
                 row_of[root]: row_of[img[root][name]] for root in roots_by_vertex[arrow.source]
             }
-        instance = Instance(self.D, rows, columns)
-        seed_row = {
-            (c, r): row_of[tid] for c, ids in self.seeds.items() for r, tid in ids.items()
-        }
-        return SigmaResult(instance, seed_row, row_term)
+        seeds = self.seeds
+
+        def row_maps():
+            seed_row = {(c, r): row_of[tid] for c, ids in seeds.items() for r, tid in ids.items()}
+            row_term = {
+                (v, name): term for v, names, reps in named for name, term in zip(names, reps)
+            }
+            return seed_row, row_term
+
+        return SigmaResult._deferred(Instance(self.D, rows, columns), row_maps)
 
 
-@dataclass
-class SigmaResult:
-    instance: Instance
-    seed_row: dict[tuple[str, str], str]  # (source vertex, source row) -> output row
-    row_term: dict[tuple[str, str], tuple]  # (target vertex, output row) -> canonical term
+class SigmaResult(Record):
+    """sigma's instance, where each source row went, and the term that
+    names each output row.  ``sigma_full`` builds ``seed_row`` and
+    ``row_term`` when one of them is first read: ``sigma`` needs neither."""
+
+    _fields = ("instance", "seed_row", "row_term")
+
+    def __init__(
+        self,
+        instance: Instance,
+        seed_row: dict[tuple[str, str], str],  # (source vertex, source row) -> output row
+        row_term: dict[tuple[str, str], tuple],  # (target vertex, output row) -> canonical term
+    ):
+        self.instance = instance
+        self.seed_row = seed_row
+        self.row_term = row_term
+
+    @classmethod
+    def _deferred(cls, instance: Instance, row_maps) -> SigmaResult:
+        """A result whose ``seed_row`` and ``row_term`` are ``row_maps()``."""
+        result = cls.__new__(cls)
+        result.instance = instance
+        result._row_maps = row_maps
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set.
+        if name in ("seed_row", "row_term") and "_row_maps" in self.__dict__:
+            self.seed_row, self.row_term = self.__dict__.pop("_row_maps")()
+            return self.__dict__[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
 
 def sigma_full(
@@ -655,18 +698,28 @@ def sigma_on_morphism(translation: Translation, m: InstanceMorphism) -> Instance
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _VertexFamilies:
-    classes: list[Path]  # representative target paths out of this vertex
-    comps: list[tuple[str, int]]  # (source vertex, class index)
-    rows: dict[tuple[str, ...], str]  # join tuple (a row per comp) -> row id, join order
-    exhausted: bool  # the class search ran out of new classes within the bound
+class _VertexFamilies(Record):
+    _fields = ("classes", "comps", "rows", "exhausted")
+
+    def __init__(
+        self,
+        classes: list[Path],  # representative target paths out of this vertex
+        comps: list[tuple[str, int]],  # (source vertex, class index)
+        rows: dict[tuple[str, ...], str],  # join tuple (a row per comp) -> row id, join order
+        exhausted: bool,  # the class search ran out of new classes within the bound
+    ):
+        self.classes = classes
+        self.comps = comps
+        self.rows = rows
+        self.exhausted = exhausted
 
 
-@dataclass
-class PiResult:
-    instance: Instance
-    data: dict[str, _VertexFamilies]
+class PiResult(Record):
+    _fields = ("instance", "data")
+
+    def __init__(self, instance: Instance, data: dict[str, _VertexFamilies]):
+        self.instance = instance
+        self.data = data
 
 
 def _comma_classes(
@@ -938,12 +991,20 @@ def pi_on_morphism(translation: Translation, m: InstanceMorphism) -> InstanceMor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdjunctionWitnesses:
-    unit_sigma: InstanceMorphism  # I -> delta(sigma(I))
-    counit_sigma: InstanceMorphism  # sigma(delta(J)) -> J
-    unit_pi: InstanceMorphism  # J -> pi(delta(J))
-    counit_pi: InstanceMorphism  # delta(pi(I)) -> I
+class AdjunctionWitnesses(Record):
+    _fields = ("unit_sigma", "counit_sigma", "unit_pi", "counit_pi")
+
+    def __init__(
+        self,
+        unit_sigma: InstanceMorphism,  # I -> delta(sigma(I))
+        counit_sigma: InstanceMorphism,  # sigma(delta(J)) -> J
+        unit_pi: InstanceMorphism,  # J -> pi(delta(J))
+        counit_pi: InstanceMorphism,  # delta(pi(I)) -> I
+    ):
+        self.unit_sigma = unit_sigma
+        self.counit_sigma = counit_sigma
+        self.unit_pi = unit_pi
+        self.counit_pi = counit_pi
 
 
 def sigma_unit(translation: Translation, instance: Instance) -> InstanceMorphism:
@@ -1051,16 +1112,25 @@ class StepKind(Enum):
     PI_HAT = "pi-hat"
 
 
-@dataclass
-class PipelineStep:
-    kind: StepKind
-    translation: Translation | None = None
-    type_morphism: InstanceMorphism | None = None
+class PipelineStep(Record):
+    _fields = ("kind", "translation", "type_morphism")
+
+    def __init__(
+        self,
+        kind: StepKind,
+        translation: Translation | None = None,
+        type_morphism: InstanceMorphism | None = None,
+    ):
+        self.kind = kind
+        self.translation = translation
+        self.type_morphism = type_morphism
 
 
-@dataclass
-class MigrationPipeline:
-    steps: tuple[PipelineStep, ...] = ()
+class MigrationPipeline(Record):
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple[PipelineStep, ...] = ()):
+        self.steps = steps
 
 
 def run_pipeline(pipeline: MigrationPipeline, start):

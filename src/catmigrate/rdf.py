@@ -9,19 +9,24 @@ the export writes deterministic N-Triples-shaped lines.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from urllib.parse import quote
-
 from .errors import StructuralError, TripleStoreError
 from .instances import Instance
 from .schemas import Schema
+from .values import Record
 
 
-@dataclass
-class TripleStore:
-    schema: Schema
-    nodes: tuple[tuple[str, str], ...] = ()  # (node id, type vertex)
-    triples: tuple[tuple[str, str, str], ...] = ()  # (subject, predicate arrow, object)
+class TripleStore(Record):
+    _fields = ("schema", "nodes", "triples")
+
+    def __init__(
+        self,
+        schema: Schema,
+        nodes: tuple[tuple[str, str], ...] = (),  # (node id, type vertex)
+        triples: tuple[tuple[str, str, str], ...] = (),  # (subject, predicate arrow, object)
+    ):
+        self.schema = schema
+        self.nodes = nodes
+        self.triples = triples
 
 
 def validate_store(store: TripleStore) -> list[str]:
@@ -148,6 +153,8 @@ def export_triples(store: TripleStore, base: str) -> str:
 
     Each distinct component is quoted once: node ids recur across triples,
     and predicates in every one."""
+    from urllib.parse import quote  # loaded by an export, not by every import
+
     prefix = "<" + base.rstrip("/") + "/"
     uri = {
         component: prefix + quote(component, safe="/:$-_.~()") + ">"

@@ -14,11 +14,11 @@ have stopped the pair is left unproved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .errors import CompositionError, StructuralError
+from .values import Value
 
 DEFAULT_REWRITE_BUDGET = 64
 DEFAULT_PATH_LENGTH_CAP = 32
@@ -26,39 +26,46 @@ DEFAULT_PATH_LENGTH_CAP = 32
 _MAX_VISITED_STATES = 60_000
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+class Arrow(Value):
+    _fields = ("name", "source", "target")
+
+    def __init__(self, name: str, source: str, target: str):
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "source", source)
+        init(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.source, self.target) == (other.name, other.source, other.target)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.source, self.target))
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Value):
     """A finite directed multigraph.
 
-    Its lookups and its hash are built once, in ``__post_init__``; the fields
-    holding them take no part in ``==``, ``repr`` or ``__init__``, so
-    ``dataclasses.replace`` builds fresh ones.
+    Its lookups and its hash are built once, by the constructor; they take
+    no part in ``==`` or ``repr``, and a graph that differs in a vertex or an
+    arrow is built with the constructor, which builds fresh ones.
     """
 
-    vertices: tuple[str, ...] = ()
-    arrows: tuple[Arrow, ...] = ()
-    _vertex_order: dict[str, int] = field(init=False, repr=False, compare=False)
-    _arrow_by_name: dict[str, Arrow] = field(init=False, repr=False, compare=False)
-    _arrow_order: dict[str, int] = field(init=False, repr=False, compare=False)
-    _out_arrows: dict[str, tuple[Arrow, ...]] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("vertices", "arrows")
 
-    def __post_init__(self):
+    def __init__(self, vertices: tuple[str, ...] = (), arrows: tuple[Arrow, ...] = ()):
+        init = object.__setattr__
+        init(self, "vertices", vertices)
+        init(self, "arrows", arrows)
         vertex_order: dict[str, int] = {}
-        for i, v in enumerate(self.vertices):
+        for i, v in enumerate(vertices):
             if v in vertex_order:
                 raise StructuralError(f"duplicate vertex {v!r}")
             vertex_order[v] = i
         by_name: dict[str, Arrow] = {}
-        out: dict[str, list[Arrow]] = {v: [] for v in self.vertices}
-        for a in self.arrows:
+        out: dict[str, list[Arrow]] = {v: [] for v in vertices}
+        for a in arrows:
             if a.name in by_name:
                 raise StructuralError(f"duplicate arrow {a.name!r}")
             by_name[a.name] = a
@@ -67,12 +74,11 @@ class Graph:
             if a.target not in vertex_order:
                 raise StructuralError(f"arrow {a.name!r} has unknown target {a.target!r}")
             out[a.source].append(a)
-        init = object.__setattr__
         init(self, "_vertex_order", vertex_order)
         init(self, "_arrow_by_name", by_name)
         init(self, "_arrow_order", {name: i for i, name in enumerate(by_name)})
         init(self, "_out_arrows", {v: tuple(arrows) for v, arrows in out.items()})
-        init(self, "_hash", hash((self.vertices, self.arrows)))
+        init(self, "_hash", hash((vertices, arrows)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -96,12 +102,23 @@ class Graph:
         return self._arrow_order[name]
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Value):
     """A head-to-tail arrow sequence; the empty sequence is the trivial path."""
 
-    source: str
-    arrows: tuple[str, ...] = ()
+    _fields = ("source", "arrows")
+
+    def __init__(self, source: str, arrows: tuple[str, ...] = ()):
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "arrows", arrows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source, self.arrows) == (other.source, other.arrows)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.arrows))
 
     @property
     def is_trivial(self) -> bool:
@@ -141,39 +158,39 @@ def compose_paths(graph: Graph, p: Path, q: Path) -> Path:
     return Path(p.source, p.arrows + q.arrows)
 
 
-@dataclass(frozen=True)
-class PathEquivalence:
-    lhs: Path
-    rhs: Path
+class PathEquivalence(Value):
+    _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Path, rhs: Path):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __str__(self) -> str:
         return f"{self.lhs.source} : {self.lhs} = {self.rhs}"
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Value):
     """A finitely presented category; like ``Graph``, it builds its rewrite
     rules and its hash once, at construction."""
 
-    name: str
-    graph: Graph = field(default_factory=Graph)
-    equivalences: tuple[PathEquivalence, ...] = ()
-    # The declared equivalences as (source vertex, lhs arrows, rhs arrows),
-    # in both directions.
-    _rules: tuple[tuple[str, tuple[str, ...], tuple[str, ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("name", "graph", "equivalences")
 
-    def __post_init__(self):
-        rules = []
-        for eq in self.equivalences:
+    def __init__(
+        self, name: str, graph: Graph = Graph(), equivalences: tuple[PathEquivalence, ...] = ()
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "equivalences", equivalences)
+        # The declared equivalences as (source vertex, lhs arrows, rhs arrows),
+        # in both directions.
+        rules: list[tuple[str, tuple[str, ...], tuple[str, ...]]] = []
+        for eq in equivalences:
             if eq.lhs.source != eq.rhs.source:
                 raise StructuralError(
                     f"equation sides start at different vertices: {eq}"
                 )
-            lt = path_target(self.graph, eq.lhs)
-            rt = path_target(self.graph, eq.rhs)
+            lt = path_target(graph, eq.lhs)
+            rt = path_target(graph, eq.rhs)
             if lt != rt:
                 raise StructuralError(
                     f"equation sides end at different vertices ({lt!r} vs {rt!r}): {eq}"
@@ -181,7 +198,7 @@ class Schema:
             rules.append((eq.lhs.source, eq.lhs.arrows, eq.rhs.arrows))
             rules.append((eq.rhs.source, eq.rhs.arrows, eq.lhs.arrows))
         object.__setattr__(self, "_rules", tuple(rules))
-        object.__setattr__(self, "_hash", hash((self.name, self.graph, self.equivalences)))
+        object.__setattr__(self, "_hash", hash((name, graph, equivalences)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -16,7 +16,6 @@ P's category of elements, so typed hom-sets are counted as plain ones there.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import SchemaMismatchError, StructuralError, TypeChangeError
 from .instances import (
@@ -32,14 +31,17 @@ from .instances import (
 from .migration import Translation, pi
 from .naming import encode_component, pair_id
 from .schemas import Arrow, Graph, Schema
+from .values import Record, Value
 
 
-@dataclass(frozen=True)
-class TypedInstance:
+class TypedInstance(Value):
     """An instance with a typing morphism into a typing instance; the
     morphism checked, when it was built, that every row is typed."""
 
-    typing: InstanceMorphism
+    _fields = ("typing",)
+
+    def __init__(self, typing: InstanceMorphism):
+        object.__setattr__(self, "typing", typing)
 
     @property
     def instance(self) -> Instance:
@@ -50,20 +52,20 @@ class TypedInstance:
         return self.typing.target
 
 
-@dataclass
-class TypingAuxiliary:
+class TypingAuxiliary(Record):
     """A bridge schema, its extensional value assignment, and the attachment
     translation into the data schema; the implied typing instance is the
     right pushforward of the values along the attachment."""
 
-    bridge: Schema
-    values: Instance
-    attachment: Translation
+    _fields = ("bridge", "values", "attachment")
 
-    def __post_init__(self):
-        if self.values.schema != self.bridge:
+    def __init__(self, bridge: Schema, values: Instance, attachment: Translation):
+        self.bridge = bridge
+        self.values = values
+        self.attachment = attachment
+        if values.schema != bridge:
             raise SchemaMismatchError("typing auxiliary values are not on the bridge schema")
-        if self.attachment.source != self.bridge:
+        if attachment.source != bridge:
             raise SchemaMismatchError("typing auxiliary attachment does not start at the bridge")
 
 
