@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from typing import NoReturn
 
 from .errors import ParseError, StructuralError
 from .instances import Instance, InstanceMorphism
@@ -517,8 +516,9 @@ class _Parser:
         self.expect_punct("{")
         body = self.pos
 
-        # Each table is a dict used as an ordered set of its row ids.
-        tables: dict[str, dict[str, None]] = {v: {} for v in schema.vertices}
+        # Each table is an ordered row -> row dict: the row ids, each mapped to
+        # itself, so that a cell can be pointed at its target's row object.
+        tables: dict[str, dict[str, str]] = {v: {} for v in schema.vertices}
         columns: dict[str, dict[str, str]] = {a.name: {} for a in schema.arrows}
         seen_tables: set[str] = set()
         while self.accept("table"):
@@ -536,6 +536,13 @@ class _Parser:
 
         self.expect_punct("}")
 
+        # A value is its own token until here; point it at its target table's
+        # row, so that each row id is held once.  A dangling value stays as
+        # it is, for ``Instance`` to refuse.
+        for a in schema.arrows:
+            column, target = columns[a.name], tables[a.target]
+            values = column.values()
+            columns[a.name] = dict(zip(column, map(target.get, values, values)))
         try:
             instance = Instance(schema, {v: tuple(rows) for v, rows in tables.items()}, columns)
         except StructuralError:  # every row has its cells, so a value dangles
@@ -553,7 +560,7 @@ class _Parser:
             return []
 
     def table_slices(
-        self, table: dict[str, None], out_columns: dict[str, dict[str, str]]
+        self, table: dict[str, str], out_columns: dict[str, dict[str, str]]
     ) -> bool:
         """Read a table body of canonical rows into ``table`` and
         ``out_columns`` a column at a time; return False, having read
@@ -592,14 +599,14 @@ class _Parser:
             cells[arrows[0]] = values
         if cells.keys() != out_columns.keys():  # a column missing, repeated or unknown
             return False
-        table.update(dict.fromkeys(rows))
+        table.update(zip(rows, rows))
         for arrow, values in cells.items():
             out_columns[arrow].update(zip(rows, values))
         self.pos += len(body)
         return True
 
     def table_rows(
-        self, vertex: str, table: dict[str, None], out_columns: dict[str, dict[str, str]]
+        self, vertex: str, table: dict[str, str], out_columns: dict[str, dict[str, str]]
     ) -> None:
         """Read rows ``row`` or ``row -> (arrow = value, ...)`` up to the
         table's closing brace into ``table`` and ``out_columns``.
@@ -620,7 +627,7 @@ class _Parser:
             row = _unquote(raw) if raw[0] == '"' else raw
             if row in table:
                 self.fail(f"duplicate row {row!r} in table {vertex!r}", i)
-            table[row] = None
+            table[row] = row
             row_at = i
             i += 1
             filled = 0
@@ -662,7 +669,7 @@ class _Parser:
                 )
         self.pos = i
 
-    def fail_dangling(self, graph: Graph, tables: dict[str, dict[str, None]], body: int):
+    def fail_dangling(self, graph: Graph, tables: dict[str, dict[str, str]], body: int):
         """Raise for the first cell, in text order, of the instance body that
         starts at token ``body`` whose value is not a row of the arrow's
         target table."""
@@ -760,7 +767,11 @@ class _Parser:
 
     def component_blocks(self, source: Instance, target: Instance, owner: int) -> InstanceMorphism:
         """Read the component blocks of a morphism from ``source`` to
-        ``target``; a row left unmapped is reported at token ``owner``."""
+        ``target``; a row left unmapped is reported at token ``owner``.
+
+        Each row and value is checked against, and then pointed at, the row
+        object of its instance's table, through a row -> row map of that
+        table, so that a component holds no row id of its own."""
         schema = source.schema
         components: dict[str, dict[str, str]] = {v: {} for v in schema.vertices}
         seen_blocks: set[str] = set()
@@ -771,7 +782,8 @@ class _Parser:
             if vertex in seen_blocks:
                 self.fail(f"duplicate component block {vertex!r}", vertex_at)
             seen_blocks.add(vertex)
-            source_rows, target_rows = source.positions(vertex), target.positions(vertex)
+            source_rows = _row_map(source.rows[vertex])
+            target_rows = _row_map(target.rows[vertex])
             self.expect_punct("{")
             component = components[vertex]
             if not self.component_slices(component, source_rows, target_rows):
@@ -786,8 +798,8 @@ class _Parser:
         self,
         vertex: str,
         component: dict[str, str],
-        source_rows: Mapping[str, int],
-        target_rows: Mapping[str, int],
+        source_rows: Mapping[str, str],
+        target_rows: Mapping[str, str],
     ) -> None:
         """Read rows ``row -> value`` up to the block's closing brace into
         ``component``, a token at a time: the general path, for any block
@@ -803,13 +815,13 @@ class _Parser:
             value, value_at = self.name("a row id")
             if value not in target_rows:
                 self.fail(f"{value!r} is not a row of the target at {vertex!r}", value_at)
-            component[row] = value
+            component[source_rows[row]] = target_rows[value]
 
     def component_slices(
         self,
         component: dict[str, str],
-        source_rows: Mapping[str, int],
-        target_rows: Mapping[str, int],
+        source_rows: Mapping[str, str],
+        target_rows: Mapping[str, str],
     ) -> bool:
         """Read a component block of rows ``row -> value`` into ``component``
         a column at a time, as three slices of its body; return False, having
@@ -829,7 +841,9 @@ class _Parser:
             or not target_rows.keys() >= set(values)
         ):
             return False
-        component.update(zip(rows, values))
+        component.update(
+            zip(map(source_rows.__getitem__, rows), map(target_rows.__getitem__, values))
+        )
         self.pos += len(body)
         return True
 
@@ -872,6 +886,12 @@ class _Parser:
         typed = TypedInstance(typing)
         self.declare("typedinstance", name, typed, name_at)
         return TypedInstanceDecl(name, instance_name, typing_name, typed)
+
+
+def _row_map(table: tuple[str, ...]) -> dict[str, str]:
+    """Each row of ``table`` mapped to itself: a membership test that also
+    hands back the table's own row object."""
+    return dict(zip(table, table))
 
 
 def parse_document(text: str, env: dict[tuple[str, str], object] | None = None) -> Document:

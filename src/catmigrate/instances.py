@@ -37,12 +37,15 @@ class Instance(Value):
     Every column is checked once, here: it must send each row of its source
     table to a row of its target table, and nothing else.  The first
     missing or dangling cell, by arrow and then by row, or else a key that
-    is not a source row, raises ``StructuralError``.  The instance is
-    frozen, every table is a tuple, and ``rows``, ``columns`` and each column
-    are read-only views of copies of the caller's mappings, so neither that
-    check, nor the row -> position map of a table, built on its first
-    membership or position query, nor a loop over a column can go stale
-    under a change the caller makes.
+    is not a source row, raises ``StructuralError``.  The check keeps no
+    position map: repeated rows are looked for one table at a time, and
+    closure against a set of each table that some arrow points into, all
+    dropped when the constructor returns.  ``positions`` builds a table's
+    row -> position map on its first call.  The instance is frozen, every
+    table is a tuple, and ``rows``, ``columns`` and each column are
+    read-only views of copies of the caller's mappings, so neither that
+    check, nor a position map, nor a loop over a column can go stale under
+    a change the caller makes.
     """
 
     _fields = ("schema", "rows", "columns")
@@ -64,15 +67,20 @@ class Instance(Value):
             rows.setdefault(v, ())
         for a in schema.arrows:
             columns.setdefault(a.name, {})
+        targets = {a.target for a in schema.arrows}
+        members: dict[str, set[str]] = {}  # each target table's rows, for the closure check
         for v, table in rows.items():
             if not graph.has_vertex(v):
                 raise StructuralError(f"rows declared for unknown vertex {v!r}")
-            if len(set(table)) != len(table):
+            row_set = set(table)
+            if len(row_set) != len(table):
                 seen: set[str] = set()
                 for row in table:
                     if row in seen:
                         raise StructuralError(f"duplicate row {row!r} in table {v!r}")
                     seen.add(row)
+            if v in targets:
+                members[v] = row_set
         for name in columns:
             graph.arrow(name)
         init(self, "rows", MappingProxyType(rows))
@@ -83,11 +91,11 @@ class Instance(Value):
         )
         for arrow in schema.arrows:
             column, table = columns[arrow.name], rows[arrow.source]
-            values = set(map(column.get, table))
-            if not self.positions(arrow.target).keys() >= values:  # a missing cell gives None
+            # A missing cell gives None, which is no row.
+            if not members[arrow.target].issuperset(map(column.get, table)):
                 raise StructuralError(next(column_faults(self, arrow)).describe())
             if len(column) != len(table):  # every row is a key, so a surplus key is a stray
-                sources = self.positions(arrow.source)
+                sources = set(table)
                 stray = next(key for key in column if key not in sources)
                 raise StructuralError(
                     f"column {arrow.name!r} has a value for {stray!r}, "
@@ -206,7 +214,7 @@ def column_faults(instance: Instance, arrow: Arrow):
     """Yield the missing and dangling values of ``arrow``'s column, in table
     order; ``Instance`` raises on the first."""
     column = instance.columns[arrow.name]
-    targets = instance.positions(arrow.target)
+    targets = set(instance.row_set(arrow.target))
     for row in instance.row_set(arrow.source):
         if row not in column:
             yield MissingColumnValue(arrow.name, row)
@@ -222,9 +230,12 @@ class InstanceMorphism(Value):
     send each row of its source table to a row of its target table, and
     nothing else.  The first missing or dangling value, by vertex and then
     by row, or else a key that is not a source row, raises
-    ``StructuralError``.  A vertex left out gets an empty component.
-    ``components`` and each component are read-only views of copies of the
-    caller's mappings.  Naturality is ``validate_morphism``'s business.
+    ``StructuralError``.  Each component is checked against a set of its
+    target table, dropped when the next vertex is checked, so neither
+    instance gains a position map.  A vertex left out gets an empty
+    component.  ``components`` and each component are read-only views of
+    copies of the caller's mappings.  Naturality is ``validate_morphism``'s
+    business.
     """
 
     _fields = ("source", "target", "components")
@@ -246,8 +257,8 @@ class InstanceMorphism(Value):
                 raise StructuralError(f"component for unknown vertex {v!r}")
         for v in schema.vertices:
             comp, table = components.setdefault(v, {}), source.rows[v]
-            targets = target.positions(v)
-            if not targets.keys() >= set(map(comp.get, table)):  # a missing value gives None
+            targets = set(target.rows[v])
+            if not targets.issuperset(map(comp.get, table)):  # a missing value gives None
                 row = next(row for row in table if comp.get(row) not in targets)
                 if row not in comp:
                     raise StructuralError(f"no component value for row {row!r} at vertex {v!r}")
@@ -256,7 +267,7 @@ class InstanceMorphism(Value):
                     "which is not a target row"
                 )
             if len(comp) != len(table):  # every row is a key, so a surplus key is a stray
-                sources = source.positions(v)
+                sources = set(table)
                 stray = next(row for row in comp if row not in sources)
                 raise StructuralError(f"component at {v!r} maps {stray!r}, which is not a source row")
         object.__setattr__(

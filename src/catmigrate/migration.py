@@ -38,7 +38,7 @@ from .instances import (
     require_natural,
     validate_instance,
 )
-from .naming import keyed_id, uniquify
+from .naming import keyed_ids, uniquify
 from .schemas import (
     DEFAULT_REWRITE_BUDGET,
     Equivalence,
@@ -854,19 +854,8 @@ def _family_row_ids(
     elif trivial_comps:
         restricted = [tuple(fam[k] for k in trivial_comps) for fam in families]
         if len(set(restricted)) == len(families):
-            return uniquify(
-                [
-                    keyed_id([(comps[k][0], fam[k]) for k in trivial_comps])
-                    for fam in families
-                ]
-            )
-    ids = []
-    for fam in families:
-        pairs = [
-            (f"{comps[k][0]}[{classes[comps[k][1]]}]", fam[k]) for k in range(len(comps))
-        ]
-        ids.append(keyed_id(pairs))
-    return uniquify(ids)
+            return uniquify(keyed_ids([comps[k][0] for k in trivial_comps], restricted))
+    return uniquify(keyed_ids([f"{c}[{classes[cls]}]" for c, cls in comps], families))
 
 
 def _tuple_getter(indices: list[int]):

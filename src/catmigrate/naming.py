@@ -31,6 +31,27 @@ def keyed_id(pairs: list[tuple[str, str]]) -> str:
     )
 
 
+def keyed_ids(keys: list[str], families: list[tuple[str, ...]]) -> list[str]:
+    """``keyed_id(list(zip(keys, family)))`` for each of ``families``, built a
+    key at a time: each key and each distinct row is encoded once, and each
+    id joins its precomputed ``key=row`` cells.  Distinct keys fix the sort
+    order; where two keys coincide the rows break the tie, so each family
+    then goes through ``keyed_id``."""
+    if not keys or len(set(keys)) < len(keys):
+        return [keyed_id(list(zip(keys, family))) for family in families]
+    encoded: dict[str, str] = {}  # row -> its encoding, shared by every key
+    columns = []
+    for k in sorted(range(len(keys)), key=keys.__getitem__):
+        column = [family[k] for family in families]
+        distinct = set(column)
+        for row in distinct.difference(encoded):
+            encoded[row] = encode_component(row)
+        head = encode_component(keys[k]) + "="
+        cell = {row: head + encoded[row] for row in distinct}
+        columns.append(map(cell.__getitem__, column))
+    return list(map(";".join, zip(*columns)))
+
+
 def uniquify(names: list[str]) -> list[str]:
     """Disambiguate duplicate display names in order, appending ``#2``, ``#3``, ...
 

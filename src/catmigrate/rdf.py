@@ -9,6 +9,8 @@ the export writes deterministic N-Triples-shaped lines.
 """
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import StructuralError, TripleStoreError
 from .instances import Instance
 from .schemas import Schema
@@ -79,19 +81,22 @@ def node_prefix(vertex: str) -> str:
 
 
 def grothendieck(instance: Instance) -> TripleStore:
-    """One node per (vertex, row), one triple per (arrow, source row)."""
-    prefix = {v: node_prefix(v) for v in instance.schema.vertices}
+    """One node per (vertex, row), one triple per (arrow, source row).  Each
+    node id is built once, and the triples at it hold that string."""
+    schema = instance.schema
+    node_ids: dict[str, dict[str, str]] = {}  # vertex -> row -> node id
     nodes = []
-    for v in instance.schema.vertices:
-        for r in instance.row_set(v):
-            nodes.append((prefix[v] + r, v))
+    for v in schema.vertices:
+        table = instance.row_set(v)
+        ids = node_ids[v] = dict(zip(table, map(node_prefix(v).__add__, table)))
+        nodes.extend(zip(ids.values(), repeat(v)))
     triples = []
-    for arrow in instance.schema.arrows:
+    for arrow in schema.arrows:
         column = instance.column(arrow.name)
-        source, target = prefix[arrow.source], prefix[arrow.target]
-        for r in instance.row_set(arrow.source):
-            triples.append((source + r, arrow.name, target + column[r]))
-    return TripleStore(instance.schema, tuple(nodes), tuple(triples))
+        table = instance.row_set(arrow.source)
+        objects = map(node_ids[arrow.target].__getitem__, map(column.__getitem__, table))
+        triples.extend(zip(node_ids[arrow.source].values(), repeat(arrow.name), objects))
+    return TripleStore(schema, tuple(nodes), tuple(triples))
 
 
 def ungrothendieck(store: TripleStore) -> Instance:

@@ -83,6 +83,11 @@ class Graph(Value):
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, as the hash holds only under the hash
+        # seed of the process that computed it.
+        return Graph, (self.vertices, self.arrows)
+
     def arrow(self, name: str) -> Arrow:
         try:
             return self._arrow_by_name[name]
@@ -202,6 +207,9 @@ class Schema(Value):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return Schema, (self.name, self.graph, self.equivalences)  # see ``Graph.__reduce__``
 
     @property
     def vertices(self) -> tuple[str, ...]:

@@ -649,6 +649,53 @@ def test_slice_read_matches_the_token_loop_on_mutated_bodies(monkeypatch):
     assert sum(isinstance(o, dsl.Document) for o in by_tokens) >= len(texts) // 3
 
 
+_SHARED_ROWS = """
+schema S { nodes A, B; arrows f : A -> B; h : A -> B; g : B -> B; }
+instance I on S {
+  table A { a1 -> (f = b1, h = b2) a2 -> (f = b2, h = b2) }
+  table B { b1 -> (g = b2) b2 -> (g = b2) }
+}
+instance J on S {
+  table A { x1 -> (f = y1, h = y1) }
+  table B { y1 -> (g = y1) }
+}
+morphism m : I -> J { A { a1 -> x1 a2 -> x1 } B { b1 -> y1 b2 -> y1 } }
+typedinstance T {
+  instance I;
+  typing J;
+  components { A { a1 -> x1 a2 -> x1 } B { b1 -> y1 b2 -> y1 } }
+}
+"""
+
+
+@pytest.mark.parametrize("read", ["slices", "tokens"])
+def test_parsed_cells_and_components_are_their_tables_row_objects(monkeypatch, read):
+    # Each row id is held once: a column value is its target table's row,
+    # and a component's key and value are its source's and target's rows,
+    # whether a body is read as slices or a token at a time.
+    if read == "tokens":
+        for method in ("table_slices", "component_slices"):
+            monkeypatch.setattr(dsl._Parser, method, lambda self, *args: False)
+    doc = dsl.parse_document(_SHARED_ROWS)
+
+    def row_objects(instance, vertex):
+        return {row: row for row in instance.rows[vertex]}
+
+    for instance in (doc.instance("I"), doc.instance("J")):
+        for arrow in instance.schema.arrows:
+            sources = row_objects(instance, arrow.source)
+            targets = row_objects(instance, arrow.target)
+            for key, value in instance.columns[arrow.name].items():
+                assert key is sources[key] and value is targets[value], (arrow.name, key)
+    for morphism in (doc.morphism("m"), doc.typed("T").typing):
+        for v, component in morphism.components.items():
+            sources = row_objects(morphism.source, v)
+            targets = row_objects(morphism.target, v)
+            assert len(component) == len(sources)
+            for key, value in component.items():
+                assert key is sources[key] and value is targets[value], (v, key)
+
+
 # -- diagnostics pinned with their exact text and position -------------------
 
 

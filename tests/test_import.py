@@ -1,5 +1,7 @@
-"""``import catmigrate`` loads no module that only code generation or
-introspection needs: every CLI run pays for what it loads."""
+"""``import catmigrate`` loads no module that only code generation,
+introspection or annotations need: every CLI run pays for what it loads.
+The child runs with ``-S``, so that no module ``site`` loads first can
+hide one that catmigrate adds."""
 from __future__ import annotations
 
 import ast
@@ -10,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "urllib.parse")
+NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "urllib.parse")
 
 
 def test_import_loads_no_code_generation_modules():
@@ -20,7 +22,7 @@ def test_import_loads_no_code_generation_modules():
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     added = set(ast.literal_eval(out))
     assert "catmigrate.migration" in added

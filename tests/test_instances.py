@@ -98,6 +98,21 @@ def test_construction_leaves_caller_dicts_alone():
     assert instance.row_set("A") == () and instance.column("f") == {}
 
 
+def test_construction_keeps_no_position_map():
+    """The closure and duplicate checks use sets dropped when the
+    constructor returns; ``positions`` builds a table's map on first use."""
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"), Arrow("g", "B", "B"))))
+    instance = Instance(
+        schema,
+        {"A": ("a1", "a2"), "B": ("b1", "b2", "b3")},
+        {"f": {"a1": "b2", "a2": "b2"}, "g": {"b1": "b1", "b2": "b3", "b3": "b1"}},
+    )
+    identity_morphism(instance)
+    assert instance._positions == {}
+    assert instance.positions("B") == {"b1": 0, "b2": 1, "b3": 2}
+    assert instance.positions("A") == {"a1": 0, "a2": 1}
+
+
 def test_caller_list_change_leaves_rows_alone():
     schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
     table = ["a", "b"]

@@ -32,6 +32,15 @@ def test_employee_store_has_sixteen_triples(staff):
     assert validate_store(store) == []
 
 
+def test_triple_ends_are_the_node_id_objects(staff):
+    """Each node id is built once; every triple at it holds that string."""
+    store = grothendieck(staff)
+    node_ids = {node: node for node, _ in store.nodes}
+    for subject, _, obj in store.triples:
+        assert subject is node_ids[subject]
+        assert obj is node_ids[obj]
+
+
 def test_triple_count_formula(staff):
     store = grothendieck(staff)
     expected = sum(

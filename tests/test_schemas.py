@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -456,3 +459,33 @@ def test_search_from_both_ends_expands_far_fewer_paths(monkeypatch):
     assert paths_equivalent(schema, p, q, budget=10) is Equivalence.NOT_PROVED
     assert one_sided_search(schema, p, q, 10, 32) is Equivalence.NOT_PROVED
     assert expanded["new"] * 20 <= expanded["reference"], expanded
+
+
+def test_a_pickled_schema_hashes_as_one_built_under_another_hash_seed(tmp_path):
+    """A graph and a schema carry the hash of their strings, which holds only
+    under one hash seed; loaded under another, each must still be found in a
+    set of its equals."""
+    src = os.path.dirname(os.path.dirname(schemas.__file__))
+    build = (
+        "from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema\n"
+        "g = Graph(('Employee', 'Department'), (Arrow('worksIn', 'Employee', 'Department'),"
+        " Arrow('mgr', 'Employee', 'Employee')))\n"
+        "s = Schema('Company', g, (PathEquivalence(Path('Employee', ('mgr', 'worksIn')),"
+        " Path('Employee', ('worksIn',))),))\n"
+    )
+    pickled = str(tmp_path / "schema.pickle")
+    dump = build + f"import pickle; open({pickled!r}, 'wb').write(pickle.dumps((g, s)))\n"
+    load = build + (
+        f"import pickle; h, t = pickle.loads(open({pickled!r}, 'rb').read())\n"
+        "assert (h, t) == (g, s)\n"
+        "print(h in {g}, t in {s}, hash(h) == hash(g), hash(t) == hash(s))\n"
+    )
+
+    def run(script: str, seed: str) -> str:
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        return subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+
+    run(dump, "1")
+    assert run(load, "2").split() == ["True"] * 4
