@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import pathlib
 import random
 
 import pytest
@@ -827,6 +829,46 @@ def test_sigma_matches_the_merge_back_chase(monkeypatch):
     # 2 of the 1 796 draws that succeed print other row ids
     assert other_ids <= 0.01 * (outcomes["same"] + outcomes["only the reference failed"])
 
+
+SIGMA_DRAWS = pathlib.Path(__file__).resolve().parent / "expected" / "sigma_draws.txt"
+
+
+def _sigma_digest(translation: Translation, instance: Instance, bound: int) -> str:
+    """A short sha256 of all that ``sigma_full`` gives on one input: its
+    rows, its columns as sorted items, its round log, ``seed_row`` and
+    ``row_term``; or else its error's type and text."""
+    log = MigrationLog()
+    try:
+        result = sigma_full(translation, instance, bound, log)
+    except EngineError as error:
+        facts = (type(error).__name__, str(error))
+    else:
+        out = result.instance
+        facts = (
+            dict(out.rows),
+            sorted((name, sorted(column.items())) for name, column in out.columns.items()),
+            log.saturation_rounds,
+            sorted(result.seed_row.items()),
+            sorted(result.row_term.items()),
+        )
+    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
+
+
+def _sigma_draw_digests() -> list[str]:
+    rng = random.Random(8128)
+    return [_sigma_digest(*_sigma_draw(rng, case)) for case in range(2400)]
+
+
+def test_sigma_prints_the_locked_output_on_every_draw():
+    # The chase's exact output, row ids and error texts included, on the
+    # draws of test_sigma_matches_the_merge_back_chase, one digest a line.
+    # Regenerate the file with ``python -m tests.test_migration``
+    want = SIGMA_DRAWS.read_text(encoding="utf-8").split()
+    got = _sigma_draw_digests()
+    assert len(want) == len(got) == 2400
+    assert [case for case in range(2400) if got[case] != want[case]] == []
+
+
 def test_sigma_on_morphism_inclusion_and_merge(F, I):
     # identity maps to identity
     assert morphisms_equal(
@@ -1058,3 +1100,7 @@ def test_pushforwards_on_merging_morphism():
     pi_image = pi_on_morphism(F, m)
     assert validate_morphism(pi_image) == []
     assert len(set(pi_image.component("X").values())) == 1
+
+
+if __name__ == "__main__":
+    SIGMA_DRAWS.write_text("".join(digest + "\n" for digest in _sigma_draw_digests()), encoding="utf-8")
