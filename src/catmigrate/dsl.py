@@ -17,10 +17,13 @@ Positions are 1-based; a tab is one column.
 Bulk data is read with string and list operations that run in C, not a
 token at a time.  The lexer cuts strings and comments out with one regex,
 spaces out the punctuation of the plain text left and splits it with
-``str.split``.  A table body or component block of canonical rows is read
-as whole columns of list slices.  Any other body goes through a loop over
-its tokens, which is also the one place that positions a body's
-diagnostics; offsets are worked out only when a diagnostic is raised.
+``str.split``, a block of lines at a time.  Every token, and every name a
+string spells, goes through one dict per parse, so each distinct name is
+held once: a cell's value is its row's own object.  A table body or
+component block of canonical rows is read as whole columns of list slices.
+Any other body goes through a loop over its tokens, which is also the one
+place that positions a body's diagnostics; offsets are worked out only when
+a diagnostic is raised.
 """
 from __future__ import annotations
 
@@ -72,41 +75,65 @@ _HOLE = "\x00"
 _NOT_NAMES = frozenset({""} | set(_PUNCT) | RESERVED)
 
 
-def _lex(text: str) -> list[str]:
+def _lex(text: str, names: dict[str, str] | None = None) -> list[str]:
     """The raw text of each token; the last, ``""``, is the end of input.
 
+    The text is read a block of whole lines, some 64 KiB, at a time.  No
+    token spans a line, so a block holds whole tokens, and only one block's
+    tokens are new objects at a time: each goes through ``names``, which
+    maps a text to its one object (a new dict when None), so the list holds
+    each distinct token once.
+    """
+    if names is None:
+        names = {}
+    canonical = names.setdefault
+    tokens: list[str] = []
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + 65536) + 1 or end
+        block = _split(text, text[start:stop])
+        tokens += map(canonical, block, block)
+        start = stop
+    tokens.append("")
+    return tokens
+
+
+def _split(text: str, block: str) -> list[str]:
+    """The raw tokens of ``block``, whole lines of ``text``.
+
     Strings and comments are cut out first, by one regex, and only when the
-    text holds a '"' or a '#'.  In the plain text left, each string becomes
+    block holds a '"' or a '#'.  In the plain text left, each string becomes
     a hole, the punctuation is spaced out and ``str.split`` makes the tokens;
     the strings then go back into their holes in order.  So the work done in
     Python is per string, not per token.  Before the split, ``_has_stray``
     looks for a stray character, as ``str.split`` would take some of them
-    (``\x0b``, ``\xa0``, ...) for blanks; only then is its place found.
+    (``\x0b``, ``\xa0``, ...) for blanks; only then is its place in
+    ``text`` found.  No string or comment spans a line, so the blocks before
+    this one held no stray, and the first in ``text`` is this block's.
     """
     strings: list[str] = []
-    if '"' in text or "#" in text:
-        pieces = _CUT_RE.split(text)
+    if '"' in block or "#" in block:
+        pieces = _CUT_RE.split(block)
         if _has_stray(" ".join(pieces[0::2])):
             _raise_first_stray(text)
         cuts = pieces[1::2]
-        if "#" in text:
+        if "#" in block:
             strings = [cut for cut in cuts if cut[0] == '"']
             pieces[1::2] = [f" {_HOLE} " if cut[0] == '"' else " " for cut in cuts]
         else:
             strings = cuts
             pieces[1::2] = [f" {_HOLE} "] * len(cuts)
-        text = "".join(pieces)
-    elif _has_stray(text):
+        block = "".join(pieces)
+    elif _has_stray(block):
         _raise_first_stray(text)
     for punct in _PUNCT:
-        if punct in text:
-            text = text.replace(punct, " " + punct + " ")
-    tokens = text.split()
+        if punct in block:
+            block = block.replace(punct, " " + punct + " ")
+    tokens = block.split()
     at = -1
     for string in strings:
         at = tokens.index(_HOLE, at + 1)
         tokens[at] = string
-    tokens.append("")
     return tokens
 
 
@@ -156,20 +183,6 @@ def _raise_stray(text: str, at: int) -> NoReturn:
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
     return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
-
-
-def _names(raws: list[str]) -> list[str] | None:
-    """The names that raw tokens spell, or None if one is not a name."""
-    if not _NOT_NAMES.isdisjoint(raws):
-        return None
-    joined = "\n".join(raws)
-    if '"' not in joined:
-        return raws
-    if "\\" not in joined:
-        # Without escapes every '"' is a string's delimiter, and no token
-        # holds a newline.
-        return joined.replace('"', "").split("\n")
-    return [_unquote(raw) if raw[0] == '"' else raw for raw in raws]
 
 
 def _describe(raw: str) -> tuple[str, str]:
@@ -325,7 +338,8 @@ class _Parser:
 
     def __init__(self, text: str, env: dict[tuple[str, str], object]):
         self.text = text
-        self.tokens = _lex(text)
+        self.canonical: dict[str, str] = {}  # text -> its one object, for tokens and names
+        self.tokens = _lex(text, self.canonical)
         self.pos = 0
         self.names: dict[tuple[str, str], object] = dict(env)
 
@@ -375,7 +389,28 @@ class _Parser:
         if raw in _NOT_NAMES:
             self.fail_name(what, at)
         self.pos = at + 1
-        return (_unquote(raw) if raw[0] == '"' else raw), at
+        return self.spelled(raw), at
+
+    def spelled(self, raw: str) -> str:
+        """The name a name token spells, as the one object held for it."""
+        if raw[0] != '"':
+            return raw
+        name = _unquote(raw)
+        return self.canonical.setdefault(name, name)
+
+    def names_of(self, raws: list[str]) -> list[str] | None:
+        """The names that raw tokens spell, or None if one is not a name."""
+        if not _NOT_NAMES.isdisjoint(raws):
+            return None
+        joined = "\n".join(raws)
+        if '"' not in joined:
+            return raws
+        if "\\" not in joined:
+            # Without escapes every '"' is a string's delimiter, and no token
+            # holds a newline.
+            names = joined.replace('"', "").split("\n")
+            return list(map(self.canonical.setdefault, names, names))
+        return list(map(self.spelled, raws))
 
     # -- shared pieces --------------------------------------------------------
 
@@ -516,8 +551,7 @@ class _Parser:
         self.expect_punct("{")
         body = self.pos
 
-        # Each table is an ordered row -> row dict: the row ids, each mapped to
-        # itself, so that a cell can be pointed at its target's row object.
+        # Each table is an ordered dict of its row ids, each mapped to itself.
         tables: dict[str, dict[str, str]] = {v: {} for v in schema.vertices}
         columns: dict[str, dict[str, str]] = {a.name: {} for a in schema.arrows}
         seen_tables: set[str] = set()
@@ -535,14 +569,6 @@ class _Parser:
             self.expect_punct("}")
 
         self.expect_punct("}")
-
-        # A value is its own token until here; point it at its target table's
-        # row, so that each row id is held once.  A dangling value stays as
-        # it is, for ``Instance`` to refuse.
-        for a in schema.arrows:
-            column, target = columns[a.name], tables[a.target]
-            values = column.values()
-            columns[a.name] = dict(zip(column, map(target.get, values, values)))
         try:
             instance = Instance(schema, {v: tuple(rows) for v, rows in tables.items()}, columns)
         except StructuralError:  # every row has its cells, so a value dangles
@@ -578,15 +604,15 @@ class _Parser:
         n, rest = divmod(len(body), span)
         if rest or not n:
             return False
-        rows = _names(body[0::span])
+        rows = self.names_of(body[0::span])
         if rows is None or len(set(rows)) != n:
             return False
         if width and (body[1::span] != ["->"] * n or body[2::span] != ["("] * n):
             return False
         cells: dict[str, list[str]] = {}
         for k in range(width):
-            arrows = _names(body[3 + 4 * k :: span])
-            values = _names(body[5 + 4 * k :: span])
+            arrows = self.names_of(body[3 + 4 * k :: span])
+            values = self.names_of(body[5 + 4 * k :: span])
             separator = ")" if k == width - 1 else ","
             if (
                 arrows is None
@@ -624,7 +650,7 @@ class _Parser:
             raw = tokens[i]
             if raw in _NOT_NAMES:
                 self.fail_name("a row id", i)
-            row = _unquote(raw) if raw[0] == '"' else raw
+            row = self.spelled(raw)
             if row in table:
                 self.fail(f"duplicate row {row!r} in table {vertex!r}", i)
             table[row] = row
@@ -640,7 +666,7 @@ class _Parser:
                     raw = tokens[i]
                     if raw in _NOT_NAMES:
                         self.fail_name("a column name", i)
-                    arrow = _unquote(raw) if raw[0] == '"' else raw
+                    arrow = self.spelled(raw)
                     column = out_columns.get(arrow)
                     if column is None:
                         self.fail(f"table {vertex!r} has no column {arrow!r}", i)
@@ -653,7 +679,7 @@ class _Parser:
                     raw = tokens[i]
                     if raw in _NOT_NAMES:
                         self.fail_name("a row id", i)
-                    column[row] = _unquote(raw) if raw[0] == '"' else raw
+                    column[row] = self.spelled(raw)
                     filled += 1
                     i += 1
                     if tokens[i] != ",":
@@ -831,7 +857,7 @@ class _Parser:
         n, rest = divmod(len(body), 3)
         if rest or not n or body[1::3] != ["->"] * n:
             return False
-        rows, values = _names(body[0::3]), _names(body[2::3])
+        rows, values = self.names_of(body[0::3]), self.names_of(body[2::3])
         if rows is None or values is None:
             return False
         keys = set(rows)

@@ -1,7 +1,8 @@
 """Translations between schemas and the three data migration functors.
 
 delta composes an instance with a translation (projection/duplication).
-sigma is the left adjoint, computed by a chase: seed every source row, assert
+sigma is the left adjoint, computed by a chase on integer tables, whose
+elements get row names only at the end: seed every source row, assert
 naturality along translated arrows, invent Skolem elements for missing column
 values, and close under the target schema's equations with a union-find
 congruence.  An equation's two sides are walked to the element before their
@@ -274,7 +275,9 @@ def delta_on_morphism(translation: Translation, m: InstanceMorphism) -> Instance
 
 # A term (c, r, arrows) is the element reached from the image of source row
 # r at vertex c along the given target-schema arrows: with no arrows it is
-# that row's seed, otherwise a Skolem element.
+# that row's seed, otherwise a Skolem element.  The engine holds no terms:
+# an element is a seed, or a prefix element and one arrow, and its term is
+# read off that chain when a key or a name needs it.
 
 
 def _term_display(term: tuple) -> str:
@@ -287,6 +290,10 @@ def _term_sort_key(term: tuple) -> tuple:
 
 
 class _SigmaEngine:
+    """The chase on integer tables: every per-element fact is a list indexed
+    by element id, and every image is a list per target arrow, read at
+    roots.  Elements are named only at ``extract``."""
+
     def __init__(
         self,
         translation: Translation,
@@ -308,17 +315,24 @@ class _SigmaEngine:
             table = instance.rows[c]
             self.seeds[c] = dict(zip(table, range(start, start + len(table))))
             start += len(table)
-        self.terms: list[tuple] = []
+        self.seed_vertex: list[str] = []  # seed -> its source vertex
+        self.seed_row: list[str] = []  # seed -> its source row
+        # element -> its prefix element and last arrow, None for a seed
+        self.prefix: list[int | None] = []
+        self.last: list[str | None] = []
+        self.depth: list[int] = []  # element -> the arrows in its term
         self.vertex_of: list[str] = []
         self.parent: list[int] = []
         self.size: list[int] = []  # class size, read at roots only
-        self.rep: dict[int, int] = {}
-        self.img: dict[int, dict[str, int]] = {}
+        self.rep: list[int] = []  # the class's least element by term, read at roots only
+        # arrow -> element -> its image, None while it has none; read at roots
+        self.img: dict[str, list[int | None]] = {a.name: [] for a in self.D.arrows}
+        self.target_of = {a.name: a.target for a in self.D.arrows}
         self.queue: deque[tuple[int, int]] = deque()
         self.per_vertex: dict[str, int] = dict.fromkeys(self.D.vertices, 0)  # charges
-        # roots per vertex: +1 as a term is made, -1 as a union merges two
+        # roots per vertex: +1 as an element is made, -1 as a union merges two
         self.classes: dict[str, int] = dict.fromkeys(self.D.vertices, 0)
-        # The term count when totalize, and when each equation's pass in
+        # The element count when totalize, and when each equation's pass in
         # apply_equations, last took its roots: a pass visits only roots made
         # since (see those two passes).
         self.totalized = 0
@@ -337,20 +351,26 @@ class _SigmaEngine:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.size[ra] < self.size[rb]:
+        size = self.size
+        if size[ra] < size[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.classes[self.vertex_of[ra]] -= 1
-        if _term_sort_key(self.terms[self.rep[rb]]) < _term_sort_key(self.terms[self.rep[ra]]):
-            self.rep[ra] = self.rep[rb]
-        del self.rep[rb]
-        target_img = self.img[ra]
-        for name, t in self.img.pop(rb).items():
-            if name in target_img:
-                self.queue.append((t, target_img[name]))
-            else:
-                target_img[name] = t
+        size[ra] += size[rb]
+        vertex = self.vertex_of[ra]
+        self.classes[vertex] -= 1
+        rep = self.rep
+        if _term_sort_key(self.term(rep[rb])) < _term_sort_key(self.term(rep[ra])):
+            rep[ra] = rep[rb]
+        img = self.img
+        for arrow in self.D.graph.out_arrows(vertex):
+            images = img[arrow.name]
+            t = images[rb]
+            if t is not None:
+                held = images[ra]
+                if held is None:
+                    images[ra] = t
+                else:
+                    self.queue.append((t, held))
         return True
 
     def process_queue(self) -> bool:
@@ -360,15 +380,30 @@ class _SigmaEngine:
             changed |= self.union(a, b)
         return changed
 
-    # -- terms ---------------------------------------------------------------
+    # -- elements --------------------------------------------------------------
 
-    # A term rep + (arrow,) is only ever made where the class holding rep has
-    # no image under arrow, and a class keeps its terms and its images, so no
-    # term is made twice.
+    # An element rep + arrow is only ever made where the class holding rep
+    # has no image under arrow, and a class keeps its elements and its
+    # images, so no term is made twice.
 
-    def charge(self, term: tuple, vertex: str) -> None:
-        """Count a term against the Skolem path cap and the bound at its vertex."""
-        if len(term[2]) > DEFAULT_SKOLEM_PATH_CAP:
+    def term(self, tid: int) -> tuple:
+        """The term of element ``tid``, read off its prefix chain."""
+        prefix, last = self.prefix, self.last
+        arrows = []
+        while prefix[tid] is not None:
+            arrows.append(last[tid])
+            tid = prefix[tid]
+        arrows.reverse()
+        return (self.seed_vertex[tid], self.seed_row[tid], tuple(arrows))
+
+    def step_term(self, root: int, arrow: str) -> tuple:
+        c, r, arrows = self.term(self.rep[root])
+        return (c, r, arrows + (arrow,))
+
+    def charge(self, depth: int, vertex: str) -> None:
+        """Count an element of ``depth`` arrows against the Skolem path cap
+        and the bound at its vertex."""
+        if depth > DEFAULT_SKOLEM_PATH_CAP:
             raise SaturationOverflowError(
                 f"chase keeps extending Skolem paths past {DEFAULT_SKOLEM_PATH_CAP} at "
                 f"vertex {vertex!r}; the colimit there is infinite or the bound too low",
@@ -383,34 +418,37 @@ class _SigmaEngine:
             )
         self.per_vertex[vertex] = count
 
-    def make_term(self, term: tuple, vertex: str) -> int:
-        """A new element, alone in its class; ``charge`` has counted it."""
-        tid = len(self.terms)
-        self.terms.append(term)
+    def make(self, prefix: int, arrow: str, vertex: str) -> int:
+        """A new element, ``prefix`` and one arrow, alone in its class;
+        ``charge`` has counted it."""
+        tid = len(self.parent)
+        self.prefix.append(prefix)
+        self.last.append(arrow)
+        self.depth.append(self.depth[prefix] + 1)
         self.vertex_of.append(vertex)
         self.parent.append(tid)
         self.size.append(1)
-        self.rep[tid] = tid
-        self.img[tid] = {}
+        self.rep.append(tid)
+        for images in self.img.values():
+            images.append(None)
         self.classes[vertex] += 1
         return tid
 
-    def new_term(self, term: tuple, vertex: str) -> int:
-        self.charge(term, vertex)
-        return self.make_term(term, vertex)
-
-    def step_term(self, root: int, arrow: str) -> tuple:
-        c, r, arrows = self.terms[self.rep[root]]
-        return (c, r, arrows + (arrow,))
+    def step(self, root: int, arrow: str, vertex: str) -> int:
+        """A new element, the root's representative and one arrow, charged."""
+        prefix = self.rep[root]
+        self.charge(self.depth[prefix] + 1, vertex)
+        return self.make(prefix, arrow, vertex)
 
     def step_create(self, eid: int, arrow: str) -> int:
         """Image of an element under one arrow, creating a Skolem if missing."""
         root = self.find(eid)
-        existing = self.img[root].get(arrow)
+        images = self.img[arrow]
+        existing = images[root]
         if existing is not None:
             return self.find(existing)
-        tid = self.new_term(self.step_term(root, arrow), self.D.graph.arrow(arrow).target)
-        self.img[root][arrow] = tid
+        tid = self.step(root, arrow, self.target_of[arrow])
+        images[root] = tid
         return tid
 
     def walk_create(self, eid: int, arrows: tuple[str, ...]) -> int:
@@ -426,37 +464,42 @@ class _SigmaEngine:
         before.  When both are missing, only the term that sorts first is
         made.  True when the two were not yet equal."""
         a, b = self.find(a), self.find(b)
-        x = a if f is None else self.img[a].get(f)
-        y = b if g is None else self.img[b].get(g)
+        img = self.img
+        x = a if f is None else img[f][a]
+        y = b if g is None else img[g][b]
         if x is not None and y is not None:
             if self.find(x) == self.find(y):
                 return False
             self.queue.append((x, y))
             return True
         if x is None and y is None:
-            s, t = self.step_term(a, f), self.step_term(b, g)
-            vertex = self.D.graph.arrow(f).target
-            if s == t:
-                self.img[a][f] = self.new_term(s, vertex)
+            vertex = self.target_of[f]
+            if a == b and f == g:  # one term: a root's representative is its own
+                img[f][a] = self.step(a, f, vertex)
                 return False
-            self.charge(s, vertex)
-            self.charge(t, vertex)
-            tid = self.make_term(min(s, t, key=_term_sort_key), vertex)
-            self.img[a][f] = self.img[b][g] = tid
+            rep, depth = self.rep, self.depth
+            self.charge(depth[rep[a]] + 1, vertex)
+            self.charge(depth[rep[b]] + 1, vertex)
+            if _term_sort_key(self.step_term(b, g)) < _term_sort_key(self.step_term(a, f)):
+                tid = self.make(rep[b], g, vertex)
+            else:
+                tid = self.make(rep[a], f, vertex)
+            img[f][a] = img[g][b] = tid
             return True
         if x is None:
             at, arrow, x = a, f, y
         else:
             at, arrow = b, g
-        term = self.step_term(at, arrow)
         vertex = self.vertex_of[x]
-        if _term_sort_key(term) < _term_sort_key(self.terms[self.rep[self.find(x)]]):
-            tid = self.new_term(term, vertex)
+        if _term_sort_key(self.step_term(at, arrow)) < _term_sort_key(
+            self.term(self.rep[self.find(x)])
+        ):
+            tid = self.step(at, arrow, vertex)
             self.queue.append((tid, x))
         else:
-            self.charge(term, vertex)
+            self.charge(self.depth[self.rep[at]] + 1, vertex)
             tid = x
-        self.img[at][arrow] = tid
+        img[arrow][at] = tid
         return True
 
     # -- chase phases ---------------------------------------------------------
@@ -474,23 +517,28 @@ class _SigmaEngine:
             past = self.bound - self.per_vertex[vertex]  # the first row past the bound
             if past < n:
                 self.per_vertex[vertex] = self.bound
-                self.charge((c, self.I.row_set(c)[past], ()), vertex)
+                self.charge(0, vertex)
             self.per_vertex[vertex] += n
             self.classes[vertex] += n
-            self.terms.extend(zip(repeat(c), seeds, repeat(())))
-            self.vertex_of.extend([vertex] * n)
-        ids = range(len(self.terms))
+            self.seed_vertex.extend(repeat(c, n))
+            self.seed_row.extend(seeds)
+            self.vertex_of.extend(repeat(vertex, n))
+        ids = list(range(len(self.seed_row)))
         self.parent.extend(ids)
-        self.size.extend([1] * len(ids))
-        self.rep.update(zip(ids, ids))
-        self.img.update({tid: {} for tid in ids})
+        self.rep.extend(ids)
+        n = len(ids)
+        self.size.extend(repeat(1, n))
+        self.depth.extend(repeat(0, n))
+        self.prefix.extend(repeat(None, n))
+        self.last.extend(repeat(None, n))
+        for images in self.img.values():
+            images.extend(repeat(None, n))
 
     def assert_naturality(self) -> None:
         """Assert each source column along its image path, one column at a
         time: the walk along the image's first arrows from each row's seed
         gets its value's seed as the image's last step.  No union runs here,
         so every element is a root."""
-        img = self.img
         for arrow in self.F.source.arrows:
             image = self.F.arrow_image(arrow.name).arrows
             values = map(self.I.columns[arrow.name].__getitem__, self.I.row_set(arrow.source))
@@ -499,12 +547,12 @@ class _SigmaEngine:
             if not image:
                 self.queue.extend(pairs)
                 continue
-            walk, last = image[:-1], image[-1]
+            walk, images = image[:-1], self.img[image[-1]]
             for start, end in pairs:
                 at = self.walk_create(start, walk) if walk else start
-                existing = img[at].get(last)
+                existing = images[at]
                 if existing is None:
-                    img[at][last] = end
+                    images[at] = end
                 else:
                     self.queue.append((existing, end))
 
@@ -519,7 +567,7 @@ class _SigmaEngine:
     # since it last ran, and does all that a visit of every root would.
 
     def roots_since(self, since: int) -> list[int]:
-        """The roots made at or after term ``since``, in id order."""
+        """The roots made at or after element ``since``, in id order."""
         parent = self.parent
         return [tid for tid in range(since, len(parent)) if parent[tid] == tid]
 
@@ -530,7 +578,7 @@ class _SigmaEngine:
             lhs, rhs = eq.lhs.arrows, eq.rhs.arrows
             f = lhs[-1] if lhs else None
             g = rhs[-1] if rhs else None
-            since, self.settled[k] = self.settled[k], len(self.terms)
+            since, self.settled[k] = self.settled[k], len(self.parent)
             v = eq.lhs.source
             for root in [r for r in self.roots_since(since) if vertex_of[r] == v]:
                 a = self.walk_create(root, lhs[:-1])
@@ -541,12 +589,13 @@ class _SigmaEngine:
     def totalize(self) -> bool:
         changed = False
         out_arrows = self.D.graph.out_arrows
-        since, self.totalized = self.totalized, len(self.terms)
+        img = self.img
+        since, self.totalized = self.totalized, len(self.parent)
         for root in self.roots_since(since):  # no union runs here
-            img = self.img[root]
             for arrow in out_arrows(self.vertex_of[root]):
-                if arrow.name not in img:
-                    img[arrow.name] = self.new_term(self.step_term(root, arrow.name), arrow.target)
+                images = img[arrow.name]
+                if images[root] is None:
+                    images[root] = self.step(root, arrow.name, arrow.target)
                     changed = True
         return changed
 
@@ -569,51 +618,57 @@ class _SigmaEngine:
     def _root_order_key(self, root: int) -> tuple:
         """Seeds in source vertex and table order, then Skolem elements by
         their seed's place, path length and arrow order.  A seed's id is its
-        place (see ``self.seeds``)."""
-        c, r, arrows = self.terms[self.rep[root]]
-        seed = self.seeds[c][r]
+        place (see ``self.seeds``), and the seed of a representative's term
+        ends its prefix chain."""
+        tid = self.rep[root]
+        order, prefix, last = self.D.graph._arrow_order, self.prefix, self.last
+        arrows = []
+        while prefix[tid] is not None:
+            arrows.append(order[last[tid]])
+            tid = prefix[tid]
         if not arrows:
-            return (False, seed)
-        return (True, seed, len(arrows), tuple(map(self.D.graph._arrow_order.__getitem__, arrows)))
+            return (False, tid)
+        arrows.reverse()
+        return (True, tid, len(arrows), tuple(arrows))
 
     def extract(self) -> "SigmaResult":
         """Each class is a row, named by its representative's term and
         placed by ``_root_order_key``; each element's row is read off one
         list, once every element points at its root."""
-        terms, rep, img, parent = self.terms, self.rep, self.img, self.parent
+        rep, parent = self.rep, self.parent
         for tid in range(len(parent)):  # after this, parent[tid] is tid's root
             if parent[parent[tid]] != parent[tid]:
                 parent[tid] = self.find(tid)
         roots_by_vertex: dict[str, list[int]] = {v: [] for v in self.D.vertices}
-        for root in rep:
-            roots_by_vertex[self.vertex_of[root]].append(root)
+        vertex_of = self.vertex_of
+        for tid in range(len(parent)):
+            if parent[tid] == tid:
+                roots_by_vertex[vertex_of[tid]].append(tid)
         rows: dict[str, tuple[str, ...]] = {}
-        row_of: list = [None] * len(terms)  # root -> its row
-        named: list[tuple[str, list[str], list[tuple]]] = []  # (vertex, rows, their terms)
+        row_of: list = [None] * len(parent)  # root -> its row
+        named: list[tuple[str, list[str], list[int]]] = []  # (vertex, rows, their reps)
         for v, roots in roots_by_vertex.items():
-            if not roots:
-                rows[v] = ()
-                continue
-            ordered = sorted(roots, key=self._root_order_key)
-            reps = list(map(terms.__getitem__, map(rep.__getitem__, ordered)))
-            names = uniquify(list(map(_term_display, reps)))
+            roots.sort(key=self._root_order_key)  # now in table order
+            reps = list(map(rep.__getitem__, roots))
+            names = uniquify([_term_display(self.term(tid)) for tid in reps])
             rows[v] = tuple(names)
-            for root, name in zip(ordered, names):
+            for root, name in zip(roots, names):
                 row_of[root] = name
             named.append((v, names, reps))
         row_of = list(map(row_of.__getitem__, parent))  # element -> its row
         columns: dict[str, dict[str, str]] = {}
         for arrow in self.D.arrows:
-            name = arrow.name
-            columns[name] = {
-                row_of[root]: row_of[img[root][name]] for root in roots_by_vertex[arrow.source]
-            }
-        seeds = self.seeds
+            images = map(self.img[arrow.name].__getitem__, roots_by_vertex[arrow.source])
+            columns[arrow.name] = dict(zip(rows[arrow.source], map(row_of.__getitem__, images)))
+        seeds, term = self.seeds, self.term
+        # Naming is done, and only ``term`` reads the chase from here: let
+        # go of its other tables before the instance copies the columns.
+        self.img = self.parent = self.size = self.rep = self.depth = self.vertex_of = None
 
         def row_maps():
             seed_row = {(c, r): row_of[tid] for c, ids in seeds.items() for r, tid in ids.items()}
             row_term = {
-                (v, name): term for v, names, reps in named for name, term in zip(names, reps)
+                (v, name): term(tid) for v, names, reps in named for name, tid in zip(names, reps)
             }
             return seed_row, row_term
 

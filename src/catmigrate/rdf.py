@@ -9,7 +9,8 @@ the export writes deterministic N-Triples-shaped lines.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import itemgetter
 
 from .errors import StructuralError, TripleStoreError
 from .instances import Instance
@@ -32,7 +33,12 @@ class TripleStore(Record):
 
 
 def validate_store(store: TripleStore) -> list[str]:
-    """Typing and functionality violations, one message per problem."""
+    """Typing and functionality violations, one message per problem, in the
+    order of the nodes and then of the triples.  A store that passes
+    ``_is_valid`` has none; only a store that fails it is walked a triple
+    at a time, to write the messages."""
+    if _is_valid(store):
+        return []
     problems = []
     types: dict[str, str] = {}
     for node, vertex in store.nodes:
@@ -69,6 +75,37 @@ def validate_store(store: TripleStore) -> list[str]:
             )
         seen[key] = obj
     return problems
+
+
+def _is_valid(store: TripleStore) -> bool:
+    """Whether ``validate_store`` finds nothing, checked a run of triples
+    with one predicate at a time: their subjects' and objects' types as
+    sets, and their subjects as new keys of the predicate's subject ->
+    object map.  False also where a subject repeats with the same object,
+    which is no fault: the triple-at-a-time walk then decides."""
+    graph = store.schema.graph
+    types = dict(store.nodes)
+    if len(types) != len(store.nodes) or not all(map(graph.has_vertex, set(types.values()))):
+        return False
+    objects_of: dict[str, dict[str, str]] = {}  # predicate -> subject -> object
+    for predicate, run in groupby(store.triples, itemgetter(1)):
+        try:
+            arrow = graph.arrow(predicate)
+        except StructuralError:
+            return False
+        run = list(run)
+        subjects = list(map(itemgetter(0), run))
+        objects = list(map(itemgetter(2), run))
+        if set(map(types.get, subjects)) != {arrow.source}:
+            return False
+        if set(map(types.get, objects)) != {arrow.target}:
+            return False
+        found = objects_of.setdefault(predicate, {})
+        before = len(found)
+        found.update(zip(subjects, objects))
+        if len(found) != before + len(run):
+            return False
+    return True
 
 
 _VERTEX_ESCAPES = str.maketrans({"%": "%25", "/": "%2F"})

@@ -8,8 +8,9 @@ assignments over all comma objects.  The dependent product's reference is
 ``sectionwise_typechange_pi``, the typed hom-set's the enumerate-and-filter
 ``enumerate_typed_morphisms``, the .cat lexer's the character-by-character
 ``_tokenize`` at the end.  ``MergeBackSigmaEngine`` is the sigma chase that
-made both sides of every equation and merged them, and ``per_triple_export``
-the RDF export that quoted every component where it printed it.  The bulk
+made both sides of every equation and merged them, ``per_triple_export``
+the RDF export that quoted every component where it printed it, and
+``triple_by_triple_validate_store`` the store check that walked every triple.  The bulk
 layers that now move a column at a time keep their cell-by-cell forms here:
 ``cell_by_cell_print_instance``, ``row_by_row_delta`` and
 ``row_by_row_validate_instance``.
@@ -28,6 +29,7 @@ from catmigrate.errors import (
     ParseError,
     SaturationOverflowError,
     SchemaMismatchError,
+    StructuralError,
     TypeChangeError,
 )
 from catmigrate.instances import (
@@ -500,6 +502,46 @@ def per_triple_export(store: TripleStore, base: str) -> str:
         for s, p, o in store.triples
     ]
     return "".join(line + "\n" for line in sorted(lines))
+
+
+def triple_by_triple_validate_store(store: TripleStore) -> list[str]:
+    """``rdf.validate_store`` as it was, a node and then a triple at a time."""
+    problems = []
+    types: dict[str, str] = {}
+    for node, vertex in store.nodes:
+        if node in types:
+            problems.append(f"node {node!r} declared twice")
+        types[node] = vertex
+        if not store.schema.graph.has_vertex(vertex):
+            problems.append(f"node {node!r} has unknown type {vertex!r}")
+    seen: dict[tuple[str, str], str] = {}
+    for subject, predicate, obj in store.triples:
+        try:
+            arrow = store.schema.graph.arrow(predicate)
+        except StructuralError:
+            problems.append(f"triple predicate {predicate!r} is not a schema arrow")
+            continue
+        if subject not in types:
+            problems.append(f"triple subject {subject!r} is not a node")
+        elif types[subject] != arrow.source:
+            problems.append(
+                f"subject {subject!r} has type {types[subject]!r}, "
+                f"but predicate {predicate!r} needs {arrow.source!r}"
+            )
+        if obj not in types:
+            problems.append(f"triple object {obj!r} is not a node")
+        elif types[obj] != arrow.target:
+            problems.append(
+                f"object {obj!r} has type {types[obj]!r}, "
+                f"but predicate {predicate!r} needs {arrow.target!r}"
+            )
+        key = (subject, predicate)
+        if key in seen and seen[key] != obj:
+            problems.append(
+                f"predicate {predicate!r} is not functional on subject {subject!r}"
+            )
+        seen[key] = obj
+    return problems
 
 
 # The chase's orders over the tagged terms it once used: ('b', c, r) for the

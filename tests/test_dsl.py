@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -176,7 +177,7 @@ instance I on S {
 def test_round_trip_all_golden_files(paper_env, golden_paths):
     env: dict = {}
     for name, path in golden_paths.items():
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         doc = dsl.parse_document(text, env)
         assert dsl.parse_document(dsl.print_document(doc), env) == doc
         env.update(dsl.document_env(doc))
@@ -291,7 +292,7 @@ def test_printer_matches_the_reference_on_every_golden_instance(paper_env, golde
     env: dict = {}
     decls = 0
     for path in golden_paths.values():
-        doc = dsl.parse_document(open(path, encoding="utf-8").read(), env)
+        doc = dsl.parse_document(Path(path).read_text(encoding="utf-8"), env)
         env.update(dsl.document_env(doc))
         for decl in doc.declarations:
             if isinstance(decl, dsl.InstanceDecl):
@@ -474,6 +475,44 @@ def test_lexer_edge_cases_match_the_reference(text):
 def test_arrow_ends_an_identifier():
     assert dsl._lex("a-->b") == ["a-", "->", "b", ""]
     assert dsl._lex("x- - ->") == ["x-", "-", "->", ""]
+
+
+def test_lexer_holds_each_distinct_token_once():
+    # A text of several blocks, its strings, escapes and comments on every
+    # line, gives one object per distinct token, and the tokens of the
+    # character-by-character reference
+    lines = [
+        f'  r{i % 700} -> (f = "s {i % 300}", g = "e\\"{i % 50}\\\\", h = x{i % 900}) # c{i}\n'
+        for i in range(4000)
+    ]
+    text = "instance I on S {\n  table A {\n" + "".join(lines) + "  }\n}\n"
+    assert len(text) > 3 * 65536
+    tokens = dsl._lex(text)
+    assert len({id(token) for token in tokens}) == len(set(tokens))
+    assert list(map(dsl._describe, tokens)) == [(t.kind, t.text) for t in _tokenize(text)]
+    # a stray character in the last block is reported where it stands
+    at = text.rindex("r7 ")
+    stray = text[:at] + "@" + text[at:]
+    assert _lexed(stray) == _lexed_by_oracle(stray)
+
+
+@pytest.mark.parametrize("read", ["slices", "tokens"])
+def test_quoted_and_bare_names_parse_to_one_object(monkeypatch, read):
+    # A name spelled bare in one place and quoted in another is one object,
+    # across instances, whether a body is read as slices or a token at a time
+    if read == "tokens":
+        monkeypatch.setattr(dsl._Parser, "table_slices", lambda self, *args: False)
+    text = (
+        "schema S { nodes A, B; arrows f : A -> B; }\n"
+        'instance I on S { table A { a1 -> (f = "b1") "a2" -> ("f" = b1) } table B { b1 } }\n'
+        'instance J on S { table A { a2 -> (f = b1) } table B { "b1" } }\n'
+    )
+    doc = dsl.parse_document(text)
+    I, J = doc.instance("I"), doc.instance("J")
+    b1 = [*I.columns["f"].values(), I.rows["B"][0], J.rows["B"][0], *J.columns["f"].values()]
+    a2 = [I.rows["A"][1], *list(I.columns["f"])[1:], J.rows["A"][0], *J.columns["f"]]
+    assert b1 == ["b1"] * 5 and a2 == ["a2"] * 4
+    assert len(set(map(id, b1))) == 1 and len(set(map(id, a2))) == 1
 
 
 # -- the slice read against the token loop ----------------------------------

@@ -16,7 +16,7 @@ from catmigrate.rdf import (
 from catmigrate.schemas import Arrow, Graph, Schema
 
 from .generators import _adversarial_ids, rand_acyclic_schema, rand_instance
-from .oracles import per_triple_export
+from .oracles import per_triple_export, triple_by_triple_validate_store
 
 
 @pytest.fixture(scope="module")
@@ -199,3 +199,78 @@ def test_export_matches_a_per_triple_reference():
         store = grothendieck(Instance(schema, rows, columns))
         for base in ("http://example.org/x", "http://example.org/x/", "", "urn:a b"):
             assert export_triples(store, base) == per_triple_export(store, base), case
+
+
+def _store_faults(rng: random.Random, store: TripleStore) -> TripleStore:
+    """``store`` with one to three faults of random kinds, a repeated triple
+    among them, and often its triples shuffled, so that a predicate's
+    triples come in several runs."""
+    nodes, triples = list(store.nodes), list(store.triples)
+    types = dict(store.nodes)
+    of_type: dict[str, list[str]] = {}
+    for node, vertex in store.nodes:
+        of_type.setdefault(vertex, []).append(node)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(7)
+        if not triples:  # no arrow, or only empty tables
+            kind = min(kind, 2)
+        if kind == 0 and nodes:  # a node declared twice
+            nodes.insert(rng.randrange(len(nodes) + 1), rng.choice(nodes))
+        elif kind == 1 and nodes:  # a node of an unknown type
+            at = rng.randrange(len(nodes))
+            nodes[at] = (nodes[at][0], "Nowhere")
+        elif kind == 2:  # a predicate that is no arrow
+            node = rng.choice(nodes)[0] if nodes else "ghost"
+            triples.insert(rng.randrange(len(triples) + 1), (node, "nope", node))
+        elif kind >= 3:
+            at = rng.randrange(len(triples))
+            s, p, o = triples[at]
+            if kind == 3:  # a subject or an object that is no node
+                triples[at] = (s, p, "ghost") if rng.random() < 0.5 else ("ghost", p, o)
+            elif kind == 4:  # a subject or an object of any type
+                other = rng.choice(store.nodes)[0] if store.nodes else "ghost"
+                triples[at] = (s, p, other) if rng.random() < 0.5 else (other, p, o)
+            elif kind == 5:  # a second object for a subject, maybe the same one
+                o = rng.choice(of_type.get(types.get(o), [o]))
+                triples.insert(rng.randrange(len(triples) + 1), (s, p, o))
+            else:  # a triple repeated
+                triples.insert(rng.randrange(len(triples) + 1), (s, p, o))
+    if rng.random() < 0.7:
+        rng.shuffle(triples)
+    return TripleStore(store.schema, tuple(nodes), tuple(triples))
+
+
+_STORE_FAULTS = {
+    "declared twice": "declared twice",
+    "unknown type": "has unknown type",
+    "no arrow": "is not a schema arrow",
+    "subject no node": "triple subject",
+    "object no node": "triple object",
+    "subject type": "but predicate",
+    "not functional": "is not functional",
+}
+
+
+def test_validate_store_matches_the_triple_by_triple_walk():
+    # A predicate at a time on valid stores, and the walk's messages in its
+    # order on stores with every kind of fault, their predicates interleaved
+    rng = random.Random(6060)
+    kinds = set()
+    interleaved = valid = 0
+    for case in range(400):
+        schema = rand_acyclic_schema(rng, f"R{case}", max_vertices=4, max_arrows=5)
+        store = grothendieck(rand_instance(rng, schema, max_rows=5))
+        if case % 4:
+            store = _store_faults(rng, store)
+        else:
+            triples = rng.sample(store.triples, len(store.triples))
+            store = TripleStore(schema, store.nodes, tuple(triples))
+        want = triple_by_triple_validate_store(store)
+        assert validate_store(store) == want, case
+        predicates = [p for _, p, _ in store.triples]
+        runs = sum(1 for k, p in enumerate(predicates) if k == 0 or p != predicates[k - 1])
+        interleaved += runs > len(set(predicates))
+        valid += not want
+        kinds.update(k for k, text in _STORE_FAULTS.items() for m in want if text in m)
+    assert interleaved >= 100 and valid >= 100, (interleaved, valid)
+    assert kinds == set(_STORE_FAULTS)
