@@ -632,9 +632,18 @@ class _SigmaEngine:
         return (True, tid, len(arrows), tuple(arrows))
 
     def extract(self) -> "SigmaResult":
-        """Each class is a row, named by its representative's term and
-        placed by ``_root_order_key``; each element's row is read off one
-        list, once every element points at its root."""
+        """The instance of ``named_tables``.  Only ``term`` reads the chase
+        after naming, so the chase's other tables go before the instance
+        copies the columns."""
+        rows, columns, row_maps = self.named_tables()
+        self.img = self.parent = self.size = self.rep = self.depth = self.vertex_of = None
+        return SigmaResult._deferred(Instance(self.D, rows, columns), row_maps)
+
+    def named_tables(self) -> tuple:
+        """The rows and columns of sigma's instance, and the ``row_maps`` of
+        its result.  Each class is a row, named by its representative's term
+        and placed by ``_root_order_key``; each element's row is read off
+        one list, once every element points at its root."""
         rep, parent = self.rep, self.parent
         for tid in range(len(parent)):  # after this, parent[tid] is tid's root
             if parent[parent[tid]] != parent[tid]:
@@ -661,9 +670,6 @@ class _SigmaEngine:
             images = map(self.img[arrow.name].__getitem__, roots_by_vertex[arrow.source])
             columns[arrow.name] = dict(zip(rows[arrow.source], map(row_of.__getitem__, images)))
         seeds, term = self.seeds, self.term
-        # Naming is done, and only ``term`` reads the chase from here: let
-        # go of its other tables before the instance copies the columns.
-        self.img = self.parent = self.size = self.rep = self.depth = self.vertex_of = None
 
         def row_maps():
             seed_row = {(c, r): row_of[tid] for c, ids in seeds.items() for r, tid in ids.items()}
@@ -672,7 +678,7 @@ class _SigmaEngine:
             }
             return seed_row, row_term
 
-        return SigmaResult._deferred(Instance(self.D, rows, columns), row_maps)
+        return rows, columns, row_maps
 
 
 class SigmaResult(Record):
