@@ -656,10 +656,16 @@ class _SigmaEngine:
         rows: dict[str, tuple[str, ...]] = {}
         row_of: list = [None] * len(parent)  # root -> its row
         named: list[tuple[str, list[str], list[int]]] = []  # (vertex, rows, their reps)
+        prefix, source_row, term = self.prefix, self.seed_row, self.term
         for v, roots in roots_by_vertex.items():
             roots.sort(key=self._root_order_key)  # now in table order
             reps = list(map(rep.__getitem__, roots))
-            names = uniquify([_term_display(self.term(tid)) for tid in reps])
+            names = uniquify(
+                [
+                    source_row[tid] if prefix[tid] is None else _term_display(term(tid))
+                    for tid in reps
+                ]
+            )
             rows[v] = tuple(names)
             for root, name in zip(roots, names):
                 row_of[root] = name
@@ -669,7 +675,7 @@ class _SigmaEngine:
         for arrow in self.D.arrows:
             images = map(self.img[arrow.name].__getitem__, roots_by_vertex[arrow.source])
             columns[arrow.name] = dict(zip(rows[arrow.source], map(row_of.__getitem__, images)))
-        seeds, term = self.seeds, self.term
+        seeds = self.seeds
 
         def row_maps():
             seed_row = {(c, r): row_of[tid] for c, ids in seeds.items() for r, tid in ids.items()}

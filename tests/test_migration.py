@@ -692,7 +692,8 @@ def _chase_round_work(monkeypatch, translation, instance):
     roots_since = engine_class.roots_since
 
     def counted_apply(self):
-        rounds.append({"made": len(self.parent), "walks": [], "steps": 0, "visits": [], "reads": []})
+        made = len(self.parent)
+        rounds.append({"made": made, "walks": [], "steps": 0, "visits": [], "reads": []})
         _ReadCounting.reads = rounds[-1]["reads"]
         return apply_equations(self)
 
@@ -734,8 +735,8 @@ def test_sigma_round_revisits_only_new_elements(monkeypatch, F, I):
     company = {"Employee": 200, "Department": 8, "String1": 10, "String2": 20, "String3": 8}
     facts = {"T": 7, "SSN": 9, "First": 6, "Last": 5, "Salary": 8}
     cases = {
-        # the last round visits the 8 departments the first made, which both
-        # equations, at Employee, pass over
+        # the last round visits the 8 departments that the first round's
+        # equation at Employee made, and that equation passes over them
         "company": (*company_staff(random.Random(2024), 200, 8), [company] * 2, 2 * 200, 8),
         # the last round visits the 7 Skolems the first made, all leaves
         "two facts": (F, I, [facts] * 2, 0, 7),
@@ -1152,4 +1153,5 @@ def test_pushforwards_on_merging_morphism():
 
 
 if __name__ == "__main__":
-    SIGMA_DRAWS.write_text("".join(digest + "\n" for digest in _sigma_draw_digests()), encoding="utf-8")
+    digests = _sigma_draw_digests()
+    SIGMA_DRAWS.write_text("".join(digest + "\n" for digest in digests), encoding="utf-8")
