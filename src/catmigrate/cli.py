@@ -38,11 +38,20 @@ from .schemas import DEFAULT_REWRITE_BUDGET
 from .typed import validate_typed
 
 
+class _FileError(Exception):
+    """An input that cannot be read, or an ``--out`` that cannot be written."""
+
+
 def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], dict]:
     docs = []
     env: dict[tuple[str, str], object] = {}
     for path in paths:
-        text = FilePath(path).read_text(encoding="utf-8")
+        try:
+            text = FilePath(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _FileError(f"{path}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise _FileError(f"{path}: {exc}") from None
         try:
             doc = dsl.parse_document(text, env)
         except ParseError as exc:
@@ -62,11 +71,11 @@ def _lookup(env: dict, kind: str, name: str):
 
 
 def _emit_report(args, report: dict) -> None:
-    if not getattr(args, "stable", False):
+    if not args.stable:
         report["wall_time_ms"] = round(report.pop("_elapsed", 0.0) * 1000.0, 3)
     else:
         report.pop("_elapsed", None)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(report, sort_keys=True))
 
 
@@ -74,7 +83,10 @@ def _write_output(out: str | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        FilePath(out).write_text(text, encoding="utf-8")
+        try:
+            FilePath(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise _FileError(f"{out}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +139,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_migrate(args) -> int:
     start = time.perf_counter()
-    docs, env = _load_documents(args.files)
+    _, env = _load_documents(args.files)
     translation = _lookup(env, "translation", args.translation)
     instance = _lookup(env, "instance", args.instance)
     log = MigrationLog()
@@ -144,8 +156,7 @@ def _cmd_migrate(args) -> int:
             log=log,
         )
     name = args.name or f"{args.instance}_{args.kind}"
-    schema_name = _schema_name_of(docs, result.schema)
-    out_doc = dsl.Document([dsl.InstanceDecl(name, schema_name, result)])
+    out_doc = dsl.Document([dsl.InstanceDecl(name, result.schema.name, result)])
     text = dsl.print_document(out_doc)
     counts = {v: len(result.row_set(v)) for v in result.schema.vertices}
     if args.out is None:
@@ -176,43 +187,9 @@ def _cmd_migrate(args) -> int:
     return 0
 
 
-def _schema_name_of(docs, schema) -> str:
-    for _, doc in docs:
-        for decl in doc.declarations:
-            if isinstance(decl, dsl.SchemaDecl) and decl.schema == schema:
-                return decl.name
-    return schema.name
-
-
 # ---------------------------------------------------------------------------
 # check-adjunction
 # ---------------------------------------------------------------------------
-
-
-def _corrupt(instance: Instance) -> Instance:
-    """Deterministically break the instance for the mutation-test mode:
-    flatten the first multi-valued column to a constant, or failing that
-    drop the last row, in vertex order, that no column value points to, so
-    that the result is still an instance.  With no such row, the instance
-    comes back unchanged."""
-    rows = {v: tuple(r) for v, r in instance.rows.items()}
-    columns = {a: dict(col) for a, col in instance.columns.items()}
-    for arrow in instance.schema.arrows:
-        col = columns[arrow.name]
-        if len(set(col.values())) >= 2:
-            first = col[instance.row_set(arrow.source)[0]]
-            columns[arrow.name] = {r: first for r in col}
-            return Instance(instance.schema, rows, columns)
-    arrows = instance.schema.arrows
-    pointed = {(a.target, value) for a in arrows for value in columns[a.name].values()}
-    for v in instance.schema.vertices:
-        dropped = next((r for r in reversed(rows[v]) if (v, r) not in pointed), None)
-        if dropped is not None:
-            rows[v] = tuple(r for r in rows[v] if r != dropped)
-            for a in instance.schema.graph.out_arrows(v):
-                del columns[a.name][dropped]
-            return Instance(instance.schema, rows, columns)
-    return instance
 
 
 def _cmd_check_adjunction(args) -> int:
@@ -223,8 +200,6 @@ def _cmd_check_adjunction(args) -> int:
     instance_d = _lookup(env, "instance", args.instance_on_target)
 
     pushed = sigma(translation, instance_c, saturation_bound=args.saturation_bound)
-    if args.corrupt_sigma:
-        pushed = _corrupt(pushed)
     pulled = delta(translation, instance_d)
     limit = pi(translation, instance_c, path_bound=args.path_bound, budget=args.rewrite_budget)
 
@@ -370,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bound on search work: the rows each component of a hom-set count may "
         "try (exit 3 past it); the counts themselves are exact, however large",
     )
-    p.add_argument("--corrupt-sigma", action="store_true", help="mutation-test mode")
     p.add_argument("--json", action="store_true")
     p.add_argument("--stable", action="store_true")
     _add_bounds(p)
@@ -402,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, FileNotFoundError) as exc:
+    except (KeyError, _FileError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
+from operator import attrgetter
 
 from .errors import ParseError, StructuralError
 from .instances import Instance, InstanceMorphism
@@ -294,31 +295,10 @@ class Document(Record):
 
     def _get(self, kind: str, name: str):
         for decl in self.declarations:
-            if decl.name == name and _decl_kind(decl) == kind:
-                return _decl_value(decl)
+            decl_kind, value, _ = _DECLARATIONS[type(decl)]
+            if decl.name == name and decl_kind == kind:
+                return value(decl)
         raise KeyError(f"no {kind} named {name!r}")
-
-
-def _decl_kind(decl: Declaration) -> str:
-    return {
-        SchemaDecl: "schema",
-        InstanceDecl: "instance",
-        TranslationDecl: "translation",
-        MorphismDecl: "morphism",
-        TypedInstanceDecl: "typedinstance",
-    }[type(decl)]
-
-
-def _decl_value(decl: Declaration):
-    if isinstance(decl, SchemaDecl):
-        return decl.schema
-    if isinstance(decl, InstanceDecl):
-        return decl.instance
-    if isinstance(decl, TranslationDecl):
-        return decl.translation
-    if isinstance(decl, MorphismDecl):
-        return decl.morphism
-    return decl.typed
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +909,8 @@ def document_env(*documents: Document) -> dict[tuple[str, str], object]:
     env: dict[tuple[str, str], object] = {}
     for doc in documents:
         for decl in doc.declarations:
-            env[(_decl_kind(decl), decl.name)] = _decl_value(decl)
+            kind, value, _ = _DECLARATIONS[type(decl)]
+            env[(kind, decl.name)] = value(decl)
     return env
 
 
@@ -1083,21 +1064,20 @@ def _print_typedinstance(decl: TypedInstanceDecl) -> str:
     return "\n".join(lines)
 
 
+# Each declaration class: its kind, the value it declares, and its printer.
+_DECLARATIONS = {
+    SchemaDecl: ("schema", attrgetter("schema"), _print_schema),
+    InstanceDecl: ("instance", attrgetter("instance"), _print_instance),
+    TranslationDecl: ("translation", attrgetter("translation"), _print_translation),
+    MorphismDecl: ("morphism", attrgetter("morphism"), _print_morphism),
+    TypedInstanceDecl: ("typedinstance", attrgetter("typed"), _print_typedinstance),
+}
+
+
 def print_document(doc: Document) -> str:
     """Canonical text: declarations in document order, members in declaration
     order, one row per line.  parse(print(d)) reproduces d exactly."""
-    chunks = []
-    for decl in doc.declarations:
-        if isinstance(decl, SchemaDecl):
-            chunks.append(_print_schema(decl))
-        elif isinstance(decl, InstanceDecl):
-            chunks.append(_print_instance(decl))
-        elif isinstance(decl, TranslationDecl):
-            chunks.append(_print_translation(decl))
-        elif isinstance(decl, MorphismDecl):
-            chunks.append(_print_morphism(decl))
-        else:
-            chunks.append(_print_typedinstance(decl))
+    chunks = [_DECLARATIONS[type(decl)][2](decl) for decl in doc.declarations]
     if not chunks:
         return ""
     return "\n\n".join(chunks) + "\n"

@@ -24,7 +24,7 @@ from .errors import (
     UnknownRowError,
 )
 from .naming import pair_id
-from .schemas import Arrow, Path, Schema, path_target
+from .schemas import Path, Schema, path_target
 from .values import Value
 
 DEFAULT_ISOMORPHISM_WORK_CAP = 2_000_000  # rows tried by find_isomorphism, fixed
@@ -92,8 +92,15 @@ class Instance(Value):
         for arrow in schema.arrows:
             column, table = columns[arrow.name], rows[arrow.source]
             # A missing cell gives None, which is no row.
-            if not members[arrow.target].issuperset(map(column.get, table)):
-                raise StructuralError(next(column_faults(self, arrow)).describe())
+            target_rows = members[arrow.target]
+            if not target_rows.issuperset(map(column.get, table)):
+                row = next(row for row in table if column.get(row) not in target_rows)
+                if row not in column:
+                    raise StructuralError(f"row {row!r} has no value for column {arrow.name!r}")
+                raise StructuralError(
+                    f"column {arrow.name!r} sends row {row!r} to {column[row]!r}, "
+                    "which is not a row of the target table"
+                )
             if len(column) != len(table):  # every row is a key, so a surplus key is a stray
                 sources = set(table)
                 stray = next(key for key in column if key not in sources)
@@ -101,11 +108,6 @@ class Instance(Value):
                     f"column {arrow.name!r} has a value for {stray!r}, "
                     "which is not a row of its source table"
                 )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.schema, self.rows, self.columns) == (other.schema, other.rows, other.columns)
-        return NotImplemented
 
     __hash__ = None  # instances compare by their tables, which are not hashable
 
@@ -148,32 +150,6 @@ def path_values(instance: Instance, path: Path, rows) -> list:
     return values
 
 
-class MissingColumnValue(Value):
-    _fields = ("arrow", "row")
-
-    def __init__(self, arrow: str, row: str):
-        object.__setattr__(self, "arrow", arrow)
-        object.__setattr__(self, "row", row)
-
-    def describe(self) -> str:
-        return f"row {self.row!r} has no value for column {self.arrow!r}"
-
-
-class DanglingColumnValue(Value):
-    _fields = ("arrow", "row", "value")
-
-    def __init__(self, arrow: str, row: str, value: str):
-        object.__setattr__(self, "arrow", arrow)
-        object.__setattr__(self, "row", row)
-        object.__setattr__(self, "value", value)
-
-    def describe(self) -> str:
-        return (
-            f"column {self.arrow!r} sends row {self.row!r} to {self.value!r}, "
-            "which is not a row of the target table"
-        )
-
-
 class EquationViolation(Value):
     _fields = ("equation", "row", "lhs_value", "rhs_value")
 
@@ -208,18 +184,6 @@ def validate_instance(instance: Instance) -> list:
             if left != right:
                 report.append(EquationViolation(str(eq), row, left, right))
     return report
-
-
-def column_faults(instance: Instance, arrow: Arrow):
-    """Yield the missing and dangling values of ``arrow``'s column, in table
-    order; ``Instance`` raises on the first."""
-    column = instance.columns[arrow.name]
-    targets = set(instance.row_set(arrow.target))
-    for row in instance.row_set(arrow.source):
-        if row not in column:
-            yield MissingColumnValue(arrow.name, row)
-        elif column[row] not in targets:
-            yield DanglingColumnValue(arrow.name, row, column[row])
 
 
 class InstanceMorphism(Value):
@@ -275,13 +239,6 @@ class InstanceMorphism(Value):
             "components",
             MappingProxyType({v: MappingProxyType(comp) for v, comp in components.items()}),
         )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source, self.target, self.components) == (
-                other.source, other.target, other.components
-            )
-        return NotImplemented
 
     __hash__ = None  # morphisms compare by their components, which are not hashable
 
@@ -350,7 +307,7 @@ def identity_morphism(instance: Instance) -> InstanceMorphism:
 
 def compose_morphisms(first: InstanceMorphism, then: InstanceMorphism) -> InstanceMorphism:
     """Diagrammatic composition: ``first`` followed by ``then``."""
-    if first.target is not then.source and first.target != then.source:
+    if first.target != then.source:
         raise SchemaMismatchError("morphisms do not compose: middle instances differ")
     components = {}
     for v in first.source.schema.vertices:
@@ -358,17 +315,6 @@ def compose_morphisms(first: InstanceMorphism, then: InstanceMorphism) -> Instan
         g = then.component(v)
         components[v] = {r: g[f[r]] for r in first.source.row_set(v)}
     return InstanceMorphism(first.source, then.target, components)
-
-
-def morphisms_equal(m: InstanceMorphism, n: InstanceMorphism) -> bool:
-    return (
-        m.source == n.source
-        and m.target == n.target
-        and all(
-            m.component(v) == n.component(v)
-            for v in m.source.schema.vertices
-        )
-    )
 
 
 def equal_image_pairs(

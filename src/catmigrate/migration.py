@@ -631,13 +631,13 @@ class _SigmaEngine:
         arrows.reverse()
         return (True, tid, len(arrows), tuple(arrows))
 
-    def extract(self) -> "SigmaResult":
-        """The instance of ``named_tables``.  Only ``term`` reads the chase
-        after naming, so the chase's other tables go before the instance
-        copies the columns."""
+    def extract(self) -> tuple:
+        """The instance of ``named_tables``, and its ``row_maps``.  Only
+        ``term`` reads the chase after naming, so the chase's other tables go
+        before the instance copies the columns."""
         rows, columns, row_maps = self.named_tables()
         self.img = self.parent = self.size = self.rep = self.depth = self.vertex_of = None
-        return SigmaResult._deferred(Instance(self.D, rows, columns), row_maps)
+        return Instance(self.D, rows, columns), row_maps
 
     def named_tables(self) -> tuple:
         """The rows and columns of sigma's instance, and the ``row_maps`` of
@@ -690,7 +690,7 @@ class _SigmaEngine:
 class SigmaResult(Record):
     """sigma's instance, where each source row went, and the term that
     names each output row.  ``sigma_full`` builds ``seed_row`` and
-    ``row_term`` when one of them is first read: ``sigma`` needs neither."""
+    ``row_term``: ``sigma`` needs neither, and does not."""
 
     _fields = ("instance", "seed_row", "row_term")
 
@@ -704,20 +704,16 @@ class SigmaResult(Record):
         self.seed_row = seed_row
         self.row_term = row_term
 
-    @classmethod
-    def _deferred(cls, instance: Instance, row_maps) -> SigmaResult:
-        """A result whose ``seed_row`` and ``row_term`` are ``row_maps()``."""
-        result = cls.__new__(cls)
-        result.instance = instance
-        result._row_maps = row_maps
-        return result
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute that is not set.
-        if name in ("seed_row", "row_term") and "_row_maps" in self.__dict__:
-            self.seed_row, self.row_term = self.__dict__.pop("_row_maps")()
-            return self.__dict__[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+def _chase(
+    translation: Translation, instance: Instance, saturation_bound: int, log: MigrationLog | None
+) -> tuple:
+    """sigma's instance and the ``row_maps`` that build the rest of its result."""
+    if instance.schema != translation.source:
+        raise SchemaMismatchError("sigma: instance is not on the translation's source")
+    engine = _SigmaEngine(translation, instance, saturation_bound, log)
+    engine.run()
+    return engine.extract()
 
 
 def sigma_full(
@@ -726,11 +722,8 @@ def sigma_full(
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
     log: MigrationLog | None = None,
 ) -> SigmaResult:
-    if instance.schema != translation.source:
-        raise SchemaMismatchError("sigma: instance is not on the translation's source")
-    engine = _SigmaEngine(translation, instance, saturation_bound, log)
-    engine.run()
-    return engine.extract()
+    result, row_maps = _chase(translation, instance, saturation_bound, log)
+    return SigmaResult(result, *row_maps())
 
 
 def sigma(
@@ -739,7 +732,7 @@ def sigma(
     saturation_bound: int = DEFAULT_SATURATION_BOUND,
     log: MigrationLog | None = None,
 ) -> Instance:
-    return sigma_full(translation, instance, saturation_bound, log=log).instance
+    return _chase(translation, instance, saturation_bound, log)[0]
 
 
 def sigma_on_morphism(translation: Translation, m: InstanceMorphism) -> InstanceMorphism:

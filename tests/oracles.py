@@ -33,11 +33,9 @@ from catmigrate.errors import (
     TypeChangeError,
 )
 from catmigrate.instances import (
-    DanglingColumnValue,
     EquationViolation,
     Instance,
     InstanceMorphism,
-    MissingColumnValue,
     compose_morphisms,
     enumerate_morphisms,
     evaluate_path,
@@ -1135,13 +1133,36 @@ def row_by_row_delta(translation: Translation, instance: Instance) -> Instance:
     return Instance(translation.source, rows, columns)
 
 
+@dataclass(frozen=True)
+class MissingCell:
+    arrow: str
+    row: str
+
+    def describe(self) -> str:
+        return f"row {self.row!r} has no value for column {self.arrow!r}"
+
+
+@dataclass(frozen=True)
+class DanglingCell:
+    arrow: str
+    row: str
+    value: str
+
+    def describe(self) -> str:
+        return (
+            f"column {self.arrow!r} sends row {self.row!r} to {self.value!r}, "
+            "which is not a row of the target table"
+        )
+
+
 def row_by_row_validate_instance(schema: Schema, rows: dict, columns: dict) -> list:
     """Report every violated instance invariant of raw rows and columns; an
     empty report means valid.
 
     Structural problems (missing or dangling column values) are reported per
-    (arrow, row); equation problems per (equation, witness row) with both
-    evaluated sides, skipping a row where either side has no value.
+    (arrow, row), each with the text ``Instance`` refuses it with; equation
+    problems per (equation, witness row) with both evaluated sides, skipping
+    a row where either side has no value.
     """
     report = []
     for arrow in schema.arrows:
@@ -1149,9 +1170,9 @@ def row_by_row_validate_instance(schema: Schema, rows: dict, columns: dict) -> l
         targets = set(rows.get(arrow.target, ()))
         for row in rows.get(arrow.source, ()):
             if row not in column:
-                report.append(MissingColumnValue(arrow.name, row))
+                report.append(MissingCell(arrow.name, row))
             elif column[row] not in targets:
-                report.append(DanglingColumnValue(arrow.name, row, column[row]))
+                report.append(DanglingCell(arrow.name, row, column[row]))
 
     def walk(path: Path, row: str):
         for name in path.arrows:

@@ -20,7 +20,6 @@ from catmigrate.instances import (
     evaluate_path,
     find_isomorphism,
     identity_morphism,
-    morphisms_equal,
     validate_instance,
 )
 from catmigrate.migration import (
@@ -340,22 +339,22 @@ def test_criterion_8_property_suite(capsys):
             sigma_on_morphism(translation, unit),
             sigma_counit(translation, tri_sigma.instance),
         )
-        assert morphisms_equal(left, identity_morphism(tri_sigma.instance))
+        assert left == identity_morphism(tri_sigma.instance)
         right = compose_morphisms(
             sigma_unit(translation, pulled),
             delta_on_morphism(translation, sigma_counit(translation, target_instance)),
         )
-        assert morphisms_equal(right, identity_morphism(pulled))
+        assert right == identity_morphism(pulled)
         top = compose_morphisms(
             pi_unit(translation, tri_pi.instance),
             pi_on_morphism(translation, pi_counit(translation, tri_source)),
         )
-        assert morphisms_equal(top, identity_morphism(tri_pi.instance))
+        assert top == identity_morphism(tri_pi.instance)
         bottom = compose_morphisms(
             delta_on_morphism(translation, pi_unit(translation, target_instance)),
             pi_counit(translation, pulled),
         )
-        assert morphisms_equal(bottom, identity_morphism(pulled))
+        assert bottom == identity_morphism(pulled)
 
         # (e) DSL round trip on the whole generated cast
         doc = dsl.Document(

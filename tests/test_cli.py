@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from catmigrate import dsl
+from catmigrate import cli, dsl
 from catmigrate.cli import main
+from catmigrate.instances import Instance
 
 from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
 
@@ -171,35 +172,43 @@ instance W on S { table A { a1 -> (f = b1) a2 -> (f = b1) } table B { b1 } }
     assert code == 0
 
 
-def test_check_adjunction_corrupted_sigma_exits_one(capsys):
+def test_check_adjunction_corrupted_sigma_exits_one(capsys, monkeypatch):
+    # sigma replaced by one that forgets every row: the hom-set counts differ
+    monkeypatch.setattr(cli, "sigma", lambda translation, instance, **_: Instance(translation.target))
     files = [g("two_facts.cat"), g("table_t.cat"), g("translation_f.cat"), g("truncated.cat")]
-    code, out, _ = run(
-        capsys, "check-adjunction", "F", "Ismall", "Jsmall", *files, "--corrupt-sigma"
-    )
+    code, out, _ = run(capsys, "check-adjunction", "F", "Ismall", "Jsmall", *files)
     assert code == 1
-    assert "MISMATCH" in out
+    assert "sigma adjunction: MISMATCH" in out
+    assert "pi adjunction: equal" in out
 
 
-def test_corrupted_sigma_drops_only_a_row_no_column_value_points_to(tmp_path, capsys):
-    # sigma along the identity has one column value, so the corruption drops
-    # a row: a1, which nothing points to, and not b1, which f(a1) points to
-    from catmigrate.cli import _corrupt
-    from catmigrate.instances import validate_instance
+def _unreadable_input(tmp_path, case: str) -> str:
+    path = tmp_path / "input.cat"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not UTF-8":
+        path.write_bytes(b"schema S { nodes A\xff; }\n")
+    return str(path)
 
-    doc = """
-schema D { nodes B, A; arrows f : A -> B; }
-translation Id : D -> D { nodes B -> B, A -> A; arrows f -> f; }
-instance I on D { table B { b1 } table A { a1 -> (f = b1) } }
-"""
-    path = tmp_path / "corrupt.cat"
-    path.write_text(doc)
-    code, out, _ = run(capsys, "check-adjunction", "Id", "I", "I", str(path), "--corrupt-sigma")
-    assert code == 0
-    assert "sigma adjunction: equal" in out
-    instance = dsl.parse_document(doc).instance("I")
-    corrupted = _corrupt(instance)
-    assert dict(corrupted.rows) == {"B": ("b1",), "A": ()}
-    assert validate_instance(corrupted) == []
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not UTF-8"])
+def test_an_input_that_cannot_be_read_exits_two_naming_it(tmp_path, capsys, case):
+    path = _unreadable_input(tmp_path, case)
+    code, out, err = run(capsys, "validate", g("employee.cat"), path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_an_out_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
+    out_file = str(tmp_path / "missing" / "out.nt")
+    code, out, err = run(
+        capsys, "export-rdf", "Staff", g("employee.cat"), "--base", "http://x.org", "--out", out_file
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {out_file}: No such file or directory\n"
 
 
 def test_export_rdf_sixteen_sorted_lines(tmp_path, capsys):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from catmigrate import dsl
 from catmigrate.errors import ParseError, StructuralError
-from catmigrate.instances import Instance, MissingColumnValue
+from catmigrate.instances import Instance
 from catmigrate.typed import TypedInstance
 
 from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
 from .generators import rand_acyclic_schema, rand_cover, rand_instance
-from .oracles import _tokenize, cell_by_cell_print_instance
+from .oracles import MissingCell, _tokenize, cell_by_cell_print_instance
 
 
 def test_employee_schema_transcription_shape():
@@ -328,7 +328,7 @@ def test_printer_fails_as_the_reference_does():
                 del columns[arrow.name][row]
                 with pytest.raises(StructuralError) as err:
                     Instance(schema, rows, columns)
-                assert str(err.value) == MissingColumnValue(arrow.name, row).describe()
+                assert str(err.value) == MissingCell(arrow.name, row).describe()
                 raised["has no value"] += 1
             continue
         decl = _awkward_instance_decl(rng, newline=0.3)
@@ -357,14 +357,24 @@ def test_parse_never_raises_unpositioned_errors():
 
 
 def _lexed(text: str):
-    """``dsl._lex``'s tokens as (kind, text, line, column), or its error."""
+    """``dsl._lex``'s tokens as (kind, text, line, column), or its error.
+    Each position counts newlines from the token before, so a long text
+    costs no more than its length."""
     try:
         raws = dsl._lex(text)
     except ParseError as err:
         return ("error", err.message, err.line, err.column)
     offsets = dsl._token_offsets(text)
     assert len(offsets) == len(raws)
-    return [(*dsl._describe(raw), *dsl._position(text, at)) for raw, at in zip(raws, offsets)]
+    lexed, line, line_start, before = [], 1, 0, 0
+    for raw, at in zip(raws, offsets):
+        newlines = text.count("\n", before, at)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", before, at) + 1
+        lexed.append((*dsl._describe(raw), line, at - line_start + 1))
+        before = at
+    return lexed
 
 
 def _lexed_by_oracle(text: str):
@@ -480,7 +490,8 @@ def test_arrow_ends_an_identifier():
 def test_lexer_holds_each_distinct_token_once():
     # A text of several blocks, its strings, escapes and comments on every
     # line, gives one object per distinct token, and the tokens of the
-    # character-by-character reference
+    # character-by-character reference, each where it stands, so the token
+    # offsets hold across block boundaries
     lines = [
         f'  r{i % 700} -> (f = "s {i % 300}", g = "e\\"{i % 50}\\\\", h = x{i % 900}) # c{i}\n'
         for i in range(4000)
@@ -489,7 +500,7 @@ def test_lexer_holds_each_distinct_token_once():
     assert len(text) > 3 * 65536
     tokens = dsl._lex(text)
     assert len({id(token) for token in tokens}) == len(set(tokens))
-    assert list(map(dsl._describe, tokens)) == [(t.kind, t.text) for t in _tokenize(text)]
+    assert _lexed(text) == _lexed_by_oracle(text)
     # a stray character in the last block is reported where it stands
     at = text.rindex("r7 ")
     stray = text[:at] + "@" + text[at:]

@@ -52,7 +52,6 @@ CLI_FLAGS = [
     "migrate --path-bound=16",
     "migrate --saturation-bound=1000",
     "check-adjunction --cap=2000000",
-    "check-adjunction --corrupt-sigma=False",
     "check-adjunction --json=False",
     "check-adjunction --stable=False",
     "check-adjunction --rewrite-budget=64",

@@ -18,11 +18,9 @@ import pytest
 
 from catmigrate import dsl, migration, rdf
 from catmigrate.instances import (
-    DanglingColumnValue,
     EquationViolation,
     Instance,
     InstanceMorphism,
-    MissingColumnValue,
     NaturalityViolation,
 )
 from catmigrate.migration import (
@@ -53,7 +51,7 @@ from .conftest import load_documents
 
 FROZEN = {
     Arrow, Graph, Path, PathEquivalence, Schema,
-    Instance, MissingColumnValue, DanglingColumnValue, EquationViolation,
+    Instance, EquationViolation,
     InstanceMorphism, NaturalityViolation,
     Translation, UnverifiedEquivalence, TypedInstance,
 }
@@ -85,8 +83,6 @@ def _examples():
         (Schema, ("name", "graph", "equivalences"), ("S", looped, (eq,)), ("S", looped, ())),
         (Instance, ("schema", "rows", "columns"), (schema, rows, cols),
          (schema, {"A": ("a",), "B": ("y",)}, {"f": {"a": "y"}})),
-        (MissingColumnValue, ("arrow", "row"), ("f", "a"), ("f", "b")),
-        (DanglingColumnValue, ("arrow", "row", "value"), ("f", "a", "y"), ("f", "a", "z")),
         (EquationViolation, ("equation", "row", "lhs_value", "rhs_value"),
          ("B : g.g = g", "x", "y", "z"), ("B : g.g = g", "x", "y", "x")),
         (InstanceMorphism, ("source", "target", "components"), (inst, inst, ident),
@@ -135,7 +131,7 @@ MUTABLE_EXAMPLES = [example for example in EXAMPLES if example[0] not in FROZEN]
 
 
 def test_every_value_class_has_an_example():
-    assert len(EXAMPLES) == 29 and len(set(IDS)) == 29
+    assert len(EXAMPLES) == 27 and len(set(IDS)) == 27
     assert {cls for cls, *_ in EXAMPLES} >= FROZEN
 
 
@@ -231,7 +227,6 @@ def test_repr_texts():
         f"Instance(schema={schema!r}, rows=mappingproxy({{'A': ('a',), 'B': ('x',)}}), "
         "columns=mappingproxy({'f': mappingproxy({'a': 'x'})}))"
     )
-    assert repr(MissingColumnValue("f", "a")) == "MissingColumnValue(arrow='f', row='a')"
     assert repr(MigrationLog()) == "MigrationLog(warnings=[], saturation_rounds=[])"
     assert repr(PipelineStep(StepKind.PI)) == (
         "PipelineStep(kind=<StepKind.PI: 'pi'>, translation=None, type_morphism=None)"
