@@ -211,6 +211,15 @@ def test_an_out_that_cannot_be_written_exits_two_naming_it(tmp_path, capsys):
     assert err == f"error: {out_file}: No such file or directory\n"
 
 
+def test_an_out_that_is_a_directory_exits_two_naming_it(tmp_path, capsys):
+    out_dir = str(tmp_path)
+    code, out, err = run(
+        capsys, "export-rdf", "Staff", g("employee.cat"), "--base", "http://x.org", "--out", out_dir
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {out_dir}: Is a directory\n"
+
 def test_export_rdf_sixteen_sorted_lines(tmp_path, capsys):
     out_file = tmp_path / "triples.nt"
     code, _, _ = run(

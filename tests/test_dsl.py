@@ -146,6 +146,42 @@ def test_print_is_canonical_and_idempotent():
         assert dsl.print_document(dsl.parse_document(once)) == once
 
 
+FILTERING_DECLARATIONS = [
+    ("schema", "Payroll"),
+    ("instance", "Roster"),
+    ("morphism", "below100"),
+    ("typedinstance", "TypedStaff"),
+    ("translation", "AttachSalary"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name", FILTERING_DECLARATIONS, ids=[kind for kind, _ in FILTERING_DECLARATIONS]
+)
+def test_each_declaration_kind_is_found_printed_and_read_back(kind, name):
+    docs, env = load_documents("filtering.cat")
+    doc = docs["filtering.cat"]
+    getters = {
+        "schema": doc.schema,
+        "instance": doc.instance,
+        "translation": doc.translation,
+        "morphism": doc.morphism,
+        "typedinstance": doc.typed,
+    }
+    value = getters[kind](name)
+    assert env[(kind, name)] is value
+    for other, get in getters.items():
+        if other != kind:
+            with pytest.raises(KeyError, match=f"no {other} named {name!r}"):
+                get(name)
+    # printed alone, the declaration reads back equal, given the ones before it
+    index = next(i for i, decl in enumerate(doc.declarations) if decl.name == name)
+    decl = doc.declarations[index]
+    earlier = dsl.document_env(dsl.Document(doc.declarations[:index]))
+    text = dsl.print_document(dsl.Document([decl]))
+    assert text.startswith(f"{kind} {name}")
+    assert dsl.parse_document(text, earlier).declarations == [decl]
+
 def test_shuffled_tables_reprint_in_schema_order():
     shuffled = """
 schema S { nodes A, B; arrows f : A -> B; }

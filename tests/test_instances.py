@@ -179,6 +179,25 @@ def test_dangling_value_reported():
     )
 
 
+@pytest.mark.parametrize("first", ["missing", "dangling"])
+def test_instance_names_its_first_faulty_cell_in_table_order(first):
+    # a2 and a3 are faulty, one of each kind, and the column lists a3 first:
+    # the constructor names a2, the first in table order, with its kind's text
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    second = "dangling" if first == "missing" else "missing"
+    column = {"a4": "x"}
+    for row, kind in (("a3", second), ("a2", first)):
+        if kind == "dangling":
+            column[row] = "zzz"
+    column["a1"] = "x"
+    texts = {
+        "missing": "row 'a2' has no value for column 'f'",
+        "dangling": "column 'f' sends row 'a2' to 'zzz', which is not a row of the target table",
+    }
+    with pytest.raises(StructuralError) as err:
+        Instance(schema, {"A": ("a1", "a2", "a3", "a4"), "B": ("x",)}, {"f": column})
+    assert str(err.value) == texts[first]
+
 def test_stray_column_key_rejected():
     schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
     with pytest.raises(StructuralError, match="'f' has a value for 'ghost'"):
@@ -220,6 +239,38 @@ def test_identity_and_composition(staff):
     assert validate_morphism(ident) == []
     assert compose_morphisms(ident, ident).components == ident.components
 
+
+def test_instances_and_morphisms_compare_by_their_tables_alone():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    rows = {"A": ("a1", "a2"), "B": ("x", "y")}
+    inst = Instance(schema, rows, {"f": {"a1": "x", "a2": "y"}})
+    # built apart, from a column listing its keys in another order
+    same = Instance(schema, {"B": ("x", "y"), "A": ("a1", "a2")}, {"f": {"a2": "y", "a1": "x"}})
+    other = Instance(schema, rows, {"f": {"a1": "x", "a2": "x"}})
+    assert same is not inst and same == inst and not same != inst
+    assert other != inst
+    swap = {"A": {"a1": "a2", "a2": "a1"}, "B": {"x": "y", "y": "x"}}
+    m = InstanceMorphism(inst, same, swap)
+    assert m == InstanceMorphism(same, inst, {v: dict(c) for v, c in swap.items()})
+    assert m != identity_morphism(inst)
+    assert inst != m and m != inst
+    for value in (inst, m):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+def test_compose_accepts_an_equal_middle_built_apart():
+    schema = Schema("S", Graph(("A", "B"), (Arrow("f", "A", "B"),)))
+    rows, columns = {"A": ("a",), "B": ("x", "y")}, {"f": {"a": "x"}}
+    inst, middle, twin = (Instance(schema, rows, columns) for _ in range(3))
+    ident = {"A": {"a": "a"}, "B": {"x": "x", "y": "y"}}
+    first, then = InstanceMorphism(inst, middle, ident), InstanceMorphism(twin, inst, ident)
+    assert middle is not twin
+    assert compose_morphisms(first, then) == identity_morphism(inst)
+    bigger = Instance(schema, {"A": ("a",), "B": ("x", "y", "z")}, columns)
+    into = InstanceMorphism(inst, bigger, ident)
+    with pytest.raises(SchemaMismatchError, match="middle instances differ"):
+        compose_morphisms(into, then)
 
 def test_naturality_violation_detected(staff):
     components = {v: {r: r for r in staff.row_set(v)} for v in staff.schema.vertices}

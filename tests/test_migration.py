@@ -533,6 +533,26 @@ def test_sigma_matches_oracle_on_paper_case(F, I):
     assert_sigma_matches(F, I, sigma_full(F, I))
 
 
+def test_sigma_builds_no_row_maps_and_gives_sigma_fulls_instance(monkeypatch, F, I):
+    full = sigma_full(F, I)
+    # sigma_full's result is a plain record of three built fields
+    assert vars(full).keys() == {"instance", "seed_row", "row_term"}
+    assert type(full.seed_row) is dict and type(full.row_term) is dict
+    named_tables = migration._SigmaEngine.named_tables
+
+    def without_row_maps(engine):
+        rows, columns, _ = named_tables(engine)
+
+        def row_maps():
+            raise AssertionError("sigma built its row maps")
+
+        return rows, columns, row_maps
+
+    monkeypatch.setattr(migration._SigmaEngine, "named_tables", without_row_maps)
+    assert sigma(F, I) == full.instance
+    with pytest.raises(AssertionError, match="sigma built its row maps"):
+        sigma_full(F, I)
+
 def test_sigma_nontermination_names_the_vertex():
     # sending a point into a loop: its images under the loop arrow never close
     loop = Schema("LoopD", Graph(("W",), (Arrow("a", "W", "W"),)))
