@@ -39,7 +39,7 @@ from .typed import validate_typed
 
 
 class _FileError(Exception):
-    """An input that cannot be read, or an ``--out`` that cannot be written."""
+    """An input that cannot be read or parsed, or an ``--out`` that cannot be written."""
 
 
 def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], dict]:
@@ -55,9 +55,7 @@ def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], d
         try:
             doc = dsl.parse_document(text, env)
         except ParseError as exc:
-            raise ParseError(
-                f"{path}: {exc.message}", exc.line, exc.column, exc.expected
-            ) from None
+            raise _FileError(f"{path}: {exc}") from None
         env.update(dsl.document_env(doc))
         docs.append((path, doc))
     return docs, env
@@ -68,15 +66,6 @@ def _lookup(env: dict, kind: str, name: str):
     if value is None:
         raise KeyError(f"unknown {kind} {name!r}")
     return value
-
-
-def _emit_report(args, report: dict) -> None:
-    if not args.stable:
-        report["wall_time_ms"] = round(report.pop("_elapsed", 0.0) * 1000.0, 3)
-    else:
-        report.pop("_elapsed", None)
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
 
 
 def _write_output(out: str | None, text: str) -> None:
@@ -94,27 +83,22 @@ def _write_output(out: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    start = time.perf_counter()
+def _cmd_validate(args) -> tuple[int, dict]:
     docs, _ = _load_documents(args.files)
+    checks = {
+        "instance": validate_instance,
+        "translation": lambda t: check_translation(t, args.rewrite_budget),
+        "morphism": validate_morphism,
+        "typedinstance": validate_typed,
+    }
     violations = []
     for path, doc in docs:
         for decl in doc.declarations:
-            if isinstance(decl, dsl.InstanceDecl):
-                items = validate_instance(decl.instance)
-                kind = "instance"
-            elif isinstance(decl, dsl.TranslationDecl):
-                items = check_translation(decl.translation, args.rewrite_budget)
-                kind = "translation"
-            elif isinstance(decl, dsl.MorphismDecl):
-                items = validate_morphism(decl.morphism)
-                kind = "morphism"
-            elif isinstance(decl, dsl.TypedInstanceDecl):
-                items = validate_typed(decl.typed)
-                kind = "typedinstance"
-            else:
+            kind, value, *_ = dsl._DECLARATIONS[type(decl)]
+            check = checks.get(kind)
+            if check is None:
                 continue
-            for item in items:
+            for item in check(value(decl)):
                 violations.append(
                     {"file": path, "kind": kind, "name": decl.name, "message": item.describe()}
                 )
@@ -126,10 +110,8 @@ def _cmd_validate(args) -> int:
         "bounds": {"rewrite_budget": args.rewrite_budget},
         "violations": violations,
         "warnings": [],
-        "_elapsed": time.perf_counter() - start,
     }
-    _emit_report(args, report)
-    return 1 if violations else 0
+    return 1 if violations else 0, report
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +119,7 @@ def _cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_migrate(args) -> int:
-    start = time.perf_counter()
+def _cmd_migrate(args) -> tuple[int, dict]:
     _, env = _load_documents(args.files)
     translation = _lookup(env, "translation", args.translation)
     instance = _lookup(env, "instance", args.instance)
@@ -181,10 +162,8 @@ def _cmd_migrate(args) -> int:
         "tables": counts,
         "warnings": list(log.warnings),
         "saturation_rounds": [dict(r) for r in log.saturation_rounds],
-        "_elapsed": time.perf_counter() - start,
     }
-    _emit_report(args, report)
-    return 0
+    return 0, report
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +171,7 @@ def _cmd_migrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_adjunction(args) -> int:
-    start = time.perf_counter()
+def _cmd_check_adjunction(args) -> tuple[int, dict]:
     _, env = _load_documents(args.files)
     translation = _lookup(env, "translation", args.translation)
     instance_c = _lookup(env, "instance", args.instance_on_source)
@@ -235,10 +213,8 @@ def _cmd_check_adjunction(args) -> int:
         "sigma_adjunction_equal": sigma_ok,
         "pi_adjunction_equal": pi_ok,
         "warnings": [],
-        "_elapsed": time.perf_counter() - start,
     }
-    _emit_report(args, report)
-    return 0 if sigma_ok and pi_ok else 1
+    return 0 if sigma_ok and pi_ok else 1, report
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +222,12 @@ def _cmd_check_adjunction(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_export_rdf(args) -> int:
+def _cmd_export_rdf(args) -> tuple[int, None]:
     _, env = _load_documents(args.files)
     instance = _lookup(env, "instance", args.instance)
     store = grothendieck(instance)
     _write_output(args.out, export_triples(store, args.base))
-    return 0
+    return 0, None
 
 
 def _render_table(instance: Instance, vertex: str, fmt: str) -> str:
@@ -278,7 +254,7 @@ def _render_table(instance: Instance, vertex: str, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_render(args) -> int:
+def _cmd_render(args) -> tuple[int, None]:
     _, env = _load_documents(args.files)
     instance = _lookup(env, "instance", args.instance)
     if args.table is not None:
@@ -291,7 +267,7 @@ def _cmd_render(args) -> int:
             blocks.append(f"table {v}\n" + _render_table(instance, v, args.format))
         text = "\n".join(blocks)
     _write_output(args.out, text)
-    return 0
+    return 0, None
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +347,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, report = args.func(args)
     except (KeyError, _FileError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
@@ -386,6 +360,12 @@ def main(argv: list[str] | None = None) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if report is not None:
+        if not args.stable:
+            report["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
+        if args.json:
+            print(json.dumps(report, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -149,7 +149,7 @@ def _has_stray(plain: str) -> bool:
     )
 
 
-def _raise_first_stray(text: str) -> NoReturn:
+def _raise_first_stray(text: str) -> None:
     """Raise the diagnostic for the first place in ``text``, outside strings
     and comments, where no token starts."""
     bounds = [0]
@@ -163,7 +163,7 @@ def _raise_first_stray(text: str) -> NoReturn:
     raise AssertionError("the text holds no stray character")
 
 
-def _raise_stray(text: str, at: int) -> NoReturn:
+def _raise_stray(text: str, at: int) -> None:
     """Raise the diagnostic for ``text[at]``, where no token starts: a stray
     character, or a string that is unterminated or holds a bad escape.  Such
     a string meets no closing quote first, or the lexer would have cut it
@@ -295,7 +295,7 @@ class Document(Record):
 
     def _get(self, kind: str, name: str):
         for decl in self.declarations:
-            decl_kind, value, _ = _DECLARATIONS[type(decl)]
+            decl_kind, value, *_ = _DECLARATIONS[type(decl)]
             if decl.name == name and decl_kind == kind:
                 return value(decl)
         raise KeyError(f"no {kind} named {name!r}")
@@ -435,21 +435,16 @@ class _Parser:
     # -- declarations ----------------------------------------------------------
 
     def document(self) -> Document:
-        readers = {
-            "schema": self.schema_decl,
-            "instance": self.instance_decl,
-            "translation": self.translation_decl,
-            "morphism": self.morphism_decl,
-            "typedinstance": self.typedinstance_decl,
-        }
         decls: list[Declaration] = []
         while self.peek():
-            read = readers.get(self.peek())
-            if read is None:
+            for kind, _, _, read in _DECLARATIONS.values():
+                if kind == self.peek():
+                    decls.append(read(self))
+                    break
+            else:
                 kind, text = _describe(self.peek())
                 message = f"unknown declaration {text!r}" if kind == "ident" else "expected a declaration"
-                self.fail(message, expected=tuple(readers))
-            decls.append(read())
+                self.fail(message, expected=tuple(row[0] for row in _DECLARATIONS.values()))
         return Document(decls)
 
     def schema_decl(self) -> SchemaDecl:
@@ -909,7 +904,7 @@ def document_env(*documents: Document) -> dict[tuple[str, str], object]:
     env: dict[tuple[str, str], object] = {}
     for doc in documents:
         for decl in doc.declarations:
-            kind, value, _ = _DECLARATIONS[type(decl)]
+            kind, value, *_ = _DECLARATIONS[type(decl)]
             env[(kind, decl.name)] = value(decl)
     return env
 
@@ -1064,13 +1059,18 @@ def _print_typedinstance(decl: TypedInstanceDecl) -> str:
     return "\n".join(lines)
 
 
-# Each declaration class: its kind, the value it declares, and its printer.
+# Each declaration class: its kind, the value it declares, its printer and
+# its reader.
 _DECLARATIONS = {
-    SchemaDecl: ("schema", attrgetter("schema"), _print_schema),
-    InstanceDecl: ("instance", attrgetter("instance"), _print_instance),
-    TranslationDecl: ("translation", attrgetter("translation"), _print_translation),
-    MorphismDecl: ("morphism", attrgetter("morphism"), _print_morphism),
-    TypedInstanceDecl: ("typedinstance", attrgetter("typed"), _print_typedinstance),
+    SchemaDecl: ("schema", attrgetter("schema"), _print_schema, _Parser.schema_decl),
+    InstanceDecl: ("instance", attrgetter("instance"), _print_instance, _Parser.instance_decl),
+    TranslationDecl: (
+        "translation", attrgetter("translation"), _print_translation, _Parser.translation_decl
+    ),
+    MorphismDecl: ("morphism", attrgetter("morphism"), _print_morphism, _Parser.morphism_decl),
+    TypedInstanceDecl: (
+        "typedinstance", attrgetter("typed"), _print_typedinstance, _Parser.typedinstance_decl
+    ),
 }
 
 

@@ -973,7 +973,7 @@ def pi_full(
                 arrow.source, (arrow.name,) + tgt_data.classes[cls].arrows
             )
             idx = _match_class(D, src_data.classes, composite, budget)
-            if idx is None or (c, idx) not in src_comp_index:
+            if idx is None:
                 raise PathBoundInstabilityError(
                     f"pi cannot restrict along arrow {arrow.name!r}: composite "
                     f"{composite} has no path class at {arrow.source!r} within bounds",
@@ -1118,15 +1118,8 @@ def pi_counit(translation: Translation, instance: Instance) -> InstanceMorphism:
     for c in translation.source.vertices:
         d = translation.vertex_image(c)
         data = result.data[d]
-        k = None
-        for idx, (cc, cls) in enumerate(data.comps):
-            if cc == c and data.classes[cls].is_trivial:
-                k = idx
-                break
-        if k is None:
-            raise PathBoundInstabilityError(
-                f"pi counit: no trivial-path component for {c!r} at {d!r}", vertex=d
-            )
+        # ``_comma_classes`` puts the trivial path at d first, as class 0.
+        k = data.comps.index((c, 0))
         components[c] = {rid: fam[k] for fam, rid in data.rows.items()}
     return require_natural(
         InstanceMorphism(pulled, instance, components), "pi counit"

@@ -62,6 +62,56 @@ def test_validate_parse_error_exits_two(tmp_path, capsys):
     assert out == ""
 
 
+def test_a_parse_error_names_its_file_first(tmp_path, capsys):
+    bad = tmp_path / "bad.cat"
+    bad.write_text("schema { nope")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {bad}: line 1, column 8: expected a schema name (expected a schema name)\n"
+    )
+
+
+# An instance that breaks its equation, a translation whose image of it is
+# unproved in a free schema, and a morphism and a typing that are not natural.
+_FOUR_KINDS = """
+schema S {
+  nodes A, B;
+  arrows f : A -> B; g : A -> B;
+  equations A : f = g;
+}
+schema Free { nodes A, B; arrows f : A -> B; g : A -> B; }
+instance Broken on S { table A { a -> (f = b1, g = b2) } table B { b1 b2 } }
+instance Pair on S { table A { p -> (f = c, g = c) } table B { c d } }
+translation Forget : S -> Free { nodes A -> A, B -> B; arrows f -> f; g -> g; }
+morphism Twist : Broken -> Pair { A { a -> p } B { b1 -> d b2 -> c } }
+typedinstance Bent {
+  instance Broken;
+  typing Pair;
+  components { A { a -> p } B { b1 -> d b2 -> d } }
+}
+"""
+
+
+def test_validate_reports_every_checkable_kind(tmp_path, capsys):
+    path = tmp_path / "four.cat"
+    path.write_text(_FOUR_KINDS)
+    code, out, err = run(capsys, "validate", str(path), "--json", "--stable")
+    assert code == 1
+    found = [(v["kind"], v["name"]) for v in json.loads(out)["violations"]]
+    assert found == [
+        ("instance", "Broken"),
+        ("translation", "Forget"),
+        ("morphism", "Twist"),
+        ("typedinstance", "Bent"),
+        ("typedinstance", "Bent"),
+    ]
+    assert [line.split(":")[1] for line in err.splitlines()] == [
+        f" {kind} {name}" for kind, name in found
+    ]
+
+
 def test_migrate_delta_row_counts(tmp_path, capsys):
     out_file = tmp_path / "out.cat"
     code, out, err = run(
@@ -289,10 +339,32 @@ def test_byte_determinism_of_reports(capsys):
     assert "wall_time_ms" not in report
 
 
-def test_stable_strips_wall_time_but_default_keeps_it(capsys):
-    code, out, _ = run(capsys, "validate", g("employee.cat"), "--json")
+_SMALL = [g("two_facts.cat"), g("table_t.cat"), g("translation_f.cat"), g("truncated.cat")]
+_REPORT_VERBS = {
+    "validate": ["validate", g("employee.cat")],
+    "migrate": ["migrate", "sigma", "F", "Ismall", *_SMALL, "--out", "<out>"],
+    "check-adjunction": ["check-adjunction", "F", "Ismall", "Jsmall", *_SMALL],
+}
+
+
+@pytest.mark.parametrize("verb", list(_REPORT_VERBS))
+def test_stable_strips_wall_time_but_default_keeps_it(tmp_path, capsys, verb):
+    argv = [str(tmp_path / "out.cat") if a == "<out>" else a for a in _REPORT_VERBS[verb]]
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert "wall_time_ms" in json.loads(out)
+    code, out, _ = run(capsys, *argv, "--json", "--stable")
+    assert code == 0
+    assert "wall_time_ms" not in json.loads(out)
+
+
+@pytest.mark.parametrize("verb", ["export-rdf", "render"])
+def test_export_rdf_and_render_print_no_report(tmp_path, capsys, verb):
+    base = ["--base", "http://example.org/company"] if verb == "export-rdf" else []
+    out_file = tmp_path / "out.txt"
+    code, out, err = run(capsys, verb, "Staff", g("employee.cat"), *base, "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    assert out_file.read_text()
 
 
 def test_migrate_json_report_includes_chase_rounds(tmp_path, capsys):
