@@ -60,6 +60,7 @@ from .generators import (
     company_staff,
     damaged,
     rand_acyclic_schema,
+    rand_cyclic_schema,
     rand_inclusion,
     rand_instance,
     rand_translation,
@@ -480,6 +481,67 @@ def test_pi_runs_every_probe_before_comparing_counts(monkeypatch):
         pi(f, instance, path_bound=2)
     assert err.value.vertex == "W2"
     assert "path classes" in str(err.value)
+
+
+PI_DRAWS = pathlib.Path(__file__).resolve().parent / "expected" / "pi_draws.txt"
+
+
+def _pi_draw(rng: random.Random, case: int) -> tuple[Translation, Instance, int, int]:
+    """In turn, an acyclic ``rand_translation`` input at rewrite budget 1, 2
+    or 64, where budget 1 leaves searches unfinished, and the inclusion of
+    some arrows of a small cyclic schema at path bound 2, 3 or 4, where the
+    small bounds run the stability probe and its errors."""
+    if case % 3 != 2:
+        target = rand_acyclic_schema(rng, f"P{case}", max_vertices=4, max_arrows=5, max_equations=3)
+        f = rand_translation(rng, target, name_prefix=f"p{case}_")
+        instance = shuffled_rows(rng, rand_instance(rng, f.source, max_rows=3))
+        return f, instance, migration.DEFAULT_PATH_BOUND, rng.choice((1, 2, 64))
+    # Small schemas and budgets: a cyclic search at budget 64 can take seconds.
+    target = rand_cyclic_schema(rng, f"Q{case}", max_vertices=3, max_arrows=2, max_equations=3)
+    kept = tuple(a for a in target.arrows if rng.random() < 0.5)
+    source = Schema(f"Q{case}src", Graph(target.vertices, kept))
+    f = Translation(
+        source,
+        target,
+        {v: v for v in target.vertices},
+        {a.name: Path(a.source, (a.name,)) for a in kept},
+    )
+    instance = shuffled_rows(rng, rand_instance(rng, source, max_rows=2))
+    return f, instance, rng.choice((2, 3, 4)), rng.choice((1, 2, 4))
+
+
+def _pi_digest(translation: Translation, instance: Instance, path_bound: int, budget: int) -> str:
+    """A short sha256 of all that ``pi_full`` gives on one input: its rows,
+    its columns as sorted items, each vertex's classes and components, and
+    its log's warnings; or else its error's type and text."""
+    log = MigrationLog()
+    try:
+        result = pi_full(translation, instance, path_bound, budget, log)
+    except EngineError as error:
+        facts = (type(error).__name__, str(error))
+    else:
+        out = result.instance
+        facts = (
+            dict(out.rows),
+            sorted((name, sorted(column.items())) for name, column in out.columns.items()),
+            [(d, list(map(str, data.classes)), data.comps) for d, data in result.data.items()],
+            log.warnings,
+        )
+    return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
+
+
+def _pi_draw_digests() -> list[str]:
+    rng = random.Random(3141)
+    return [_pi_digest(*_pi_draw(rng, case)) for case in range(1200)]
+
+
+def test_pi_prints_the_locked_output_on_every_draw():
+    # pi's exact output, row ids, class order and error texts included, one
+    # digest a line.  Regenerate the file with ``python -m tests.test_migration``
+    want = PI_DRAWS.read_text(encoding="utf-8").split()
+    got = _pi_draw_digests()
+    assert len(want) == len(got) == 1200
+    assert [case for case in range(1200) if got[case] != want[case]] == []
 
 
 # -- sigma -------------------------------------------------------------------------
@@ -1170,5 +1232,5 @@ def test_pushforwards_on_merging_morphism():
 
 
 if __name__ == "__main__":
-    digests = _sigma_draw_digests()
-    SIGMA_DRAWS.write_text("".join(digest + "\n" for digest in digests), encoding="utf-8")
+    for path, digests in ((SIGMA_DRAWS, _sigma_draw_digests()), (PI_DRAWS, _pi_draw_digests())):
+        path.write_text("".join(digest + "\n" for digest in digests), encoding="utf-8")
