@@ -69,8 +69,9 @@ class Instance(Value):
             columns.setdefault(a.name, {})
         targets = {a.target for a in schema.arrows}
         members: dict[str, set[str]] = {}  # each target table's rows, for the closure check
+        vertex_order = graph._vertex_order
         for v, table in rows.items():
-            if not graph.has_vertex(v):
+            if v not in vertex_order:
                 raise StructuralError(f"rows declared for unknown vertex {v!r}")
             row_set = set(table)
             if len(row_set) != len(table):
@@ -81,8 +82,10 @@ class Instance(Value):
                     seen.add(row)
             if v in targets:
                 members[v] = row_set
+        by_name = graph._arrow_by_name
         for name in columns:
-            graph.arrow(name)
+            if name not in by_name:
+                graph.arrow(name)  # raises, naming the arrow
         init(self, "rows", MappingProxyType(rows))
         init(
             self,
@@ -143,10 +146,12 @@ def evaluate_path(instance: Instance, path: Path, row: str) -> str:
 
 
 def path_values(instance: Instance, path: Path, rows) -> list:
-    """``path``'s value at each of ``rows``, composed a column at a time."""
+    """``path``'s value at each of ``rows``, composed a column at a time;
+    the path runs in the instance's own schema, which the caller vouches for."""
     values = list(rows)
+    columns = instance.columns
     for name in path.arrows:
-        values = list(map(instance.column(name).__getitem__, values))
+        values = list(map(columns[name].__getitem__, values))
     return values
 
 
@@ -175,7 +180,7 @@ def validate_instance(instance: Instance) -> list:
     """
     report = []
     for eq in instance.schema.equivalences:
-        table = instance.row_set(eq.lhs.source)
+        table = instance.rows[eq.lhs.source]
         lhs = path_values(instance, eq.lhs, table)
         rhs = path_values(instance, eq.rhs, table)
         if lhs == rhs:
@@ -482,16 +487,18 @@ def _join_plan(
         if assigned[k]:
             continue
         vertex = comps[k][0]
-        driver, pool = None, target.row_set(vertex)
-        tie = next((con for con in out_of[k] if assigned[con[1]]), None)
-        if tie is not None:
-            n, driver, name = tie
+        driver, pool = None, target.rows[vertex]
+        for n, j, name in out_of[k]:
+            if assigned[j]:  # a tie to an assigned component drives this one
+                driver = j
+                break
+        if driver is not None:
             planned[n] = True
             pool = preimages.get((vertex, name))
             if pool is None:
-                column = target.column(name)
+                column = target.columns[name]
                 pool = preimages[vertex, name] = {}
-                for row in target.row_set(vertex):
+                for row in target.rows[vertex]:
                     pool.setdefault(column[row], []).append(row)
         assigned[k] = True
         filled = [k]
@@ -501,11 +508,11 @@ def _join_plan(
                 if not assigned[j]:
                     planned[n] = assigned[j] = True
                     filled.append(j)
-                    lookups.append((j, c, target.column(name)))
+                    lookups.append((j, c, target.columns[name]))
         # A constraint out of a component assigned at an earlier step had its
         # other end assigned then too, so what is left to check starts here.
         checks = [
-            (c, j, target.column(name))
+            (c, j, target.columns[name])
             for c in filled
             for n, j, name in out_of[c]
             if not planned[n]
@@ -518,12 +525,13 @@ def _element_diagram(source: Instance) -> tuple[list[tuple[str, str]], list[tupl
     """A morphism out of ``source`` as an assignment (see ``assignments``):
     one component per source row ``(v, r)``, in vertex then row order, and
     one constraint per column value."""
-    comps = [(v, r) for v in source.schema.vertices for r in source.row_set(v)]
+    rows = source.rows
+    comps = [(v, r) for v in source.schema.vertices for r in rows[v]]
     slot = {comp: k for k, comp in enumerate(comps)}
     constraints = []
     for arrow in source.schema.arrows:
-        column = source.column(arrow.name)
-        for r in source.row_set(arrow.source):
+        column = source.columns[arrow.name]
+        for r in rows[arrow.source]:
             constraints.append((slot[arrow.source, r], slot[arrow.target, column[r]], arrow.name))
     return comps, constraints
 
@@ -577,19 +585,59 @@ def count_morphisms(source: Instance, target: Instance, cap: int = 5_000_000) ->
     Rows that no chain of column values links choose their images
     independently, so the count is the product of the counts on the connected
     components of the element diagram.  A component with no constraint is one
-    row, free to go to any row of its table; every other one is searched by
-    the join.  ``cap`` bounds the rows each search tries, not the count, which
-    comes back exact.
+    row, free to go to any row of its table; every other one is counted by
+    ``_count_assignments``.  ``cap`` bounds the rows each count tries, not
+    the count, which comes back exact.
     """
     if source.schema != target.schema:
         raise SchemaMismatchError("morphism search needs a shared schema")
     total = 1
     for comps, constraints in _connected_parts(*_element_diagram(source)):
         if constraints:
-            total *= sum(1 for _ in assignments(target, comps, constraints, work_cap=cap))
+            total *= _count_assignments(target, comps, constraints, cap)
         else:
-            total *= len(target.row_set(comps[0][0]))
+            total *= len(target.rows[comps[0][0]])
     return total
+
+
+def _count_assignments(
+    target: Instance, comps: list[tuple], constraints: list[tuple[int, int, str]], work_cap: int
+) -> int:
+    """How many choices ``assignments(target, comps, constraints,
+    work_cap=work_cap)`` yields, counted without building them: the same
+    plan, walked depth-first in the same order, adds 1 at each full
+    assignment.  It charges each step's pool as the join does, so past
+    ``work_cap`` it raises at the same point, with the same text."""
+    steps = _join_plan(target, comps, constraints)
+    if not steps:
+        return 1
+    values: list = [None] * len(comps)
+    last = len(steps) - 1
+    work = 0
+
+    def count(s: int) -> int:
+        nonlocal work
+        k, driver, pool, lookups, checks = steps[s]
+        if driver is not None:
+            pool = pool.get(values[driver], ())
+        work += len(pool)
+        if work > work_cap:
+            raise EnumerationCapError(f"search exceeded work cap {work_cap}")
+        if s == last and not checks:  # a lookup always finds its row
+            return len(pool)
+        found = 0
+        for row in pool:
+            values[k] = row
+            for j, i, column in lookups:
+                values[j] = column[values[i]]
+            for i, j, column in checks:
+                if column[values[i]] != values[j]:
+                    break
+            else:
+                found += 1 if s == last else count(s + 1)
+        return found
+
+    return count(0)
 
 
 def find_isomorphism(source: Instance, target: Instance) -> InstanceMorphism | None:

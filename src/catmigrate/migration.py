@@ -41,10 +41,12 @@ from .instances import (
 )
 from .naming import keyed_ids, uniquify
 from .schemas import (
+    DEFAULT_PATH_LENGTH_CAP,
     DEFAULT_REWRITE_BUDGET,
     Equivalence,
     Path,
     Schema,
+    _equivalent,
     path_target,
     paths_equivalent,
     trivial_path,
@@ -249,10 +251,11 @@ def delta(translation: Translation, instance: Instance) -> Instance:
     """
     if instance.schema != translation.target:
         raise SchemaMismatchError("delta: instance is not on the translation's target")
-    rows = {c: instance.row_set(translation.vertex_image(c)) for c in translation.source.vertices}
+    vertex_map, arrow_map = translation.vertex_map, translation.arrow_map
+    rows = {c: instance.rows[vertex_map[c]] for c in translation.source.vertices}
     columns: dict[str, dict[str, str]] = {}
     for arrow in translation.source.arrows:
-        image = translation.arrow_image(arrow.name)
+        image = arrow_map[arrow.name]
         table = rows[arrow.source]
         columns[arrow.name] = dict(zip(table, path_values(instance, image, table)))
     return Instance(translation.source, rows, columns)
@@ -541,7 +544,7 @@ class _SigmaEngine:
         so every element is a root."""
         for arrow in self.F.source.arrows:
             image = self.F.arrow_image(arrow.name).arrows
-            values = map(self.I.columns[arrow.name].__getitem__, self.I.row_set(arrow.source))
+            values = map(self.I.columns[arrow.name].__getitem__, self.I.rows[arrow.source])
             ends = map(self.seeds[arrow.target].__getitem__, values)
             pairs = zip(self.seeds[arrow.source].values(), ends)
             if not image:
@@ -658,7 +661,11 @@ class _SigmaEngine:
         named: list[tuple[str, list[str], list[int]]] = []  # (vertex, rows, their reps)
         prefix, source_row, term = self.prefix, self.seed_row, self.term
         for v, roots in roots_by_vertex.items():
-            roots.sort(key=self._root_order_key)  # now in table order
+            if not roots:
+                rows[v] = ()
+                continue
+            if len(roots) > 1:
+                roots.sort(key=self._root_order_key)  # now in table order
             reps = list(map(rep.__getitem__, roots))
             names = uniquify(
                 [
@@ -759,16 +766,20 @@ def sigma_on_morphism(translation: Translation, m: InstanceMorphism) -> Instance
 
 
 class _VertexFamilies(Record):
-    _fields = ("classes", "comps", "rows", "exhausted")
+    _fields = ("classes", "targets", "placed", "comps", "rows", "exhausted")
 
     def __init__(
         self,
         classes: list[Path],  # representative target paths out of this vertex
+        targets: list[str],  # each class's target vertex
+        placed: dict[tuple[str, ...], int],  # arrows of a path the class search placed -> its class
         comps: list[tuple[str, int]],  # (source vertex, class index)
         rows: dict[tuple[str, ...], str],  # join tuple (a row per comp) -> row id, join order
         exhausted: bool,  # the class search ran out of new classes within the bound
     ):
         self.classes = classes
+        self.targets = targets
+        self.placed = placed
         self.comps = comps
         self.rows = rows
         self.exhausted = exhausted
@@ -784,16 +795,25 @@ class PiResult(Record):
 
 def _comma_classes(
     schema: Schema, start: str, path_bound: int, budget: int
-) -> tuple[list[Path], bool]:
-    """Equivalence classes of paths out of ``start``, one representative each,
-    and whether the search ran out of new classes within ``path_bound``.
+) -> tuple[list[Path], list[str], dict[tuple[str, ...], int], bool]:
+    """Equivalence classes of paths out of ``start``, one representative each;
+    each class's target; every path the search placed, by its arrows, with
+    the class it matched or made; and whether the search ran out of new
+    classes within ``path_bound``.
 
     Breadth-first over classes: extending only representatives is complete
     because the closure conditions let any extension be rewritten onto the
     representative's extension.  When the frontier empties, a larger bound
     finds exactly the same classes.
+
+    A placement is what ``_match_class`` gives the path on the final classes
+    too: the class list only grows, so a path matched to class k matches no
+    earlier class then or later, and a path that became class j matches no
+    class before j and is j's own representative.
     """
     classes: list[Path] = [trivial_path(start)]
+    targets = [start]
+    placed: dict[tuple[str, ...], int] = {(): 0}
     frontier = [0]
     for _ in range(path_bound):
         if not frontier:
@@ -801,32 +821,55 @@ def _comma_classes(
         next_frontier: list[int] = []
         for idx in frontier:
             rep = classes[idx]
-            at = path_target(schema.graph, rep)
-            for arrow in schema.graph.out_arrows(at):
+            for arrow in schema.graph.out_arrows(targets[idx]):
                 candidate = Path(start, rep.arrows + (arrow.name,))
-                if _match_class(schema, classes, candidate, budget) is None:
+                k = _match_class(schema, classes, targets, candidate, arrow.target, budget)
+                if k is None:
+                    k = len(classes)
                     classes.append(candidate)
-                    next_frontier.append(len(classes) - 1)
+                    targets.append(arrow.target)
+                    next_frontier.append(k)
                     if len(classes) > DEFAULT_ELEMENT_CAP:
                         raise PathBoundInstabilityError(
                             f"comma category at vertex {start!r} exceeded "
                             f"{DEFAULT_ELEMENT_CAP} path classes",
                             vertex=start,
                         )
+                placed[candidate.arrows] = k
         frontier = next_frontier
-    return classes, not frontier
+    return classes, targets, placed, not frontier
 
 
 def _match_class(
-    schema: Schema, classes: list[Path], path: Path, budget: int
+    schema: Schema, classes: list[Path], targets: list[str], path: Path, target: str, budget: int
 ) -> int | None:
-    target = path_target(schema.graph, path)
+    """The first class that ``path``, a valid path from the classes' source
+    to ``target``, is proved equivalent to, or None."""
     for i, rep in enumerate(classes):
-        if path_target(schema.graph, rep) != target:
-            continue
-        if paths_equivalent(schema, path, rep, budget) is Equivalence.EQUIVALENT:
+        if targets[i] == target and (
+            _equivalent(schema, path, rep, budget, DEFAULT_PATH_LENGTH_CAP)
+            is Equivalence.EQUIVALENT
+        ):
             return i
     return None
+
+
+def _place(
+    schema: Schema,
+    classes: list[Path],
+    targets: list[str],
+    placed: dict[tuple[str, ...], int],
+    arrows: tuple[str, ...],
+    target: str,
+    budget: int,
+) -> int | None:
+    """The class of the path along ``arrows`` from the classes' source to
+    ``target``: where the class search placed it, if it did, and otherwise
+    ``_match_class``'s answer."""
+    k = placed.get(arrows)
+    if k is None:
+        k = _match_class(schema, classes, targets, Path(classes[0].source, arrows), target, budget)
+    return k
 
 
 def _families_at(
@@ -839,27 +882,26 @@ def _families_at(
 ) -> _VertexFamilies:
     D = translation.target
     C = translation.source
-    classes, exhausted = _comma_classes(D, vertex, path_bound, budget)
-    class_target = [path_target(D.graph, rep) for rep in classes]
+    classes, targets, placed, exhausted = _comma_classes(D, vertex, path_bound, budget)
+    vertex_map = translation.vertex_map
     comps: list[tuple[str, int]] = []
     for c in C.vertices:
-        image = translation.vertex_image(c)
-        for i in range(len(classes)):
-            if class_target[i] == image:
-                comps.append((c, i))
+        image = vertex_map[c]
+        comps.extend((c, i) for i, t in enumerate(targets) if t == image)
     comp_index = {comp: k for k, comp in enumerate(comps)}
 
     # Comma morphisms induced by source arrows whose translated triangle commutes.
     constraints: list[tuple[int, int, str]] = []  # (from comp, to comp, source arrow)
     for arrow in C.arrows:
-        image = translation.arrow_image(arrow.name)
-        for i, rep in enumerate(classes):
-            if class_target[i] != translation.vertex_image(arrow.source):
+        image = translation.arrow_map[arrow.name].arrows
+        start, end = vertex_map[arrow.source], vertex_map[arrow.target]
+        for i, t in enumerate(targets):
+            if t != start:
                 continue
-            composite = Path(vertex, rep.arrows + image.arrows)
-            j = _match_class(D, classes, composite, budget)
+            j = _place(D, classes, targets, placed, classes[i].arrows + image, end, budget)
             if j is None:
                 if log is not None:
+                    composite = Path(vertex, classes[i].arrows + image)
                     log.warn(
                         f"pi at {vertex!r}: could not place composite {composite} "
                         f"in any path class; treating as no comma morphism"
@@ -871,7 +913,7 @@ def _families_at(
 
     families = _compatible_families(instance, comps, constraints, vertex)
     rows = dict(zip(families, _family_row_ids(comps, families, classes)))
-    return _VertexFamilies(classes, comps, rows, exhausted)
+    return _VertexFamilies(classes, targets, placed, comps, rows, exhausted)
 
 
 def _compatible_families(
@@ -904,6 +946,8 @@ def _family_row_ids(
     tables copied through unchanged keep their original ids); otherwise every
     component is serialized.
     """
+    if not families:
+        return []
     if not comps:
         return uniquify(["()" for _ in families])
     trivial_comps = [k for k, (_, cls) in enumerate(comps) if classes[cls].is_trivial]
@@ -966,17 +1010,20 @@ def pi_full(
         src_data = data[arrow.source]
         tgt_data = data[arrow.target]
         src_comp_index = {comp: k for k, comp in enumerate(src_data.comps)}
-        # Precompute, per target component, which source component restricts to it.
+        # Precompute, per target component, which source component restricts
+        # to it: the class of the arrow followed by the component's class.
         comp_map: list[int] = []
         for (c, cls) in tgt_data.comps:
-            composite = Path(
-                arrow.source, (arrow.name,) + tgt_data.classes[cls].arrows
+            arrows = (arrow.name,) + tgt_data.classes[cls].arrows
+            idx = _place(
+                D, src_data.classes, src_data.targets, src_data.placed, arrows,
+                tgt_data.targets[cls], budget,
             )
-            idx = _match_class(D, src_data.classes, composite, budget)
             if idx is None:
                 raise PathBoundInstabilityError(
                     f"pi cannot restrict along arrow {arrow.name!r}: composite "
-                    f"{composite} has no path class at {arrow.source!r} within bounds",
+                    f"{Path(arrow.source, arrows)} has no path class at {arrow.source!r} "
+                    "within bounds",
                     vertex=arrow.source,
                 )
             comp_map.append(src_comp_index[(c, idx)])

@@ -194,13 +194,17 @@ def export_triples(store: TripleStore, base: str) -> str:
     """One sorted line per triple: ``<base/subj> <base/pred> <base/obj> .``
 
     Each distinct component is quoted once: node ids recur across triples,
-    and predicates in every one."""
+    and predicates in every one.  A component made only of characters that
+    ``quote`` keeps is used as it is."""
     from urllib.parse import quote  # loaded by an export, not by every import
 
+    safe = "/:$-_.~()"
+    # ``quote`` keeps ASCII letters and digits, "_.-~" and the safe characters.
+    kept = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + safe)
     prefix = "<" + base.rstrip("/") + "/"
-    uri = {
-        component: prefix + quote(component, safe="/:$-_.~()") + ">"
-        for component in {c for triple in store.triples for c in triple}
-    }
+    uri = {}
+    for component in {c for triple in store.triples for c in triple}:
+        text = component if kept.issuperset(component) else quote(component, safe=safe)
+        uri[component] = prefix + text + ">"
     lines = sorted(f"{uri[s]} {uri[p]} {uri[o]} ." for s, p, o in store.triples)
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""

@@ -141,11 +141,12 @@ def trivial_path(vertex: str) -> Path:
 
 def path_target(graph: Graph, path: Path) -> str:
     """Target vertex of a path, validating head-to-tail structure as it goes."""
-    if not graph.has_vertex(path.source):
+    if path.source not in graph._vertex_order:
         raise StructuralError(f"path source {path.source!r} is not a vertex")
     at = path.source
+    by_name = graph._arrow_by_name
     for name in path.arrows:
-        arrow = graph.arrow(name)
+        arrow = by_name.get(name) or graph.arrow(name)  # the lookup raises on an unknown name
         if arrow.source != at:
             raise StructuralError(
                 f"path is not head-to-tail: arrow {name!r} starts at "
@@ -268,10 +269,16 @@ def paths_equivalent(
     qt = path_target(schema.graph, q)
     if p.source != q.source or pt != qt:
         return Equivalence.NOT_PROVED
-    if p == q:
+    return _equivalent(schema, p, q, budget, length_cap)
+
+
+def _equivalent(schema: Schema, p: Path, q: Path, budget: int, length_cap: int) -> Equivalence:
+    """``paths_equivalent`` on two valid paths with one source and one
+    target, which the caller vouches for."""
+    if p.arrows == q.arrows:
         return Equivalence.EQUIVALENT
     # The relation is symmetric; canonicalize the memo key.
-    if (q.arrows, q.source) < (p.arrows, p.source):
+    if q.arrows < p.arrows:
         p, q = q, p
     return _search(schema, p, q, budget, length_cap)
 

@@ -568,6 +568,44 @@ def test_count_morphisms_cap_on_a_searched_component():
         count_morphisms(source, target, cap=30)
 
 
+def _joined_count(source: Instance, target: Instance, cap: int) -> int:
+    """The count as the join's own yield on each part of the element
+    diagram, each part at work cap ``cap``; or the first part's cap error."""
+    total = 1
+    for comps, constraints in instances._connected_parts(*instances._element_diagram(source)):
+        if constraints:
+            total *= sum(1 for _ in instances.assignments(target, comps, constraints, work_cap=cap))
+        else:
+            total *= len(target.rows[comps[0][0]])
+    return total
+
+
+def test_count_walk_matches_enumeration_and_the_joins_cap():
+    rng = random.Random(4242)
+    zeros = free_rows = capped = 0
+    for case in range(300):
+        make = rand_cyclic_schema if case % 2 else rand_acyclic_schema
+        schema = make(rng, f"cw{case}", max_vertices=3, max_arrows=4)
+        source = rand_instance(rng, schema)
+        target = shuffled_rows(rng, rand_instance(rng, schema))
+        count = count_morphisms(source, target)
+        assert count == sum(1 for _ in enumerate_morphisms(source, target)), case
+        zeros += count == 0
+        parts = instances._connected_parts(*instances._element_diagram(source))
+        free_rows += any(not constraints for _, constraints in parts)
+        for cap in range(0, 40, 3):
+            try:
+                want = _joined_count(source, target, cap)
+            except EnumerationCapError as error:
+                with pytest.raises(EnumerationCapError) as got:
+                    count_morphisms(source, target, cap)
+                assert str(got.value) == str(error), (case, cap)
+                capped += 1
+            else:
+                assert count_morphisms(source, target, cap) == want, (case, cap)
+    assert zeros and free_rows and capped > 100, (zeros, free_rows, capped)
+
+
 def test_enumerate_morphisms_yields_in_order_as_asked():
     every = list(enumerate_morphisms(_bare_table(2), _bare_table(3)))
     assert len(every) == 9

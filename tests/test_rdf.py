@@ -201,6 +201,23 @@ def test_export_matches_a_per_triple_reference():
             assert export_triples(store, base) == per_triple_export(store, base), case
 
 
+def test_export_quotes_exactly_the_components_that_need_it():
+    # plain ids, ids of only kept punctuation, and ids that need escapes:
+    # a space, a percent sign, non-ASCII letters and digits, a control
+    # character, and characters that quote keeps only when told they are safe
+    ids = [
+        "plain", "A1_b-2.c~d", "/:$()", "", "has space", "50%", "%2F", "é", "naïve",
+        "Ωmega", "٣", "tab\there", "line\nbreak", "a#b", "q?x=1", "a+b", "[x]", "'\"",
+    ]
+    schema = Schema("Quoting", Graph(("V w", "ü/x"), (Arrow("to é", "V w", "ü/x"),)))
+    instance = Instance(
+        schema, {"V w": tuple(ids), "ü/x": tuple(ids)}, {"to é": dict(zip(ids, reversed(ids)))}
+    )
+    store = grothendieck(instance)
+    for base in ("http://example.org/x", "urn:a b", ""):
+        assert export_triples(store, base) == per_triple_export(store, base)
+
+
 def _store_faults(rng: random.Random, store: TripleStore) -> TripleStore:
     """``store`` with one to three faults of random kinds, a repeated triple
     among them, and often its triples shuffled, so that a predicate's

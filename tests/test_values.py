@@ -98,9 +98,10 @@ def _examples():
         (SigmaResult, ("instance", "seed_row", "row_term"),
          (inst, {("A", "a"): "a"}, {("A", "a"): ("A", "a", ())}),
          (inst, {("A", "a"): "b"}, {("A", "a"): ("A", "a", ())})),
-        (migration._VertexFamilies, ("classes", "comps", "rows", "exhausted"),
-         ([Path("A")], [("A", 0)], {("a",): "a"}, True),
-         ([Path("A")], [("A", 0)], {("a",): "a"}, False)),
+        (migration._VertexFamilies,
+         ("classes", "targets", "placed", "comps", "rows", "exhausted"),
+         ([Path("A")], ["A"], {(): 0}, [("A", 0)], {("a",): "a"}, True),
+         ([Path("A")], ["A"], {(): 0}, [("A", 0)], {("a",): "a"}, False)),
         (PiResult, ("instance", "data"), (inst, {}), (typing, {})),
         (AdjunctionWitnesses, ("unit_sigma", "counit_sigma", "unit_pi", "counit_pi"),
          (m, m, m, m), (m, m, m, typed_m)),
