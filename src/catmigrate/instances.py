@@ -9,8 +9,9 @@ indexed join, ``assignments``, that finds every assignment of rows to a
 finite diagram respecting its columns.  pi's compatible families are such
 assignments, and so are morphisms of instances: enumeration and isomorphism
 search run the join on the source instance's diagram of elements, and
-counting, which the adjunction checks use, runs it on each connected
-component of that diagram and multiplies the counts.
+counting, which the adjunction checks use, walks the join's plan on each
+connected component of that diagram, building no morphism, and multiplies
+the counts.
 """
 from __future__ import annotations
 
@@ -488,11 +489,9 @@ def _join_plan(
             continue
         vertex = comps[k][0]
         driver, pool = None, target.rows[vertex]
-        for n, j, name in out_of[k]:
-            if assigned[j]:  # a tie to an assigned component drives this one
-                driver = j
-                break
-        if driver is not None:
+        tie = next((con for con in out_of[k] if assigned[con[1]]), None)
+        if tie is not None:
+            n, driver, name = tie
             planned[n] = True
             pool = preimages.get((vertex, name))
             if pool is None:
@@ -623,7 +622,7 @@ def _count_assignments(
         work += len(pool)
         if work > work_cap:
             raise EnumerationCapError(f"search exceeded work cap {work_cap}")
-        if s == last and not checks:  # a lookup always finds its row
+        if s == last and not checks:  # every row completes one: a lookup cannot fail
             return len(pool)
         found = 0
         for row in pool:
