@@ -207,4 +207,5 @@ def export_triples(store: TripleStore, base: str) -> str:
         text = component if kept.issuperset(component) else quote(component, safe=safe)
         uri[component] = prefix + text + ">"
     lines = sorted(f"{uri[s]} {uri[p]} {uri[o]} ." for s, p, o in store.triples)
-    return "\n".join(lines) + "\n" if lines else ""
+    lines.append("")  # so that a nonempty text ends with a newline
+    return "\n".join(lines)
