@@ -295,7 +295,7 @@ def validate_morphism(m: InstanceMorphism) -> list:
     return report
 
 
-def require_natural(m: InstanceMorphism, what: str = "morphism") -> InstanceMorphism:
+def require_natural(m: InstanceMorphism, what: str) -> InstanceMorphism:
     report = validate_morphism(m)
     if report:
         detail = "; ".join(item.describe() for item in report[:3])
@@ -608,8 +608,6 @@ def _count_assignments(
     assignment.  It charges each step's pool as the join does, so past
     ``work_cap`` it raises at the same point, with the same text."""
     steps = _join_plan(target, comps, constraints)
-    if not steps:
-        return 1
     values: list = [None] * len(comps)
     last = len(steps) - 1
     work = 0
@@ -642,11 +640,12 @@ def _count_assignments(
 def find_isomorphism(source: Instance, target: Instance) -> InstanceMorphism | None:
     """Search for an isomorphism source -> target; None if none exists.
 
-    Adds per-vertex injectivity to the morphism search; with equal row counts
-    per vertex, an injective natural transformation whose inverse is checked
-    natural is an isomorphism.  Intended for desk-scale golden comparisons:
-    trying more than ``DEFAULT_ISOMORPHISM_WORK_CAP`` rows raises
-    ``EnumerationCapError``.
+    Adds per-vertex injectivity to the morphism search.  Every choice the
+    search yields is natural, and with equal row counts per vertex an
+    injective natural transformation is a bijection at each vertex, whose
+    inverse is natural too: it is an isomorphism.  Intended for desk-scale
+    golden comparisons: trying more than ``DEFAULT_ISOMORPHISM_WORK_CAP``
+    rows raises ``EnumerationCapError``.
     """
     if source.schema != target.schema:
         raise SchemaMismatchError("isomorphism search needs a shared schema")
@@ -658,7 +657,4 @@ def find_isomorphism(source: Instance, target: Instance) -> InstanceMorphism | N
     found = next(assignments(target, comps, constraints, injective=True, work_cap=work_cap), None)
     if found is None:
         return None
-    iso = _morphism(source, target, comps, found)
-    if validate_morphism(iso):
-        return None
-    return iso
+    return _morphism(source, target, comps, found)

@@ -41,7 +41,6 @@ from .instances import (
 )
 from .naming import keyed_ids, uniquify
 from .schemas import (
-    DEFAULT_PATH_LENGTH_CAP,
     DEFAULT_REWRITE_BUDGET,
     Equivalence,
     Path,
@@ -265,10 +264,8 @@ def delta_on_morphism(translation: Translation, m: InstanceMorphism) -> Instance
     """Whisker a morphism of target instances with the translation."""
     source = delta(translation, m.source)
     target = delta(translation, m.target)
-    components = {
-        c: dict(m.component(translation.vertex_image(c)))
-        for c in translation.source.vertices
-    }
+    image = translation.vertex_image
+    components = {c: m.component(image(c)) for c in translation.source.vertices}
     return InstanceMorphism(source, target, components)
 
 
@@ -847,8 +844,7 @@ def _match_class(
     to ``target``, is proved equivalent to, or None."""
     for i, rep in enumerate(classes):
         if targets[i] == target and (
-            _equivalent(schema, path, rep, budget, DEFAULT_PATH_LENGTH_CAP)
-            is Equivalence.EQUIVALENT
+            _equivalent(schema, path, rep, budget) is Equivalence.EQUIVALENT
         ):
             return i
     return None

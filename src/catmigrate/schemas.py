@@ -6,21 +6,21 @@ as bidirectional rules at any position.  The word problem is undecidable in
 general, so the decision procedure is budgeted and answers ``EQUIVALENT`` or
 ``NOT_PROVED``, never "provably different".  A pair is proved iff a chain of
 at most ``budget`` single rewrites joins the two paths in which every path but
-the two endpoints is at most ``length_cap`` long (the endpoints may be of any
-length), unless the state cap stops the search first.  The search grows one
-ball of rewrites from each endpoint; a side whose visited set passes
-``_MAX_VISITED_STATES`` stops growing while the other goes on, and once both
-have stopped the pair is left unproved.
+the two endpoints is at most ``DEFAULT_PATH_LENGTH_CAP`` long (the endpoints
+may be of any length), unless the state cap stops the search first.  The
+search grows one ball of rewrites from each endpoint; a side whose visited set
+passes ``_MAX_VISITED_STATES`` stops growing while the other goes on, and once
+both have stopped the pair is left unproved.
 """
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
 from .errors import CompositionError, StructuralError
 from .values import Value
 
 DEFAULT_REWRITE_BUDGET = 64
+# Fixed cap on the arrows of every path between a search's two endpoints.
 DEFAULT_PATH_LENGTH_CAP = 32
 # Safety valve for each side of the rewrite search; a side past it stops growing.
 _MAX_VISITED_STATES = 60_000
@@ -47,8 +47,8 @@ class Arrow(Value):
 class Graph(Value):
     """A finite directed multigraph.
 
-    Its lookups and its hash are built once, by the constructor; they take
-    no part in ``==`` or ``repr``, and a graph that differs in a vertex or an
+    Its lookups are built once, by the constructor; they take no part in
+    ``==``, hash or ``repr``, and a graph that differs in a vertex or an
     arrow is built with the constructor, which builds fresh ones.
     """
 
@@ -78,15 +78,6 @@ class Graph(Value):
         init(self, "_arrow_by_name", by_name)
         init(self, "_arrow_order", {name: i for i, name in enumerate(by_name)})
         init(self, "_out_arrows", {v: tuple(arrows) for v, arrows in out.items()})
-        init(self, "_hash", hash((vertices, arrows)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuilt by the constructor, as the hash holds only under the hash
-        # seed of the process that computed it.
-        return Graph, (self.vertices, self.arrows)
 
     def arrow(self, name: str) -> Arrow:
         try:
@@ -176,8 +167,8 @@ class PathEquivalence(Value):
 
 
 class Schema(Value):
-    """A finitely presented category; like ``Graph``, it builds its rewrite
-    rules and its hash once, at construction."""
+    """A finitely presented category; like ``Graph``'s lookups, its rewrite
+    rules are built once, at construction."""
 
     _fields = ("name", "graph", "equivalences")
 
@@ -204,13 +195,6 @@ class Schema(Value):
             rules.append((eq.lhs.source, eq.lhs.arrows, eq.rhs.arrows))
             rules.append((eq.rhs.source, eq.rhs.arrows, eq.lhs.arrows))
         object.__setattr__(self, "_rules", tuple(rules))
-        object.__setattr__(self, "_hash", hash((name, graph, equivalences)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Schema, (self.name, self.graph, self.equivalences)  # see ``Graph.__reduce__``
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -254,11 +238,7 @@ def _rewrites(
 
 
 def paths_equivalent(
-    schema: Schema,
-    p: Path,
-    q: Path,
-    budget: int = DEFAULT_REWRITE_BUDGET,
-    length_cap: int = DEFAULT_PATH_LENGTH_CAP,
+    schema: Schema, p: Path, q: Path, budget: int = DEFAULT_REWRITE_BUDGET
 ) -> Equivalence:
     """Decide whether q is reachable from p by at most ``budget`` rewrite steps.
 
@@ -269,28 +249,29 @@ def paths_equivalent(
     qt = path_target(schema.graph, q)
     if p.source != q.source or pt != qt:
         return Equivalence.NOT_PROVED
-    return _equivalent(schema, p, q, budget, length_cap)
+    return _equivalent(schema, p, q, budget)
 
 
-def _equivalent(schema: Schema, p: Path, q: Path, budget: int, length_cap: int) -> Equivalence:
+def _equivalent(schema: Schema, p: Path, q: Path, budget: int) -> Equivalence:
     """``paths_equivalent`` on two valid paths with one source and one
     target, which the caller vouches for."""
     if p.arrows == q.arrows:
         return Equivalence.EQUIVALENT
-    # The relation is symmetric; canonicalize the memo key.
+    # The search gives ties to p's side; ordering the pair makes the verdict
+    # independent of the order of the arguments.
     if q.arrows < p.arrows:
         p, q = q, p
-    return _search(schema, p, q, budget, length_cap)
+    return _search(schema, p, q, budget)
 
 
-@lru_cache(maxsize=65536)
-def _search(schema: Schema, p: Path, q: Path, budget: int, length_cap: int) -> Equivalence:
+def _search(schema: Schema, p: Path, q: Path, budget: int) -> Equivalence:
     # States are arrow tuples: no rewrite moves the source.  Side 0 grows from
     # p, side 1 from q; each layer grows the live side with the smaller frontier.
     starts = (p.arrows, q.arrows)
     seen = ({p.arrows}, {q.arrows})
     frontiers = [[p.arrows], [q.arrows]]
     live = [0, 1]
+    length_cap = DEFAULT_PATH_LENGTH_CAP
     for _ in range(budget):
         if len(live) == 2:
             side = 1 if len(frontiers[1]) < len(frontiers[0]) else 0

@@ -297,14 +297,14 @@ def _on_elements(t: TypedInstance) -> Instance:
     return Instance(Schema(pair_id("elements", schema.name), graph), rows, columns)
 
 
-def count_typed_morphisms(t: TypedInstance, u: TypedInstance, cap: int = 5_000_000) -> int:
+def count_typed_morphisms(t: TypedInstance, u: TypedInstance) -> int:
     """Count slice morphisms t -> u: instance morphisms commuting with the
     typings.  They are the plain morphisms between t and u read as instances
     on the category of elements of the shared typing instance, so they are
-    counted by ``count_morphisms`` there, with its ``cap``.  Both typings must
-    be natural."""
+    counted by ``count_morphisms`` there, at its default ``cap``.  Both
+    typings must be natural."""
     if t.typing_instance != u.typing_instance:
         raise SchemaMismatchError("typed morphisms need a shared typing instance")
     require_natural(t.typing, "typing of the source")
     require_natural(u.typing, "typing of the target")
-    return count_morphisms(_on_elements(t), _on_elements(u), cap)
+    return count_morphisms(_on_elements(t), _on_elements(u))

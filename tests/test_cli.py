@@ -325,6 +325,19 @@ def test_render_unknown_name_exits_two(capsys):
     assert code == 2
 
 
+def test_render_unknown_table_exits_two(capsys):
+    code, out, err = run(capsys, "render", "J", g("table_t.cat"), "--table", "Nope")
+    assert (code, out, err) == (2, "", "error: no table 'Nope'\n")
+
+
+def test_migrate_an_instance_off_the_source_exits_two(capsys):
+    # J lives on F's target: the engine refuses it, and main reports the refusal
+    files = [g("two_facts.cat"), g("table_t.cat"), g("translation_f.cat")]
+    code, out, err = run(capsys, "migrate", "sigma", "F", "J", *files)
+    assert (code, out) == (2, "")
+    assert err == "error: sigma: instance is not on the translation's source\n"
+
+
 def test_byte_determinism_of_reports(capsys):
     files = [g("two_facts.cat"), g("table_t.cat"), g("translation_f.cat")]
     runs = []

@@ -886,6 +886,118 @@ def test_unmapped_names_are_reported_at_the_declaration(text, message, line, col
     assert (err.message, err.line, err.column) == (message, line, column)
 
 
+_TWO_SCHEMAS = (
+    "schema S { nodes A, B; arrows f : A -> B; }\nschema T { nodes X, Y; arrows g : X -> Y; }\n"
+    "translation F : S -> T { "
+)
+_ONE_ROW = "schema S { nodes A; }\ninstance I on S { table A { a } }\n"
+_APART = (
+    "schema S { nodes A; }\nschema T { nodes A; }\ninstance I on S { table A { a } }\n"
+    "instance J on T { table A { a } }\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        (
+            "schema S { nodes A, B; arrows f : A -> B; g : A -> B; equations A : f.g = f; }",
+            "arrow 'g' starts at 'A', but the path is at 'B'",
+            1,
+            71,
+        ),
+        ("schema S { nodes A, B, A; }", "duplicate vertex 'A'", 1, 24),
+        ("schema S { nodes A; arrows f : A -> A;\n  f : A -> A; }", "duplicate arrow 'f'", 2, 3),
+        (
+            "schema S { nodes A, B; arrows f : A -> B; equations A : f = id; }",
+            "equation sides end at different vertices ('B' vs 'A')",
+            1,
+            61,
+        ),
+        (
+            "schema S { nodes A; }\ninstance I on S { table A { a } table A { b } }",
+            "duplicate table 'A'",
+            2,
+            39,
+        ),
+        (_TWO_SCHEMAS + "nodes C -> X; }", "schema 'S' has no vertex 'C'", 3, 32),
+        (_TWO_SCHEMAS + "nodes A -> Z; }", "schema 'T' has no vertex 'Z'", 3, 37),
+        (_TWO_SCHEMAS + "nodes A -> X, A -> Y; }", "vertex 'A' mapped twice", 3, 40),
+        (
+            _TWO_SCHEMAS + "nodes A -> X, B -> Y; arrows h -> g; }",
+            "schema 'S' has no arrow 'h'",
+            3,
+            55,
+        ),
+        (
+            _TWO_SCHEMAS + "nodes A -> X, B -> Y; arrows f -> g; f -> g; }",
+            "arrow 'f' mapped twice",
+            3,
+            63,
+        ),
+        (
+            _TWO_SCHEMAS + "nodes B -> Y; arrows f -> g; }",
+            "arrow 'f' mapped before its source vertex 'A'",
+            3,
+            47,
+        ),
+        (
+            _TWO_SCHEMAS + "nodes A -> X; arrows f -> g; }",
+            "arrow 'f' mapped before its target vertex 'B'",
+            3,
+            47,
+        ),
+        (
+            _TWO_SCHEMAS + "nodes A -> X, B -> X; arrows f -> g; }",
+            "image of arrow 'f' ends at 'Y', expected 'X'",
+            3,
+            60,
+        ),
+        (_ONE_ROW + "morphism m : I -> I { B { } }", "schema has no vertex 'B'", 3, 23),
+        (
+            _ONE_ROW + "morphism m : I -> I { A { a -> a } A { a -> a } }",
+            "duplicate component block 'A'",
+            3,
+            36,
+        ),
+        (
+            _APART + "morphism m : I -> J { }",
+            "morphism endpoints live on different schemas",
+            5,
+            10,
+        ),
+        (
+            _APART + "typedinstance t { instance I; typing J; components { } }",
+            "instance and typing instance live on different schemas",
+            5,
+            38,
+        ),
+    ],
+    ids=[
+        "path-wrong-start",
+        "duplicate-vertex",
+        "duplicate-arrow",
+        "equation-ends-apart",
+        "duplicate-table",
+        "unknown-source-vertex",
+        "unknown-target-vertex",
+        "vertex-mapped-twice",
+        "unknown-source-arrow",
+        "arrow-mapped-twice",
+        "arrow-before-source-vertex",
+        "arrow-before-target-vertex",
+        "image-wrong-end",
+        "component-unknown-vertex",
+        "duplicate-component-block",
+        "morphism-schemas-apart",
+        "typed-schemas-apart",
+    ],
+)
+def test_declaration_diagnostics_are_pinned(text, message, line, column):
+    err = _error(text)
+    assert (err.message, err.line, err.column) == (message, line, column)
+
+
 def test_end_of_input_after_a_trailing_comment_is_reported_at_the_comment():
     # The column does not advance inside a comment, so a file that ends in
     # one without a final newline reports the end of input at its '#'.

@@ -282,7 +282,7 @@ def test_long_endpoint_proved_whichever_end_sorts_first():
     assert paths_equivalent(schema, fb, long) is Equivalence.EQUIVALENT
 
 
-def test_length_cap_bounds_the_paths_between_the_endpoints():
+def test_length_cap_bounds_the_paths_between_the_endpoints(monkeypatch):
     # g = f.b.b.b is the only rewrite of g; at cap 3 it may be an endpoint
     # but not a step on the way to f.b.
     schema = _schema(
@@ -291,14 +291,16 @@ def test_length_cap_bounds_the_paths_between_the_endpoints():
         (("v", ("b", "b"), ("b",)), ("u", ("g",), ("f", "b", "b", "b"))),
     )
     g, fb, fbbb = Path("u", ("g",)), Path("u", ("f", "b")), Path("u", ("f", "b", "b", "b"))
-    assert paths_equivalent(schema, g, fbbb, budget=1, length_cap=3) is Equivalence.EQUIVALENT
-    assert paths_equivalent(schema, g, fb, length_cap=3) is Equivalence.NOT_PROVED
-    assert paths_equivalent(schema, g, fb, budget=3, length_cap=4) is Equivalence.EQUIVALENT
+    monkeypatch.setattr(schemas, "DEFAULT_PATH_LENGTH_CAP", 3)
+    assert paths_equivalent(schema, g, fbbb, budget=1) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, g, fb) is Equivalence.NOT_PROVED
     # both endpoints over the cap, one rewrite apart
     long = Path("u", ("f",) + ("b",) * 5)
     longer = Path("u", ("f",) + ("b",) * 6)
-    assert paths_equivalent(schema, long, longer, budget=1, length_cap=3) is Equivalence.EQUIVALENT
-    assert paths_equivalent(schema, long, longer, budget=0, length_cap=3) is Equivalence.NOT_PROVED
+    assert paths_equivalent(schema, long, longer, budget=1) is Equivalence.EQUIVALENT
+    assert paths_equivalent(schema, long, longer, budget=0) is Equivalence.NOT_PROVED
+    monkeypatch.setattr(schemas, "DEFAULT_PATH_LENGTH_CAP", 4)
+    assert paths_equivalent(schema, g, fb, budget=3) is Equivalence.EQUIVALENT
 
 
 def test_proved_at_exactly_the_rewrite_distance():
@@ -341,10 +343,8 @@ def test_state_cap_stops_only_the_side_that_passes_it(monkeypatch):
     for cap, verdict in ((6, Equivalence.EQUIVALENT), (2, Equivalence.NOT_PROVED)):
         monkeypatch.setattr(schemas, "_MAX_VISITED_STATES", cap)
         monkeypatch.setattr(oracles, "_MAX_VISITED_STATES", cap)
-        schemas._search.cache_clear()
         assert paths_equivalent(schema, p, q, budget=3) is verdict
         assert one_sided_search(schema, p, q, 3, 32) is verdict
-    schemas._search.cache_clear()
 
 
 def test_identity_rules_insert_only_at_their_vertex(monkeypatch, employee):
@@ -358,12 +358,10 @@ def test_identity_rules_insert_only_at_their_vertex(monkeypatch, employee):
             yield path
 
     monkeypatch.setattr(schemas, "_rewrites", checked)
-    schemas._search.cache_clear()
     p = Path("Employee", ("isIn", "Secr", "Mgr"))
     assert paths_equivalent(employee, p, Path("Employee", ())) is Equivalence.NOT_PROVED
     p, q = Path("Department", ("Secr", "isIn", "Name")), Path("Department", ("Name",))
     assert paths_equivalent(employee, p, q) is Equivalence.EQUIVALENT
-    schemas._search.cache_clear()
 
 
 def _one_sided(schema, p, q, budget, length_cap, caps_hit):
@@ -409,15 +407,15 @@ def test_search_from_both_ends_agrees_with_one_sided_search(monkeypatch):
                 pairs.append((p, q))
         instances = [rand_instance(rng, schema) for _ in range(2)]
         with monkeypatch.context() as patch:
+            patch.setattr(schemas, "DEFAULT_PATH_LENGTH_CAP", length_cap)
             if i % 3 == 0:
                 patch.setattr(schemas, "_MAX_VISITED_STATES", 3)
                 patch.setattr(oracles, "_MAX_VISITED_STATES", 3)
-            schemas._search.cache_clear()
             for p, q in pairs:
                 for budget in (0, 1, 2, 3, 5, 8, 64):
                     caps_hit: list = []
                     want = _one_sided(schema, p, q, budget, length_cap, caps_hit)
-                    got = paths_equivalent(schema, p, q, budget, length_cap)
+                    got = paths_equivalent(schema, p, q, budget)
                     fits = max(len(p.arrows), len(q.arrows)) <= length_cap
                     if not caps_hit and fits:
                         assert got is want, (schema, p, q, budget, length_cap)
@@ -433,7 +431,6 @@ def test_search_from_both_ends_agrees_with_one_sided_search(monkeypatch):
                                 assert evaluate_path(instance, p, row) == evaluate_path(
                                     instance, q, row
                                 )
-        schemas._search.cache_clear()
     assert same > 1000 and extra > 0 and capped > 0, (same, extra, capped)
 
 
@@ -455,16 +452,15 @@ def test_search_from_both_ends_expands_far_fewer_paths(monkeypatch):
 
     monkeypatch.setattr(schemas, "_rewrites", counting("new", schemas._rewrites))
     monkeypatch.setattr(oracles, "_neighbors", counting("reference", oracles._neighbors))
-    schemas._search.cache_clear()
     assert paths_equivalent(schema, p, q, budget=10) is Equivalence.NOT_PROVED
     assert one_sided_search(schema, p, q, 10, 32) is Equivalence.NOT_PROVED
     assert expanded["new"] * 20 <= expanded["reference"], expanded
 
 
 def test_a_pickled_schema_hashes_as_one_built_under_another_hash_seed(tmp_path):
-    """A graph and a schema carry the hash of their strings, which holds only
-    under one hash seed; loaded under another, each must still be found in a
-    set of its equals."""
+    """A graph and a schema hash as the tuple of their strings, which holds
+    only under one hash seed; loaded under another, each must still be found
+    in a set of its equals."""
     src = os.path.dirname(os.path.dirname(schemas.__file__))
     build = (
         "from catmigrate.schemas import Arrow, Graph, Path, PathEquivalence, Schema\n"

@@ -1,15 +1,18 @@
 """The values a caller can set, pinned: every defaulted parameter of a
 function or method of catmigrate whose name does not start with ``_``, and
-every flag of each CLI verb, with its default.
+every flag of each CLI verb, with its default.  Beside them, the module
+constants that hold defaults and fixed caps, with their values, and the
+absence of process-wide memo tables.
 
 A bound that no caller sets is a module constant, read where it is checked,
-not a parameter.  A knob added, removed or given a new default shows up here
-as a diff to the lists below, to be accepted on purpose.
+not a parameter.  A knob or a cap added, removed or given a new value shows
+up here as a diff to the lists below, to be accepted on purpose.
 """
 from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
 import catmigrate
@@ -20,7 +23,6 @@ DEFAULTED_PARAMETERS = [
     "dsl._Parser.fail(at=None)",
     "dsl._Parser.fail(expected=())",
     "dsl.parse_document(env=None)",
-    "instances.require_natural(what='morphism')",
     "instances.assignments(injective=False)",
     "instances.assignments(work_cap=None)",
     "instances.count_morphisms(cap=5000000)",
@@ -36,8 +38,18 @@ DEFAULTED_PARAMETERS = [
     "migration.pi(budget=DEFAULT_REWRITE_BUDGET)",
     "migration.pi(log=None)",
     "schemas.paths_equivalent(budget=DEFAULT_REWRITE_BUDGET)",
-    "schemas.paths_equivalent(length_cap=DEFAULT_PATH_LENGTH_CAP)",
-    "typed.count_typed_morphisms(cap=5000000)",
+]
+
+FIXED_CAPS = [
+    "instances.DEFAULT_ISOMORPHISM_WORK_CAP=2000000",
+    "migration.DEFAULT_SATURATION_BOUND=1000",
+    "migration.DEFAULT_PATH_BOUND=16",
+    "migration.DEFAULT_SKOLEM_PATH_CAP=16",
+    "migration.DEFAULT_ELEMENT_CAP=1000",
+    "migration.DEFAULT_FAMILY_CAP=200000",
+    "schemas.DEFAULT_REWRITE_BUDGET=64",
+    "schemas.DEFAULT_PATH_LENGTH_CAP=32",
+    "schemas._MAX_VISITED_STATES=60000",
 ]
 
 CLI_FLAGS = [
@@ -86,11 +98,38 @@ def _defaulted(node: ast.AST, prefix: str):
             yield from _defaulted(child, prefix)
 
 
+def _sources():
+    return sorted(Path(catmigrate.__file__).parent.glob("*.py"))
+
+
 def test_defaulted_parameters_are_pinned():
     found = []
-    for path in sorted(Path(catmigrate.__file__).parent.glob("*.py")):
+    for path in _sources():
         found.extend(_defaulted(ast.parse(path.read_text(encoding="utf-8")), path.stem))
     assert found == DEFAULTED_PARAMETERS
+
+
+def test_fixed_caps_are_pinned():
+    found = []
+    for path in _sources():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if name.startswith(("DEFAULT_", "_MAX_")):
+                    found.append(f"{path.stem}.{name}={ast.unparse(node.value)}")
+    assert found == FIXED_CAPS
+
+
+def test_no_module_keeps_a_memo_table():
+    # A memo shared by the whole process outlives each call's inputs and
+    # needs hashable, seed-proof keys; the engine keeps none.
+    for path in _sources():
+        name = "catmigrate" if path.stem == "__init__" else f"catmigrate.{path.stem}"
+        module = importlib.import_module(name)
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) else ()
+            for item in (value, *members):
+                assert not hasattr(item, "cache_clear"), (path.stem, item)
 
 
 def test_cli_flags_are_pinned():
