@@ -402,6 +402,41 @@ def test_migrate_json_report_includes_chase_rounds(tmp_path, capsys):
     assert report["bounds"]["saturation_bound"] == 1000
 
 
+_TWO_FACTS = [g("two_facts.cat"), g("table_t.cat"), g("translation_f.cat")]
+_SHARED_KEYS = {
+    "validate": (
+        ["validate", g("employee.cat")],
+        {"rewrite_budget": 32},
+    ),
+    "migrate": (
+        ["migrate", "sigma", "F", "I", *_TWO_FACTS, "--out", "<out>"],
+        {"rewrite_budget": 32, "path_bound": 12, "saturation_bound": 500},
+    ),
+    "check-adjunction": (
+        ["check-adjunction", "F", "Ismall", "Jsmall", *_TWO_FACTS, g("truncated.cat")],
+        {"rewrite_budget": 32, "path_bound": 12, "saturation_bound": 500, "cap": 100000},
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", list(_SHARED_KEYS))
+def test_every_report_has_inputs_bounds_and_warnings(tmp_path, capsys, verb):
+    argv, bounds = _SHARED_KEYS[verb]
+    argv = [str(tmp_path / "out.cat") if a == "<out>" else a for a in argv]
+    files = [a for a in argv if a.startswith(str(GOLDEN_DIR))]
+    flags = [x for name, value in bounds.items() for x in (f"--{name.replace('_', '-')}", str(value))]
+    for given, expected in (([], None), (flags, bounds)):
+        code, out, _ = run(capsys, *argv, *given, "--json", "--stable")
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"] == files
+        if expected is None:
+            assert sorted(report["bounds"]) == sorted(bounds)
+        else:
+            assert report["bounds"] == expected
+        assert isinstance(report["warnings"], list)
+
+
 # ---------------------------------------------------------------------------
 # byte lock: the printed output of every golden migration
 # ---------------------------------------------------------------------------

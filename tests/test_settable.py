@@ -142,3 +142,59 @@ def test_cli_flags_are_pinned():
         if action.option_strings and not isinstance(action, argparse._HelpAction)
     ]
     assert found == CLI_FLAGS
+
+
+CLI_SURFACE = [
+    "catmigrate 'Categorical schemas, instances, and data migration.'",
+    "catmigrate verb required=True",
+    "validate 'validate every declaration in the given files'",
+    "migrate 'run a migration functor on an instance'",
+    "check-adjunction 'count hom-sets on both sides of the two adjunctions'",
+    "export-rdf 'export an instance as sorted triples'",
+    "render 'render instance tables'",
+    "validate files nargs='+' choices=None",
+    "migrate kind nargs=None choices=['delta', 'sigma', 'pi']",
+    "migrate translation nargs=None choices=None",
+    "migrate instance nargs=None choices=None",
+    "migrate files nargs='+' choices=None",
+    "migrate --name choices=None required=False"
+    " help='name for the migrated instance declaration'",
+    "check-adjunction translation nargs=None choices=None",
+    "check-adjunction instance_on_source nargs=None choices=None",
+    "check-adjunction instance_on_target nargs=None choices=None",
+    "check-adjunction files nargs='+' choices=None",
+    "check-adjunction --cap choices=None required=False"
+    " help='bound on search work: the rows each component of a hom-set count may"
+    " try (exit 3 past it); the counts themselves are exact, however large'",
+    "export-rdf instance nargs=None choices=None",
+    "export-rdf files nargs='+' choices=None",
+    "export-rdf --base choices=None required=True help=None",
+    "render instance nargs=None choices=None",
+    "render files nargs='+' choices=None",
+    "render --format choices=['ascii-table', 'csv'] required=False help=None",
+]
+
+
+def test_cli_surface_is_pinned():
+    # The parts argparse renders into usage and --help, pinned one by one:
+    # the rendered text itself differs between Python versions.
+    parser = _build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = [
+        f"{parser.prog} {parser.description!r}",
+        f"{parser.prog} {verbs.dest} required={verbs.required}",
+    ]
+    found += [f"{choice.dest} {choice.help!r}" for choice in verbs._choices_actions]
+    for verb, sub in verbs.choices.items():
+        for action in sub._actions:
+            if not action.option_strings:
+                found.append(
+                    f"{verb} {action.dest} nargs={action.nargs!r} choices={action.choices!r}"
+                )
+            elif action.help or action.choices or action.required:
+                if not isinstance(action, argparse._HelpAction):
+                    found.append(
+                        f"{verb} {action.option_strings[-1]} choices={action.choices!r}"
+                        f" required={action.required!r} help={action.help!r}"
+                    )
+    assert found == CLI_SURFACE
