@@ -38,8 +38,9 @@ from .schemas import DEFAULT_REWRITE_BUDGET
 from .typed import validate_typed
 
 
-class _FileError(Exception):
-    """An input that cannot be read or parsed, or an ``--out`` that cannot be written."""
+class _InputError(Exception):
+    """An input fault: a file that cannot be read or parsed, an unknown name or
+    table, or an ``--out`` that cannot be written.  ``main`` exits 2 on it."""
 
 
 def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], dict]:
@@ -49,13 +50,13 @@ def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], d
         try:
             text = FilePath(path).read_text(encoding="utf-8")
         except OSError as exc:
-            raise _FileError(f"{path}: {exc.strerror}") from None
+            raise _InputError(f"{path}: {exc.strerror}") from None
         except UnicodeDecodeError as exc:
-            raise _FileError(f"{path}: {exc}") from None
+            raise _InputError(f"{path}: {exc}") from None
         try:
             doc = dsl.parse_document(text, env)
         except ParseError as exc:
-            raise _FileError(f"{path}: {exc}") from None
+            raise _InputError(f"{path}: {exc}") from None
         env.update(dsl.document_env(doc))
         docs.append((path, doc))
     return docs, env
@@ -64,7 +65,7 @@ def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], d
 def _lookup(env: dict, kind: str, name: str):
     value = env.get((kind, name))
     if value is None:
-        raise KeyError(f"unknown {kind} {name!r}")
+        raise _InputError(f"unknown {kind} {name!r}")
     return value
 
 
@@ -75,7 +76,7 @@ def _write_output(out: str | None, text: str) -> None:
         try:
             FilePath(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise _FileError(f"{out}: {exc.strerror}") from None
+            raise _InputError(f"{out}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +84,7 @@ def _write_output(out: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> tuple[int, dict]:
-    docs, _ = _load_documents(args.files)
+def _cmd_validate(args, docs, env) -> tuple[int, dict]:
     checks = {
         "instance": validate_instance,
         "translation": lambda t: check_translation(t, args.rewrite_budget),
@@ -104,14 +104,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
                 )
     for v in violations:
         print(f"{v['file']}: {v['kind']} {v['name']}: {v['message']}", file=sys.stderr)
-    report = {
-        "command": "validate",
-        "inputs": list(args.files),
-        "bounds": {"rewrite_budget": args.rewrite_budget},
-        "violations": violations,
-        "warnings": [],
-    }
-    return 1 if violations else 0, report
+    return 1 if violations else 0, {"command": "validate", "violations": violations}
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +112,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_migrate(args) -> tuple[int, dict]:
-    _, env = _load_documents(args.files)
+def _cmd_migrate(args, docs, env) -> tuple[int, dict]:
     translation = _lookup(env, "translation", args.translation)
     instance = _lookup(env, "instance", args.instance)
     log = MigrationLog()
@@ -151,14 +143,8 @@ def _cmd_migrate(args) -> tuple[int, dict]:
                 print(f"table {v}: {n} rows")
     report = {
         "command": f"migrate {args.kind}",
-        "inputs": list(args.files),
         "translation": args.translation,
         "instance": args.instance,
-        "bounds": {
-            "rewrite_budget": args.rewrite_budget,
-            "path_bound": args.path_bound,
-            "saturation_bound": args.saturation_bound,
-        },
         "tables": counts,
         "warnings": list(log.warnings),
         "saturation_rounds": [dict(r) for r in log.saturation_rounds],
@@ -171,8 +157,7 @@ def _cmd_migrate(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_adjunction(args) -> tuple[int, dict]:
-    _, env = _load_documents(args.files)
+def _cmd_check_adjunction(args, docs, env) -> tuple[int, dict]:
     translation = _lookup(env, "translation", args.translation)
     instance_c = _lookup(env, "instance", args.instance_on_source)
     instance_d = _lookup(env, "instance", args.instance_on_target)
@@ -202,17 +187,9 @@ def _cmd_check_adjunction(args) -> tuple[int, dict]:
             print(line)
     report = {
         "command": "check-adjunction",
-        "inputs": list(args.files),
-        "bounds": {
-            "rewrite_budget": args.rewrite_budget,
-            "path_bound": args.path_bound,
-            "saturation_bound": args.saturation_bound,
-            "cap": args.cap,
-        },
         "counts": counts,
         "sigma_adjunction_equal": sigma_ok,
         "pi_adjunction_equal": pi_ok,
-        "warnings": [],
     }
     return 0 if sigma_ok and pi_ok else 1, report
 
@@ -222,8 +199,7 @@ def _cmd_check_adjunction(args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_export_rdf(args) -> tuple[int, None]:
-    _, env = _load_documents(args.files)
+def _cmd_export_rdf(args, docs, env) -> tuple[int, None]:
     instance = _lookup(env, "instance", args.instance)
     store = grothendieck(instance)
     _write_output(args.out, export_triples(store, args.base))
@@ -254,12 +230,11 @@ def _render_table(instance: Instance, vertex: str, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_render(args) -> tuple[int, None]:
-    _, env = _load_documents(args.files)
+def _cmd_render(args, docs, env) -> tuple[int, None]:
     instance = _lookup(env, "instance", args.instance)
     if args.table is not None:
         if not instance.schema.graph.has_vertex(args.table):
-            raise KeyError(f"no table {args.table!r}")
+            raise _InputError(f"no table {args.table!r}")
         text = _render_table(instance, args.table, args.format)
     else:
         blocks = []
@@ -275,10 +250,20 @@ def _cmd_render(args) -> tuple[int, None]:
 # ---------------------------------------------------------------------------
 
 
-def _add_bounds(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rewrite-budget", type=int, default=DEFAULT_REWRITE_BUDGET)
-    parser.add_argument("--path-bound", type=int, default=DEFAULT_PATH_BOUND)
-    parser.add_argument("--saturation-bound", type=int, default=DEFAULT_SATURATION_BOUND)
+def _add_report_flags(parser: argparse.ArgumentParser, *bounds: str) -> None:
+    """``--json``, ``--stable`` and a flag for each bound named that the verb
+    has not added itself; ``main`` reports every bound named here."""
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--stable", action="store_true")
+    defaults = {
+        "rewrite_budget": DEFAULT_REWRITE_BUDGET,
+        "path_bound": DEFAULT_PATH_BOUND,
+        "saturation_bound": DEFAULT_SATURATION_BOUND,
+    }
+    for bound in bounds:
+        if bound in defaults:
+            parser.add_argument("--" + bound.replace("_", "-"), type=int, default=defaults[bound])
+    parser.set_defaults(bounds=bounds)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,9 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate every declaration in the given files")
     p.add_argument("files", nargs="+")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--stable", action="store_true")
-    p.add_argument("--rewrite-budget", type=int, default=DEFAULT_REWRITE_BUDGET)
+    _add_report_flags(p, "rewrite_budget")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("migrate", help="run a migration functor on an instance")
@@ -302,9 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
     p.add_argument("--name", help="name for the migrated instance declaration")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--stable", action="store_true")
-    _add_bounds(p)
+    _add_report_flags(p, "rewrite_budget", "path_bound", "saturation_bound")
     p.set_defaults(func=_cmd_migrate)
 
     p = sub.add_parser(
@@ -321,9 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bound on search work: the rows each component of a hom-set count may "
         "try (exit 3 past it); the counts themselves are exact, however large",
     )
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--stable", action="store_true")
-    _add_bounds(p)
+    _add_report_flags(p, "rewrite_budget", "path_bound", "saturation_bound", "cap")
     p.set_defaults(func=_cmd_check_adjunction)
 
     p = sub.add_parser("export-rdf", help="export an instance as sorted triples")
@@ -349,18 +328,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code, report = args.func(args)
-    except (KeyError, _FileError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    except BoundError as exc:
+        code, report = args.func(args, *_load_documents(args.files))
+    except (_InputError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BoundError) else 2
     if report is not None:
+        report["inputs"] = list(args.files)
+        report["bounds"] = {bound: getattr(args, bound) for bound in args.bounds}
+        report.setdefault("warnings", [])
         if not args.stable:
             report["wall_time_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
         if args.json:

@@ -63,10 +63,10 @@ _CUT_RE = re.compile(r'("[^"\\\n]*(?:\\[\\"][^"\\\n]*)*"|#[^\n]*)')
 # a blank.  Any other (a '"' there starts a string that is unterminated or
 # holds a bad escape), and a '>' not after '-', is a stray.
 _TOKEN_CHARS = b"- \t\r\nABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_${}():;,.=>"
-_STRAY_RE = re.compile("[^" + re.escape(_TOKEN_CHARS.decode()) + "]|(?<!-)>")
-# The blanks and comments before a token.
-_GAP_RE = re.compile(r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*")
-_ESCAPE_RE = re.compile(r"\\(.)")
+# Patterns that only a fault or an escape reads, so compiled where read.
+_STRAY = "[^" + re.escape(_TOKEN_CHARS.decode()) + "]|(?<!-)>"
+_GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"  # the blanks and comments before a token
+_ESCAPE = r"\\(.)"
 # '->' first: no other punctuation holds '-' or '>'.
 _PUNCT = ("->", "{", "}", "(", ")", ":", ";", ",", ".", "=")
 # Stands for a string in the text that ``str.split`` reads.  NUL is a stray
@@ -157,7 +157,7 @@ def _raise_first_stray(text: str) -> None:
         bounds += cut.span()
     bounds.append(len(text))
     for start, end in zip(bounds[0::2], bounds[1::2]):
-        stray = _STRAY_RE.search(text, start, end)
+        stray = re.compile(_STRAY).search(text, start, end)
         if stray:
             _raise_stray(text, stray.start())
     raise AssertionError("the text holds no stray character")
@@ -183,7 +183,7 @@ def _raise_stray(text: str, at: int) -> None:
 
 def _unquote(raw: str) -> str:
     body = raw[1:-1]
-    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+    return re.sub(_ESCAPE, r"\1", body) if "\\" in body else body
 
 
 def _describe(raw: str) -> tuple[str, str]:
@@ -202,7 +202,7 @@ def _token_offsets(text: str) -> list[int]:
     at = 0
     tokens = _lex(text)
     for raw in tokens[:-1]:
-        at = _GAP_RE.match(text, at).end()
+        at = re.compile(_GAP).match(text, at).end()
         offsets.append(at)
         at += len(raw)
     # The column does not advance inside a comment, so a comment that runs to

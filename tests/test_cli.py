@@ -437,6 +437,16 @@ def test_every_report_has_inputs_bounds_and_warnings(tmp_path, capsys, verb):
         assert isinstance(report["warnings"], list)
 
 
+def test_an_engine_key_error_is_not_a_usage_error(monkeypatch):
+    # Only an input fault exits 2; a KeyError out of the engine is a bug.
+    def broken_sigma(translation, instance, **_):
+        raise KeyError("T")
+
+    monkeypatch.setattr(cli, "sigma", broken_sigma)
+    with pytest.raises(KeyError):
+        main(["migrate", "sigma", "F", "I", *_TWO_FACTS])
+
+
 # ---------------------------------------------------------------------------
 # byte lock: the printed output of every golden migration
 # ---------------------------------------------------------------------------
