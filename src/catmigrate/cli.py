@@ -251,8 +251,8 @@ def _cmd_render(args, docs, env) -> tuple[int, None]:
 
 
 def _add_report_flags(parser: argparse.ArgumentParser, *bounds: str) -> None:
-    """``--json``, ``--stable`` and a flag for each bound named that the verb
-    has not added itself; ``main`` reports every bound named here."""
+    """``--json``, ``--stable`` and a flag for each engine bound named; ``main``
+    reports every bound named, ``cap`` too, which its verb adds itself."""
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--stable", action="store_true")
     defaults = {
