@@ -17,7 +17,7 @@ import time
 from pathlib import Path as FilePath
 
 from . import dsl
-from .errors import BoundError, EngineError, ParseError
+from .errors import BoundError, ParseError, SchemaMismatchError, StructuralError
 from .instances import (
     Instance,
     count_morphisms,
@@ -40,7 +40,9 @@ from .typed import validate_typed
 
 class _InputError(Exception):
     """An input fault: a file that cannot be read or parsed, an unknown name or
-    table, or an ``--out`` that cannot be written.  ``main`` exits 2 on it."""
+    table, a ``--name`` that cannot be printed, or an ``--out`` that cannot be
+    written.  ``main`` exits 2 on it and on an input on the wrong schema, 3 on
+    a bound error, and lets any other engine error propagate."""
 
 
 def _load_documents(paths: list[str]) -> tuple[list[tuple[str, dsl.Document]], dict]:
@@ -121,14 +123,12 @@ def _cmd_migrate(args, docs, env) -> tuple[int, dict]:
     elif args.kind == "sigma":
         result = sigma(translation, instance, saturation_bound=args.saturation_bound, log=log)
     else:
-        result = pi(
-            translation,
-            instance,
-            path_bound=args.path_bound,
-            budget=args.rewrite_budget,
-            log=log,
-        )
+        result = pi(translation, instance, path_bound=args.path_bound, budget=args.rewrite_budget)
     name = args.name or f"{args.instance}_{args.kind}"
+    try:
+        dsl.format_name(name)
+    except StructuralError as exc:  # a name holding a newline has no spelling
+        raise _InputError(str(exc)) from None
     out_doc = dsl.Document([dsl.InstanceDecl(name, result.schema.name, result)])
     text = dsl.print_document(out_doc)
     counts = {v: len(result.row_set(v)) for v in result.schema.vertices}
@@ -146,7 +146,6 @@ def _cmd_migrate(args, docs, env) -> tuple[int, dict]:
         "translation": args.translation,
         "instance": args.instance,
         "tables": counts,
-        "warnings": list(log.warnings),
         "saturation_rounds": [dict(r) for r in log.saturation_rounds],
     }
     return 0, report
@@ -329,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code, report = args.func(args, *_load_documents(args.files))
-    except (_InputError, EngineError) as exc:
+    except (_InputError, SchemaMismatchError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, BoundError) else 2
     if report is not None:

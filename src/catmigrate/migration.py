@@ -61,21 +61,14 @@ DEFAULT_FAMILY_CAP = 200_000  # pi rows at one vertex
 
 
 class MigrationLog(Record):
-    """Optional run log of sigma and pi: pi's unverified-equivalence
-    incidents, and the chase's element counts per vertex after each round."""
+    """Optional round log of sigma: the chase's element counts per vertex
+    after each round.  pi keeps no log; where it cannot place a path it
+    raises."""
 
-    _fields = ("warnings", "saturation_rounds")
+    _fields = ("saturation_rounds",)
 
-    def __init__(
-        self,
-        warnings: list[str] | None = None,
-        saturation_rounds: list[dict[str, int]] | None = None,
-    ):
-        self.warnings = [] if warnings is None else warnings
+    def __init__(self, saturation_rounds: list[dict[str, int]] | None = None):
         self.saturation_rounds = [] if saturation_rounds is None else saturation_rounds
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
 
 
 class Translation(Value):
@@ -858,13 +851,22 @@ def _place(
     arrows: tuple[str, ...],
     target: str,
     budget: int,
-) -> int | None:
+    what: str,
+) -> int:
     """The class of the path along ``arrows`` from the classes' source to
     ``target``: where the class search placed it, if it did, and otherwise
-    ``_match_class``'s answer."""
+    ``_match_class``'s answer.  A path in no class raises
+    ``PathBoundInstabilityError`` at the source, its text led by ``what``."""
     k = placed.get(arrows)
+    if k is not None:
+        return k
+    path = Path(classes[0].source, arrows)
+    k = _match_class(schema, classes, targets, path, target, budget)
     if k is None:
-        k = _match_class(schema, classes, targets, Path(classes[0].source, arrows), target, budget)
+        raise PathBoundInstabilityError(
+            f"{what}: composite {path} has no path class at {path.source!r} within bounds",
+            vertex=path.source,
+        )
     return k
 
 
@@ -874,7 +876,6 @@ def _families_at(
     vertex: str,
     path_bound: int,
     budget: int,
-    log: MigrationLog | None,
 ) -> _VertexFamilies:
     D = translation.target
     C = translation.source
@@ -891,18 +892,11 @@ def _families_at(
     for arrow in C.arrows:
         image = translation.arrow_map[arrow.name].arrows
         start, end = vertex_map[arrow.source], vertex_map[arrow.target]
+        what = f"pi cannot place the comma morphism of source arrow {arrow.name!r}"
         for i, t in enumerate(targets):
             if t != start:
                 continue
-            j = _place(D, classes, targets, placed, classes[i].arrows + image, end, budget)
-            if j is None:
-                if log is not None:
-                    composite = Path(vertex, classes[i].arrows + image)
-                    log.warn(
-                        f"pi at {vertex!r}: could not place composite {composite} "
-                        f"in any path class; treating as no comma morphism"
-                    )
-                continue
+            j = _place(D, classes, targets, placed, classes[i].arrows + image, end, budget, what)
             constraints.append(
                 (comp_index[(arrow.source, i)], comp_index[(arrow.target, j)], arrow.name)
             )
@@ -973,12 +967,11 @@ def pi_full(
     instance: Instance,
     path_bound: int = DEFAULT_PATH_BOUND,
     budget: int = DEFAULT_REWRITE_BUDGET,
-    log: MigrationLog | None = None,
 ) -> PiResult:
     if instance.schema != translation.source:
         raise SchemaMismatchError("pi: instance is not on the translation's source")
     D = translation.target
-    data = {d: _families_at(translation, instance, d, path_bound, budget, log) for d in D.vertices}
+    data = {d: _families_at(translation, instance, d, path_bound, budget) for d in D.vertices}
     # Mandatory stability check: one more unit of path bound must not change
     # any row count, otherwise the comma category was not exhausted.  Where
     # the class search ran out of new classes within the bound, the classes,
@@ -987,10 +980,7 @@ def pi_full(
     # compared, so a run that fails in several ways raises the same error as
     # when every vertex is probed.
     unsettled = [d for d in D.vertices if not data[d].exhausted]
-    probe = {
-        d: _families_at(translation, instance, d, path_bound + 1, budget, None)
-        for d in unsettled
-    }
+    probe = {d: _families_at(translation, instance, d, path_bound + 1, budget) for d in unsettled}
     for d in unsettled:
         if len(data[d].rows) != len(probe[d].rows):
             raise PathBoundInstabilityError(
@@ -1009,19 +999,13 @@ def pi_full(
         # Precompute, per target component, which source component restricts
         # to it: the class of the arrow followed by the component's class.
         comp_map: list[int] = []
+        what = f"pi cannot restrict along arrow {arrow.name!r}"
         for (c, cls) in tgt_data.comps:
             arrows = (arrow.name,) + tgt_data.classes[cls].arrows
             idx = _place(
                 D, src_data.classes, src_data.targets, src_data.placed, arrows,
-                tgt_data.targets[cls], budget,
+                tgt_data.targets[cls], budget, what,
             )
-            if idx is None:
-                raise PathBoundInstabilityError(
-                    f"pi cannot restrict along arrow {arrow.name!r}: composite "
-                    f"{Path(arrow.source, arrows)} has no path class at {arrow.source!r} "
-                    "within bounds",
-                    vertex=arrow.source,
-                )
             comp_map.append(src_comp_index[(c, idx)])
         outs = list(map(tgt_data.rows.get, map(_tuple_getter(comp_map), src_data.rows)))
         if None in outs:
@@ -1051,9 +1035,8 @@ def pi(
     instance: Instance,
     path_bound: int = DEFAULT_PATH_BOUND,
     budget: int = DEFAULT_REWRITE_BUDGET,
-    log: MigrationLog | None = None,
 ) -> Instance:
-    return pi_full(translation, instance, path_bound, budget, log).instance
+    return pi_full(translation, instance, path_bound, budget).instance
 
 
 def pi_on_morphism(translation: Translation, m: InstanceMorphism) -> InstanceMorphism:

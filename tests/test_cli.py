@@ -10,6 +10,7 @@ import pytest
 
 from catmigrate import cli, dsl
 from catmigrate.cli import main
+from catmigrate.errors import StructuralError
 from catmigrate.instances import Instance
 
 from .conftest import ALL_GOLDEN_FILES, GOLDEN_DIR, load_documents
@@ -445,6 +446,27 @@ def test_an_engine_key_error_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(cli, "sigma", broken_sigma)
     with pytest.raises(KeyError):
         main(["migrate", "sigma", "F", "I", *_TWO_FACTS])
+
+
+def test_an_engine_invariant_error_is_not_a_usage_error(monkeypatch):
+    # A StructuralError out of a migration is an engine bug, not an input
+    # fault: it propagates rather than exit 2.
+    def broken_sigma(translation, instance, **_):
+        raise StructuralError("column f of table T misses row r1")
+
+    monkeypatch.setattr(cli, "sigma", broken_sigma)
+    with pytest.raises(StructuralError, match="misses row r1"):
+        main(["migrate", "sigma", "F", "I", *_TWO_FACTS])
+
+
+def test_a_name_that_cannot_be_printed_exits_two(tmp_path, capsys):
+    out_file = tmp_path / "out.cat"
+    code, out, err = run(
+        capsys, "migrate", "sigma", "F", "I", *_TWO_FACTS, "--name", "a\nb", "--out", str(out_file)
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: name 'a\\nb' holds a newline and cannot be printed\n"
+    assert not out_file.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -512,11 +512,12 @@ def _pi_draw(rng: random.Random, case: int) -> tuple[Translation, Instance, int,
 
 def _pi_digest(translation: Translation, instance: Instance, path_bound: int, budget: int) -> str:
     """A short sha256 of all that ``pi_full`` gives on one input: its rows,
-    its columns as sorted items, each vertex's classes and components, and
-    its log's warnings; or else its error's type and text."""
-    log = MigrationLog()
+    its columns as sorted items, and each vertex's classes and components;
+    or else its error's type and text.  The facts end in an empty list, where
+    pi's warnings stood when it kept a log, so the digests of results stay
+    as they were."""
     try:
-        result = pi_full(translation, instance, path_bound, budget, log)
+        result = pi_full(translation, instance, path_bound, budget)
     except EngineError as error:
         facts = (type(error).__name__, str(error))
     else:
@@ -525,7 +526,7 @@ def _pi_digest(translation: Translation, instance: Instance, path_bound: int, bu
             dict(out.rows),
             sorted((name, sorted(column.items())) for name, column in out.columns.items()),
             [(d, list(map(str, data.classes)), data.comps) for d, data in result.data.items()],
-            log.warnings,
+            [],
         )
     return hashlib.sha256(repr(facts).encode()).hexdigest()[:16]
 
@@ -1197,20 +1198,18 @@ def test_sigma_log_records_round_counts(F, I):
     assert final["Salary"] == 8
 
 
-def test_pi_log_records_unverified_incidents(paper_env):
+def test_pi_raises_where_it_cannot_place_a_comma_morphism(paper_env):
     # with a zero rewrite budget the composite t.r cannot be placed in the d
-    # class: the dropped comma morphism is reported, and the restriction maps
-    # then fail loudly rather than silently truncate
+    # class: pi fails loudly at the comma morphism rather than drop it
     attach = paper_env[("translation", "Attach")]
     values = paper_env[("instance", "Values")]
-    log = MigrationLog()
-    with pytest.raises(PathBoundInstabilityError):
-        pi(attach, values, path_bound=1, budget=0, log=log)
-    assert any("no comma morphism" in w for w in log.warnings)
-    # an ample budget places every composite: no incidents, correct result
-    clean = MigrationLog()
-    result = pi(attach, values, path_bound=1, budget=64, log=clean)
-    assert clean.warnings == []
+    with pytest.raises(PathBoundInstabilityError) as caught:
+        pi(attach, values, path_bound=1, budget=0)
+    assert caught.value.vertex == "X"
+    assert "comma morphism of source arrow" in str(caught.value)
+    assert "composite t.r has no path class at 'X'" in str(caught.value)
+    # an ample budget places every composite: correct result
+    result = pi(attach, values, path_bound=1, budget=64)
     assert len(result.row_set("X")) == 11
 
 

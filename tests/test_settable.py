@@ -33,10 +33,8 @@ DEFAULTED_PARAMETERS = [
     "migration.sigma(log=None)",
     "migration.pi_full(path_bound=DEFAULT_PATH_BOUND)",
     "migration.pi_full(budget=DEFAULT_REWRITE_BUDGET)",
-    "migration.pi_full(log=None)",
     "migration.pi(path_bound=DEFAULT_PATH_BOUND)",
     "migration.pi(budget=DEFAULT_REWRITE_BUDGET)",
-    "migration.pi(log=None)",
     "schemas.paths_equivalent(budget=DEFAULT_REWRITE_BUDGET)",
 ]
 
